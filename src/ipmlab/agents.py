@@ -190,72 +190,67 @@ def estimate_tau(
 # ---------------------------------------------------------------------------
 # Menu purchasing (weighted items)
 
-EXHAUSTIVE_MAX_ITEMS = 8
+def menu_purchase_dp(etas, rs, available, vals_desc):
+    """Exact surplus-maximizing menu purchase for many rows at once.
 
+    ``available`` is an (R, k) mask over the items (index order =
+    nonincreasing eta); ``vals_desc`` is (R, B), each row's buyer values
+    sorted descending and zero-padded.  Both orders are nonincreasing, so the
+    best purchase gives its i-th item to the i-th highest buyer and a DP over
+    items x buyers served solves each row in O(k B): an item taken with t
+    buyers served adds vals[t] eta_j - r_j, or -r_j once all B are served.
 
-def _assignment_surplus(menu: Menu, items: tuple, vals_sorted_desc: np.ndarray):
-    """Surplus of buying exactly `items` (ascending index = descending eta),
-    matched greedily to the top buyers; returns (surplus, assignment)."""
-    take = min(len(items), len(vals_sorted_desc))
-    gross = 0.0
-    assignment = {}
-    for t in range(take):
-        gross += vals_sorted_desc[t] * menu.etas[items[t]]
-        assignment[t] = items[t]
-    return gross - float(sum(menu.rs[j] for j in items)), assignment
+    Ties within 1e-12 go to the larger set, then the lexicographically
+    smallest item tuple: the DP runs backward over items on (surplus, set
+    size), and the forward walk takes an item whenever taking is no worse.
+
+    Returns (taken, slot), both (R, k): slot[r, j] is the rank of the buyer
+    who gets a taken item j, or B when it is bought unassigned.
+    """
+    available = np.asarray(available, dtype=bool)
+    rows, k = available.shape
+    w = np.pad(np.asarray(vals_desc, dtype=float), ((0, 0), (0, 1)))
+    width = w.shape[1] - 1
+    after = np.minimum(np.arange(width + 1) + 1, width)  # state after a take
+    value = np.zeros((rows, width + 1))
+    size = np.zeros((rows, width + 1), dtype=np.int64)
+    prefer_take = [None] * k
+    for j in range(k - 1, -1, -1):
+        take_value = (w * etas[j] - rs[j]) + value[:, after]
+        take_size = size[:, after] + 1
+        gain = take_value - value
+        take = ((gain > 1e-12) | ((gain >= -1e-12) & (take_size >= size))) & available[:, j, None]
+        value = np.where(take, take_value, value)
+        size = np.where(take, take_size, size)
+        prefer_take[j] = take
+    r = np.arange(rows)
+    t = np.zeros(rows, dtype=np.int64)
+    taken = np.empty((rows, k), dtype=bool)
+    slot = np.empty((rows, k), dtype=np.int64)
+    for j in range(k):
+        taken[:, j] = prefer_take[j][r, t]
+        slot[:, j] = t
+        t = np.where(taken[:, j], after[t], t)
+    return taken, slot
 
 
 def surplus_max_menu_purchase(menu: Menu, available, valuations):
     """Exact surplus-maximizing purchase over the available items.
 
-    Returns (purchase set, {buyer index -> item}, surplus).  Ties resolve to
-    the larger purchase set, then the lexicographically smallest item tuple,
-    which keeps the demand-set preference deterministic.
+    Returns (purchase set, {buyer index -> item}, surplus), solved by the
+    O(k b) DP of `menu_purchase_dp` on one row.  Ties resolve to the larger
+    purchase set, then the lexicographically smallest item tuple, which
+    keeps the demand-set preference deterministic.
     """
-    available = sorted(available)
     vals = np.asarray(valuations, dtype=float)
     order = np.argsort(-vals, kind="stable")
-    vals_sorted = vals[order]
-    if len(available) <= EXHAUSTIVE_MAX_ITEMS:
-        best_surplus = 0.0
-        best_items: tuple = ()
-        for size in range(len(available) + 1):
-            for items in itertools.combinations(available, size):
-                surplus, _ = _assignment_surplus(menu, items, vals_sorted)
-                if surplus > best_surplus + 1e-12:
-                    best_surplus, best_items = surplus, items
-                elif abs(surplus - best_surplus) <= 1e-12 and (
-                    len(items) > len(best_items)
-                    or (len(items) == len(best_items) and items < best_items)
-                ):
-                    best_surplus, best_items = max(surplus, best_surplus), items
-        _, raw = _assignment_surplus(menu, best_items, vals_sorted)
-        assignment = {int(order[t]): j for t, j in raw.items()}
-        return set(best_items), assignment, float(best_surplus)
-    return _matching_menu_purchase(menu, available, vals, order)
-
-
-def _matching_menu_purchase(menu: Menu, available, vals, order):
-    """Assignment-solver route for larger menus; agrees with the exhaustive
-    optimum on surplus (tie-breaking may differ)."""
-    from scipy.optimize import linear_sum_assignment
-
-    nb, ni = len(vals), len(available)
-    weights = np.zeros((nb, ni))
-    for col, j in enumerate(available):
-        weights[:, col] = vals * menu.etas[j] - menu.rs[j]
-    padded = np.maximum(weights, 0.0)
-    rows, cols = linear_sum_assignment(-padded)
-    purchase = set()
-    assignment = {}
-    surplus = 0.0
-    for r, c in zip(rows, cols):
-        if weights[r, c] > 0.0:
-            j = available[c]
-            purchase.add(j)
-            assignment[int(r)] = j
-            surplus += weights[r, c]
-    return purchase, assignment, float(surplus)
+    mask = np.zeros((1, menu.k), dtype=bool)
+    mask[0, list(available)] = True
+    taken, slot = menu_purchase_dp(menu.etas, menu.rs, mask, vals[order][None, :])
+    items = [int(j) for j in np.flatnonzero(taken[0])]
+    assignment = {int(order[slot[0, j]]): j for j in items if slot[0, j] < len(vals)}
+    gross = sum(vals[b] * menu.etas[j] for b, j in assignment.items())
+    return set(items), assignment, float(gross - sum(menu.rs[j] for j in items))
 
 
 def brute_force_menu_purchase(menu: Menu, available, valuations):

@@ -142,14 +142,15 @@ class Uniform(Distribution):
 
 
 class Weibull(Distribution):
-    """Weibull(scale, shape); MHR when shape >= 1."""
+    """Weibull(scale, shape); MHR for shape >= 1.  Shape < 1 is rejected: the
+    hazard falls like v^(shape-1), so no lambda <= 1 holds."""
 
     def __init__(self, scale: float, shape: float):
-        if scale <= 0 or shape <= 0:
-            raise ParseError(f"weibull needs positive scale/shape, got {scale}, {shape}")
+        if scale <= 0 or shape < 1:
+            raise ParseError(f"weibull needs scale > 0 and shape >= 1, got {scale}, {shape}")
         self.scale, self.shape = float(scale), float(shape)
         self.support = Support(0.0, math.inf)
-        self.lambda_claimed = 0.0 if shape >= 1.0 else 1.0
+        self.lambda_claimed = 0.0
         self.name = "weibull"
 
     def cdf(self, v):
@@ -250,7 +251,9 @@ class TruncatedEqualRevenue(Distribution):
 
 
 def _fmt(x: float) -> str:
-    return f"{x:g}"
+    """Shortest round-trippable form, without a trailing ``.0``."""
+    s = repr(float(x))
+    return s[:-2] if s.endswith(".0") else s
 
 
 def parse_distribution(descriptor: str) -> Distribution:

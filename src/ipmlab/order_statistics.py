@@ -71,6 +71,7 @@ def expected_order_stat(spec: OrderStatSpec) -> float:
     return float(result)
 
 
+# Keyed on the descriptor, which names the family and its exact parameters.
 _CACHE: dict[tuple[str, int, int], float] = {}
 
 

@@ -185,66 +185,57 @@ def _uniform_price_batch(s: Scenario, price: float, threshold: float, batch_idx:
 # Sequential menu engine (heterogeneous items)
 
 
-def _menu_purchase_small(etas, rs, available, vals_desc):
-    """Pure-python exhaustive surplus optimum for tiny menus.
-
-    Mirrors agents.surplus_max_menu_purchase (same tie-breaks); kept lean
-    because it runs once per intermediary per replicate.
-    """
-    best_surplus = 0.0
-    best_items: tuple = ()
-    na = len(available)
-    nb = len(vals_desc)
-    for mask in range(1, 1 << na):
-        items = [available[i] for i in range(na) if mask >> i & 1]
-        surplus = 0.0
-        for t, j in enumerate(items[:nb]):
-            surplus += vals_desc[t] * etas[j]
-        for j in items:
-            surplus -= rs[j]
-        if surplus > best_surplus + 1e-12:
-            best_surplus, best_items = surplus, tuple(items)
-        elif abs(surplus - best_surplus) <= 1e-12 and (
-            len(items) > len(best_items)
-            or (len(items) == len(best_items) and tuple(items) < best_items)
-        ):
-            best_items = tuple(items)
-    return best_items, best_surplus
+# Rows per block of the menu sale: the DP's arrays stay in cache and the
+# engine's peak memory stays at the uniform-price engine's level.
+MENU_BLOCK = 1024
 
 
 def _menu_batch(s: Scenario, menu: Menu, batch_idx: int, size: int):
+    """Sequential menu sale for a batch, in blocks of rows: at each step
+    every row offers its remaining items to its next intermediary, whose
+    purchase comes from the O(k b) DP of `agents.menu_purchase_dp` over the
+    block's rows at once (ties to the larger set, then the lexicographically
+    smallest).  Revenue and welfare accumulate per step in ascending item
+    order."""
     draw, aux = _batch_rngs(s, batch_idx)
     v = np.asarray(s.d.quantile(draw.random((size, s.n))), dtype=float)
     groups = s.structure.groups()
     m = len(groups)
-    etas = menu.etas.tolist()
-    rs = menu.rs.tolist()
-    all_items = list(range(menu.k))
     if s.order_policy == "random":
         orders = np.argsort(aux.random((size, m)), axis=1)
     else:
         orders = np.tile(np.arange(m), (size, 1))
+    revenue, welfare = np.empty((2, size))
+    for lo in range(0, size, MENU_BLOCK):
+        block = slice(lo, lo + MENU_BLOCK)
+        revenue[block], welfare[block] = _menu_sale(menu, groups, v[block], orders[block])
+    return _sums(revenue, welfare)
+
+
+def _menu_sale(menu: Menu, groups, v: np.ndarray, orders: np.ndarray):
+    """Per-row revenue and welfare of the sequential menu sale on valuation
+    rows ``v``, visiting intermediaries in the order of ``orders``."""
+    size, m = orders.shape
+    width = max(len(idxs) for idxs in groups)
+    # Group values sorted descending, zero-padded; the extra zero column is
+    # the value of an item bought unassigned (slot == width).
+    sorted_vals = np.zeros((size, m, width + 1))
+    for ell, idxs in enumerate(groups):
+        sorted_vals[:, ell, : len(idxs)] = np.sort(v[:, idxs], axis=1)[:, ::-1]
+    rows = np.arange(size)
+    available = np.ones((size, menu.k), dtype=bool)
     revenue = np.zeros(size)
     welfare = np.zeros(size)
-    for r in range(size):
-        available = all_items
-        rev = 0.0
-        wel = 0.0
-        for ell in orders[r]:
-            if not available:
-                break
-            vals = sorted((v[r, i] for i in groups[ell]), reverse=True)
-            items, _ = _menu_purchase_small(etas, rs, available, vals)
-            if not items:
-                continue
-            for t, j in enumerate(items[: len(vals)]):
-                wel += etas[j] * vals[t]
-            for j in items:
-                rev += rs[j]
-            available = [j for j in available if j not in items]
-        revenue[r] = rev
-        welfare[r] = wel
-    return _sums(revenue, welfare)
+    for step in range(m):
+        if not available.any():
+            break
+        w = sorted_vals[rows, orders[:, step]]
+        taken, slot = agents.menu_purchase_dp(menu.etas, menu.rs, available, w[:, :width])
+        for j in range(menu.k):
+            revenue += np.where(taken[:, j], menu.rs[j], 0.0)
+            welfare += np.where(taken[:, j], menu.etas[j] * w[rows, slot[:, j]], 0.0)
+        available &= ~taken
+    return revenue, welfare
 
 
 # ---------------------------------------------------------------------------

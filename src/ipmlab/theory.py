@@ -108,8 +108,6 @@ def check_lamb_aux(n_max: int, grid_size: int = 2000) -> CheckResult:
                 worst = float(slack[i])
                 detail = f"n={n} lam={lam} F={1.0 - eps_grid[i]:.6g}"
         limit_err = abs(lamb_aux_boundary(n) + (n - 1) / 2.0)
-        if -limit_err < worst:
-            worst = min(worst, -limit_err) if limit_err > 1e-6 else worst
         if limit_err > 1e-6:
             return CheckResult("lamb_aux", -limit_err, False, f"boundary n={n}")
     return CheckResult("lamb_aux", worst, worst >= -1e-9, detail)
@@ -203,15 +201,25 @@ def _program_grid_oracle(rs, n: int, lam: float, step: float = 1e-3):
     c = c_of_lambda(lam)
     cap = min(1.0, k * c / (2.0 * n))
     axis = np.arange(0.0, cap + step, step)
+    # r_j exp(-n p) per axis point, the floats program_objective sums; one
+    # slab over the last two coordinates per value of the first (k = 3), in
+    # itertools.product order, so argmax keeps the first maximum.
+    terms = [np.array([r * math.exp(-p * n) for p in axis]) for r in rs]
+    tail = np.meshgrid(*[np.arange(len(axis))] * min(k, 2), indexing="ij")
     best_val = -math.inf
     best_p = None
-    for p in itertools.product(axis, repeat=k):
-        ok = all(n * sum(p[:s]) >= s * c / 2.0 - 1e-12 for s in range(1, k + 1))
-        if not ok:
-            continue
-        val = program_objective(rs, p, n)
-        if val > best_val:
-            best_val, best_p = val, np.asarray(p)
+    for head in itertools.product(range(len(axis)), repeat=k - len(tail)):
+        prefix = val = 0.0
+        ok = True
+        for s, (i, term) in enumerate(zip([*head, *tail], terms), start=1):
+            prefix = prefix + axis[i]
+            ok = ok & (n * prefix >= s * c / 2.0 - 1e-12)
+            val = val + term[i]
+        val = np.where(ok, val, -math.inf)
+        pos = np.unravel_index(int(np.argmax(val)), val.shape)
+        if val[pos] > best_val:
+            best_val = float(val[pos])
+            best_p = axis[[*head, *pos]]
     return best_val, best_p
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ipmlab import agents
 from ipmlab.distributions import Exponential, Pareto, Uniform, builtin_families, c_of_lambda
 from ipmlab.errors import ParseError
-from ipmlab.mechanisms import build_menu
+from ipmlab.mechanisms import Menu, build_menu
 
 
 def test_structure_constructors():
@@ -141,16 +141,114 @@ def test_demand_band_buyer_forces_sale():
         assert j in purchase
 
 
-def test_matching_route_agrees_with_exhaustive():
-    big = build_menu(Exponential(1.0), 12, tuple(1.0 / (j + 1) for j in range(10)))
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        vals = rng.exponential(size=4)
-        ex_val = agents.surplus_max_menu_purchase(big, range(8), vals)[2]
-        match_val = agents._matching_menu_purchase(
-            big, list(range(8)), np.asarray(vals), np.argsort(-vals)
-        )[2]
-        assert match_val == pytest.approx(ex_val, abs=1e-9)
+def _assignment_oracle(menu, available, vals):
+    """Best surplus as a max-weight matching of buyers to items, where an
+    item is bought only if it is matched (prices are nonnegative here)."""
+    from scipy.optimize import linear_sum_assignment
+
+    weights = np.outer(vals, menu.etas[available]) - menu.rs[available]
+    gain = np.maximum(weights, 0.0)
+    rows, cols = linear_sum_assignment(gain, maximize=True)
+    return float(gain[rows, cols].sum())
+
+
+def test_menu_purchase_matches_assignment_oracle():
+    for k in (8, 20, 64):
+        menu = build_menu(Exponential(1.0), 64, tuple(1.0 / (j + 1) for j in range(k)))
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            nb = int(rng.integers(1, k + 1))
+            vals = rng.exponential(size=nb) + rng.uniform(0.0, 6.0, size=nb)
+            available = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
+            got = agents.surplus_max_menu_purchase(menu, available, vals)[2]
+            assert got == pytest.approx(_assignment_oracle(menu, available, vals), abs=1e-9)
+
+
+def _exhaustive_purchase(etas, rs, available, vals_desc):
+    """All 2^k purchase sets, items matched in index order to the buyers in
+    descending value order; ties within 1e-12 go to the larger set, then the
+    lexicographically smallest item tuple.  Returns the chosen items and the
+    number of sets within 1e-12 of the best surplus."""
+    best_surplus = 0.0
+    best_items: tuple = ()
+    surpluses = [0.0]
+    na = len(available)
+    nb = len(vals_desc)
+    for mask in range(1, 1 << na):
+        items = [available[i] for i in range(na) if mask >> i & 1]
+        surplus = 0.0
+        for t, j in enumerate(items[:nb]):
+            surplus += vals_desc[t] * etas[j]
+        for j in items:
+            surplus -= rs[j]
+        surpluses.append(surplus)
+        if surplus > best_surplus + 1e-12:
+            best_surplus, best_items = surplus, tuple(items)
+        elif abs(surplus - best_surplus) <= 1e-12 and (
+            len(items) > len(best_items)
+            or (len(items) == len(best_items) and tuple(items) < best_items)
+        ):
+            best_items = tuple(items)
+    return best_items, sum(abs(x - best_surplus) <= 1e-12 for x in surpluses)
+
+
+def _dyadic_menu(rng, k):
+    """Menus whose surpluses are exact in floating point, so ties are exact:
+    repeated etas (identical items), zero etas (zero-price items)."""
+    etas = np.sort(rng.choice([0.0, 0.25, 0.5, 0.5, 1.0], size=k))[::-1]
+    us = np.sort(rng.choice([0.5, 1.0, 1.5, 2.0, 4.0], size=k))[::-1]
+    rs = np.zeros(k)
+    r_next = eta_next = 0.0
+    for j in range(k - 1, -1, -1):
+        rs[j] = r_next + us[j] * (etas[j] - eta_next)
+        r_next, eta_next = rs[j], etas[j]
+    return Menu(etas=etas, us=us, rs=rs)
+
+
+def test_menu_purchase_tie_break_matches_exhaustive():
+    # Each menu is solved for 20 rows in one kernel call; the rows differ in
+    # availability and in group size (zero-padded to the widest).
+    rng = np.random.default_rng(3)
+    grid = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+    tied = 0
+    for _ in range(60):
+        k = int(rng.integers(1, 6))
+        menu = _dyadic_menu(rng, k)
+        rows = 20
+        avail = rng.random((rows, k)) < 0.7
+        groups = [sorted(rng.choice(grid, size=int(rng.integers(1, 4))).tolist(), reverse=True)
+                  for _ in range(rows)]
+        padded = np.zeros((rows, 3))
+        for r, g in enumerate(groups):
+            padded[r, : len(g)] = g
+        taken, _ = agents.menu_purchase_dp(menu.etas, menu.rs, avail, padded)
+        for r, g in enumerate(groups):
+            available = np.flatnonzero(avail[r]).tolist()
+            items, optima = _exhaustive_purchase(menu.etas, menu.rs, available, g)
+            assert tuple(np.flatnonzero(taken[r])) == items
+            assert agents.surplus_max_menu_purchase(menu, available, g[::-1])[0] == set(items)
+            tied += optima > 1
+    assert tied > 500  # most instances exercise the tie-break, not just the optimum
+
+
+_VALUE = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 6.0))
+_ETA = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(
+    etas=st.lists(_ETA, min_size=1, max_size=5),
+    vals=st.lists(_VALUE, min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_menu_purchase_matches_brute_force_property(etas, vals, data):
+    etas = sorted(etas, reverse=True)
+    menu = build_menu(Exponential(1.0), 6, etas)
+    available = sorted(data.draw(st.sets(st.integers(0, len(etas) - 1))))
+    fast = agents.surplus_max_menu_purchase(menu, available, vals)
+    brute = agents.brute_force_menu_purchase(menu, available, vals)
+    assert fast[0] <= set(available)
+    assert fast[2] == pytest.approx(brute[2], abs=1e-9)
 
 
 @given(vals=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4))

@@ -35,9 +35,10 @@ def test_price_menu_table(capsys):
 
 
 def test_price_parse_error_exit_code(capsys):
-    code, _, err = run(["price", "--dist", "gauss:0:1", "--n", "4", "--k", "2"], capsys)
-    assert code == 2
-    assert "error" in err
+    for dist in ("gauss:0:1", "weibull:1:0.5"):
+        code, _, err = run(["price", "--dist", dist, "--n", "4", "--k", "2"], capsys)
+        assert code == 2
+        assert "error" in err
 
 
 def test_price_numeric_failure_exit_code(capsys):

@@ -53,8 +53,44 @@ def test_parse_descriptors_roundtrip():
         assert type(again) is type(d)
 
 
+# Descriptors of every family the parser accepts, across its legal range.
+PARSEABLE = st.one_of(
+    st.sampled_from([d.descriptor for d in FAMILIES]),
+    st.floats(1e-3, 1e3).map(lambda r: f"exp:{r!r}"),
+    st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)).map(lambda p: f"uniform:{p[0]!r}:{p[0] + p[1]!r}"),
+    st.tuples(st.floats(1e-2, 1e2), st.floats(1.0, 8.0)).map(lambda p: f"weibull:{p[0]!r}:{p[1]!r}"),
+    st.tuples(st.floats(1.0, 8.0, exclude_min=True), st.floats(1e-2, 1e2)).map(lambda p: f"pareto:{p[0]!r}:{p[1]!r}"),
+    st.integers(2, 10_000).map(lambda n: f"ter:{n}"),
+)
+
+
+@given(text=PARSEABLE)
+@settings(max_examples=150, deadline=None)
+def test_descriptor_rebuilds_exact_parameters(text):
+    d = parse_distribution(text)
+    again = parse_distribution(d.descriptor)
+    assert type(again) is type(d)
+    assert vars(again) == vars(d)
+
+
+def test_descriptor_keeps_every_digit():
+    assert Exponential(1.0000004).descriptor == "exp:1.0000004"
+    assert [Exponential(1.0).descriptor, Pareto(2.0, 1.0).descriptor, Pareto(3.0, 1.0).descriptor] == [
+        "exp:1", "pareto:2:1", "pareto:3:1"]
+
+
+@given(text=PARSEABLE)
+@settings(max_examples=100, deadline=None)
+def test_regularity_certificates_for_parseable_families(text):
+    d = parse_distribution(text)
+    cert = check_lambda_regularity(d, d.lambda_claimed)
+    assert cert.passed, (d.descriptor, cert.min_slope)
+
+
 def test_parse_rejects_garbage():
-    for bad in ("", "exp", "exp:a", "nope:1", "pareto:1:1", "uniform:1:0"):
+    # weibull shape < 1: the hazard falls like v^(shape-1), so the virtual
+    # value decreases near 0 and no lambda <= 1 holds.
+    for bad in ("", "exp", "exp:a", "nope:1", "pareto:1:1", "uniform:1:0", "weibull:1:0.5"):
         with pytest.raises((ParseError, ValueError)):
             parse_distribution(bad)
 

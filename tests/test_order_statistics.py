@@ -32,6 +32,15 @@ def test_exponential_ranks_match_harmonic_sums():
             assert got == pytest.approx(harmonic_tail(j, t), abs=2e-6)
 
 
+def test_cache_keys_on_exact_parameters():
+    # Two rates that agree to six significant digits must not share an entry.
+    from ipmlab.mechanisms import ipm_price
+
+    ipm_price(Exponential(1.0), 6, 3)
+    near = Exponential(1.0000004)
+    assert ipm_price(near, 6, 3) == expected_order_stat(OrderStatSpec(1, 2, near))
+
+
 def test_exponential_second_of_three():
     assert expected_rank(Exponential(1.0), 2, 3) == pytest.approx(5 / 6, abs=1e-6)
 

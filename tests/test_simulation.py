@@ -130,6 +130,37 @@ def test_heterogeneous_engine_matches_reference_sale():
     assert rep.mean_revenue == pytest.approx(total / 64, abs=1e-9)
 
 
+def test_heterogeneous_engine_runs_at_k_equals_n_64():
+    # 64 items: the exact purchase is a DP, not a 2^64 enumeration.  Fixed
+    # order, so each row replays through the reference sale.
+    from ipmlab.mechanisms import sequential_menu_sale
+
+    etas = tuple(1.0 / (j + 1) for j in range(64))
+    s = scenario(mechanism="het_ipm", n=64, k=64, etas=etas, structure=agents.balanced(64, 8),
+                 order_policy="fixed", reps=96)
+    rep = simulation.run_scenario(s)
+    assert 0.0 < rep.mean_revenue <= rep.mean_welfare
+    assert rep.extra["pointwise_rev_gt_wel"] == 0
+    menu = build_menu(s.d, s.n, s.etas)
+    rng = np.random.default_rng(np.random.SeedSequence((s.master_seed, 0, 0)))
+    v = np.asarray(s.d.quantile(rng.random((96, 64))), dtype=float)
+    sales = [sequential_menu_sale(menu, s.structure.groups(), v[r], range(8)) for r in range(96)]
+    assert rep.mean_revenue == pytest.approx(sum(o.revenue for o in sales) / 96, rel=1e-12)
+    assert rep.mean_welfare == pytest.approx(sum(o.welfare for o in sales) / 96, rel=1e-12)
+
+
+def test_heterogeneous_report_identical_across_threads_and_blocks(monkeypatch):
+    s = scenario(mechanism="het_ipm", etas=(1.0, 0.5, 0.25), structure=agents.random_partition(6, 3, 7),
+                 reps=2 * simulation.BATCH_SIZE + 100)
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    one = simulation.run_scenario(s).csv_row()
+    monkeypatch.setenv("IPMLAB_THREADS", "2")
+    assert simulation.run_scenario(s).csv_row() == one
+    # Row blocks only bound the engine's memory: one block per batch agrees.
+    monkeypatch.setattr(simulation, "MENU_BLOCK", simulation.BATCH_SIZE)
+    assert simulation.run_scenario(s).csv_row() == one
+
+
 def test_price_structure_invariance_sweep():
     base = scenario()
     reports = simulation.robustness_sweep(base, agents.canonical_structures(6))
