@@ -8,15 +8,13 @@ buyer only when the buyer's virtual value clears the posted price.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .distributions import Distribution, inverse_virtual_value, virtual_value
+from .distributions import Distribution, _fmt, inverse_virtual_value
 from .errors import ParseError
-from .mechanisms import Menu
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class BehaviorModel:
     @property
     def descriptor(self) -> str:
         if self.kind is Kind.ALPHA_BARGAIN:
-            return f"alpha:{self.alpha:g}"
+            return f"alpha:{_fmt(self.alpha)}"
         return self.kind.value
 
 
@@ -140,51 +138,11 @@ def purchase_threshold(model: BehaviorModel, d: Distribution, price: float) -> f
     return price
 
 
-def uniform_price_purchases(model: BehaviorModel, d: Distribution, price: float, valuations) -> int:
-    """Number of units the intermediary requests at a uniform per-item price."""
-    if price < 0:
-        raise ValueError("price must be nonnegative")
-    vals = np.asarray(valuations, dtype=float)
-    if model.kind is Kind.MONOPOLIST:
-        return int(np.sum(virtual_value(d, vals) >= price))
-    # Alpha-bargaining rescales the payoff split, not the argmax.
-    return int(np.sum(vals >= price))
-
-
 def monopolist_tau_analytic(d: Distribution, price: float) -> float:
     """P[intermediary buys | buyer value >= price] for a monopolist, in
     closed form: (1 - F(phi^-1(p))) / (1 - F(p))."""
     thr = inverse_virtual_value(d, price)
     return float((1.0 - d.cdf(thr)) / (1.0 - d.cdf(price)))
-
-
-def estimate_tau(
-    model: BehaviorModel,
-    d: Distribution,
-    price_grid,
-    reps: int = 200_000,
-    rng_seed: int = 0,
-) -> float:
-    """Monte Carlo estimate of min over the grid of P[buy | v >= p].
-
-    Surplus maximizers (and bargainers) always pass through, so the answer
-    is exactly 1.  For the monopolist we sample v conditioned on v >= p and
-    count virtual values clearing p; `monopolist_tau_analytic` gives the
-    noise-free counterpart.
-    """
-    if reps < 100_000:
-        raise ValueError("need reps >= 100_000 for a stable estimate")
-    if model.kind is not Kind.MONOPOLIST:
-        return 1.0
-    rng = np.random.default_rng(rng_seed)
-    worst = 1.0
-    for p in price_grid:
-        f_p = float(d.cdf(p))
-        u = f_p + (1.0 - f_p) * rng.random(reps)
-        v = np.asarray(d.quantile(u), dtype=float)
-        frac = float(np.mean(virtual_value(d, v) >= p))
-        worst = min(worst, frac)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -232,59 +190,3 @@ def menu_purchase_dp(etas, rs, available, vals_desc):
         slot[:, j] = t
         t = np.where(taken[:, j], after[t], t)
     return taken, slot
-
-
-def surplus_max_menu_purchase(menu: Menu, available, valuations):
-    """Exact surplus-maximizing purchase over the available items.
-
-    Returns (purchase set, {buyer index -> item}, surplus), solved by the
-    O(k b) DP of `menu_purchase_dp` on one row.  Ties resolve to the larger
-    purchase set, then the lexicographically smallest item tuple, which
-    keeps the demand-set preference deterministic.
-    """
-    vals = np.asarray(valuations, dtype=float)
-    order = np.argsort(-vals, kind="stable")
-    mask = np.zeros((1, menu.k), dtype=bool)
-    mask[0, list(available)] = True
-    taken, slot = menu_purchase_dp(menu.etas, menu.rs, mask, vals[order][None, :])
-    items = [int(j) for j in np.flatnonzero(taken[0])]
-    assignment = {int(order[slot[0, j]]): j for j in items if slot[0, j] < len(vals)}
-    gross = sum(vals[b] * menu.etas[j] for b, j in assignment.items())
-    return set(items), assignment, float(gross - sum(menu.rs[j] for j in items))
-
-
-def brute_force_menu_purchase(menu: Menu, available, valuations):
-    """Independent oracle: enumerate every purchase set and every injective
-    assignment of purchased items to buyers.  Exponential; small cases only."""
-    available = sorted(available)
-    vals = np.asarray(valuations, dtype=float)
-    nb = len(vals)
-    best_surplus = 0.0
-    best = (set(), {})
-    for size in range(len(available) + 1):
-        for items in itertools.combinations(available, size):
-            cost = float(sum(menu.rs[j] for j in items))
-            take = min(len(items), nb)
-            for chosen in itertools.permutations(range(nb), take):
-                for placed in itertools.combinations(items, take):
-                    gross = sum(vals[b] * menu.etas[j] for b, j in zip(chosen, placed))
-                    surplus = gross - cost
-                    if surplus > best_surplus + 1e-12:
-                        best_surplus = surplus
-                        best = (set(items), dict(zip(chosen, placed)))
-    return best[0], best[1], float(best_surplus)
-
-
-def demand_set(menu: Menu, valuations):
-    """Lowest-indexed item each buyer can 'afford' by the u_j thresholds:
-    B(i) = min{ j : v_i >= u_j }, or None below u_k."""
-    vals = np.asarray(valuations, dtype=float)
-    out = []
-    for v in vals:
-        hit = None
-        for j in range(menu.k):
-            if v >= menu.us[j]:
-                hit = j
-                break
-        out.append(hit)
-    return out

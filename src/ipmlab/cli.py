@@ -157,7 +157,7 @@ def cmd_simulate(args) -> int:
     for s in scenarios:
         rep = simulation.run_scenario(s)
         rows.append(rep.csv_row())
-        if rep.bound is None:
+        if rep.passed is None:  # no bound, or too few replicates for a verdict
             verdict = "----"
         elif rep.passed:
             verdict = "PASS"

@@ -1,20 +1,20 @@
-"""Posted-price mechanisms and auction baselines.
+"""Posted prices: the uniform price for identical items, the price menu for
+weighted items, and the revenue-optimal single-item price.
 
-Covers the uniform-price mechanism for identical items, the menu-based
-sequential mechanism for weighted items, and the two benchmark mechanisms
-(the (k+1)-price auction with reserve and monopsony bundle pricing).
+The mechanisms that sell at these prices (and the two benchmarks) run
+batched in `simulation`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Distribution
-from .order_statistics import expected_max, expected_rank
+from .order_statistics import expected_rank
 
 
 @dataclass
@@ -58,14 +58,6 @@ class Menu:
         return rows
 
 
-@dataclass
-class MechanismOutcome:
-    allocation: dict = field(default_factory=dict)  # buyer index -> item index (or unit id)
-    payments: dict = field(default_factory=dict)  # intermediary index -> currency
-    revenue: float = 0.0
-    welfare: float = 0.0
-
-
 def ipm_price(d: Distribution, n: int, k: int) -> float:
     """Uniform per-item posted price E[v^(1, ceil(n/k))].
 
@@ -74,33 +66,7 @@ def ipm_price(d: Distribution, n: int, k: int) -> float:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     s = math.ceil(n / k)
-    return expected_max(d, s)
-
-
-def ipm_allocate(requests, k: int, price: float, rng_seed) -> MechanismOutcome:
-    """Serve unit requests at the posted price, rationing by uniform lottery.
-
-    Each requested unit is one lottery ticket; if total demand exceeds k,
-    exactly k tickets win, uniformly without replacement.
-    """
-    requests = [int(q) for q in requests]
-    if any(q < 0 for q in requests):
-        raise ValueError("requests must be nonnegative")
-    total = sum(requests)
-    if total <= k:
-        served = list(requests)
-    else:
-        rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-        owners = np.repeat(np.arange(len(requests)), requests)
-        winners = rng.choice(owners, size=k, replace=False)
-        served = np.bincount(winners, minlength=len(requests)).tolist()
-    out = MechanismOutcome()
-    for idx, cnt in enumerate(served):
-        if cnt:
-            out.payments[idx] = cnt * price
-    out.revenue = sum(out.payments.values())
-    out.allocation = {idx: cnt for idx, cnt in enumerate(served) if cnt}
-    return out
+    return expected_rank(d, 1, s)
 
 
 def build_menu(d: Distribution, n: int, etas) -> Menu:
@@ -111,7 +77,7 @@ def build_menu(d: Distribution, n: int, etas) -> Menu:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
     if np.any(etas < 0) or np.any(np.diff(etas) > 1e-12):
         raise ValueError("etas must be nonnegative and nonincreasing")
-    us = np.array([expected_max(d, math.ceil(n / (j + 1))) for j in range(k)])
+    us = np.array([expected_rank(d, 1, math.ceil(n / (j + 1))) for j in range(k)])
     rs = np.zeros(k)
     r_next, eta_next = 0.0, 0.0
     for j in range(k - 1, -1, -1):
@@ -120,90 +86,6 @@ def build_menu(d: Distribution, n: int, etas) -> Menu:
     menu = Menu(etas=etas, us=us, rs=rs)
     menu.validate()
     return menu
-
-
-def sequential_menu_sale(menu: Menu, groups, valuations, order) -> MechanismOutcome:
-    """Offer the menu to each intermediary in turn; sold items disappear.
-
-    ``groups`` maps intermediary -> list of buyer indices; ``order`` is a
-    permutation of intermediaries.  Each intermediary purchases its exact
-    surplus optimum over the still-available items.
-    """
-    from .agents import surplus_max_menu_purchase
-
-    valuations = np.asarray(valuations, dtype=float)
-    available = list(range(menu.k))
-    out = MechanismOutcome()
-    for ell in order:
-        if not available:
-            break
-        buyers = groups[ell]
-        purchase, assignment, _ = surplus_max_menu_purchase(menu, available, valuations[buyers])
-        if not purchase:
-            continue
-        pay = float(sum(menu.rs[j] for j in purchase))
-        out.payments[ell] = out.payments.get(ell, 0.0) + pay
-        out.revenue += pay
-        for local_i, j in assignment.items():
-            buyer = buyers[local_i]
-            out.allocation[buyer] = j
-            out.welfare += menu.etas[j] * valuations[buyer]
-        available = [j for j in available if j not in purchase]
-    return out
-
-
-def kplus1_auction(valuations, k: int, reserve: float) -> MechanismOutcome:
-    """(k+1)-th price auction with reserve: top bidders clearing the reserve
-    win and pay max(reserve, (k+1)-th highest bid)."""
-    if reserve < 0:
-        raise ValueError("reserve must be nonnegative")
-    vals = np.asarray(valuations, dtype=float)
-    order = np.argsort(-vals, kind="stable")
-    eligible = [i for i in order if vals[i] >= reserve]
-    winners = eligible[:k]
-    price_floor = vals[order[k]] if len(vals) > k else 0.0
-    pay = max(price_floor, reserve)
-    out = MechanismOutcome()
-    for i in winners:
-        out.allocation[int(i)] = 1
-        out.payments[int(i)] = pay
-        out.welfare += float(vals[i])
-    out.revenue = pay * len(winners)
-    return out
-
-
-def bundle_price_monopsony(
-    d: Distribution,
-    n: int,
-    k: int,
-    mode: str = "mean",
-    reps: int = 100_000,
-    rng_seed: int = 0,
-) -> float:
-    """Bundle price for a single intermediary holding all n buyers.
-
-    ``mean`` prices at the expected sum of the top-k order statistics;
-    ``grid_optimal`` maximizes p * (1 - Ghat(p)) over an empirical CDF of
-    the bundle value (the empirical revenue curve is piecewise linear
-    between samples, so the maximizer is a sample point).
-    """
-    if mode == "mean":
-        return float(sum(expected_rank(d, j, n) for j in range(1, k + 1)))
-    if mode != "grid_optimal":
-        raise ValueError(f"unknown mode {mode!r}")
-    if reps < 10_000:
-        raise ValueError("grid_optimal needs reps >= 10_000")
-    rng = np.random.default_rng(rng_seed)
-    draws = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
-    if k < n:
-        part = -np.partition(-draws, k - 1, axis=1)[:, :k]
-        bundle = part.sum(axis=1)
-    else:
-        bundle = draws.sum(axis=1)
-    bundle.sort()
-    # p = bundle[i] sells to the reps - i samples at or above it.
-    revenue = bundle * (reps - np.arange(reps)) / reps
-    return float(bundle[int(np.argmax(revenue))])
 
 
 def optimal_item_price(d: Distribution, grid_size: int = 512) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Order statistics of i.i.d. draws: expectations, tail probabilities, samplers.
+"""Order statistics of i.i.d. draws: expectations and tail probabilities.
 
 Ranks are counted from the top: rank 1 is the largest of t draws.
 """
@@ -6,7 +6,6 @@ Ranks are counted from the top: rank 1 is the largest of t draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -16,32 +15,15 @@ from .distributions import Distribution, Pareto
 from .errors import NonIntegrable, QuadratureFailure
 
 
-@dataclass(frozen=True)
-class OrderStatSpec:
-    j: int  # rank, 1 = largest
-    t: int  # sample size
-    d: Distribution
-
-    def __post_init__(self):
-        if not 1 <= self.j <= self.t:
-            raise ValueError(f"need 1 <= j <= t, got j={self.j}, t={self.t}")
-
-
-def first_order_stat_cdf(d: Distribution, t: int, v) -> float:
-    """CDF of the max of t i.i.d. draws: F(v)^t."""
-    if t < 1:
-        raise ValueError("sample size must be >= 1")
-    return np.power(d.cdf(v), t)
-
-
-def expected_order_stat(spec: OrderStatSpec) -> float:
+def expected_order_stat(d: Distribution, j: int, t: int) -> float:
     """E of the j-th largest of t i.i.d. draws, to ~1e-6 relative accuracy.
 
     Rank 1 integrates the survival function of the max; deeper ranks use the
     Beta-weighted quantile integral, which needs only the quantile function
     and stays stable in the upper tail.
     """
-    d, j, t = spec.d, spec.j, spec.t
+    if not 1 <= j <= t:
+        raise ValueError(f"need 1 <= j <= t, got j={j}, t={t}")
     if isinstance(d, Pareto) and d.shape <= 1.0:
         raise NonIntegrable(f"E[v^({j},{t})] diverges for {d.descriptor}")
     if j == 1:
@@ -75,19 +57,11 @@ def expected_order_stat(spec: OrderStatSpec) -> float:
 _CACHE: dict[tuple[str, int, int], float] = {}
 
 
-def expected_max(d: Distribution, t: int) -> float:
-    """Cached E[v^(1,t)]; the quantity every posted price is built from."""
-    key = (d.descriptor, 1, t)
-    if key not in _CACHE:
-        _CACHE[key] = expected_order_stat(OrderStatSpec(1, t, d))
-    return _CACHE[key]
-
-
 def expected_rank(d: Distribution, j: int, t: int) -> float:
-    """Cached E[v^(j,t)]."""
+    """Cached E[v^(j,t)]; rank 1 is what every posted price is built from."""
     key = (d.descriptor, j, t)
     if key not in _CACHE:
-        _CACHE[key] = expected_order_stat(OrderStatSpec(j, t, d))
+        _CACHE[key] = expected_order_stat(d, j, t)
     return _CACHE[key]
 
 
@@ -102,24 +76,11 @@ def top_k_welfare(d: Distribution, n: int, k: int, etas=None) -> float:
     return float(sum(eta * expected_rank(d, j + 1, n) for j, eta in enumerate(etas)))
 
 
-def sample_order_stats(d: Distribution, t: int, rng_seed) -> np.ndarray:
-    """t i.i.d. draws via inverse transform, sorted descending.
-
-    ``rng_seed`` may be an int or a numpy Generator; results are
-    deterministic given a seed.
-    """
-    if t < 1:
-        raise ValueError("sample size must be >= 1")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    draws = np.asarray(d.quantile(rng.random(t)), dtype=float)
-    return np.sort(draws)[::-1]
-
-
 def tail_probability_vs_mean(d: Distribution, t: int) -> float:
     """P[v^(1,t) >= E[v^(1,t)]] evaluated analytically.
 
     For a lambda-regular family this is at least c(lambda), since the max of
     i.i.d. lambda-regular draws is itself lambda-regular.
     """
-    m = expected_max(d, t)
+    m = expected_rank(d, 1, t)
     return float(-np.expm1(t * np.log(np.clip(d.cdf(m), 0.0, 1.0))))

@@ -18,7 +18,7 @@ import numpy as np
 from . import agents
 from .distributions import Distribution, c_of_lambda, inverse_virtual_value
 from .mechanisms import Menu, build_menu, ipm_price, optimal_item_price
-from .order_statistics import expected_rank, top_k_welfare
+from .order_statistics import top_k_welfare
 
 BATCH_SIZE = 8192
 
@@ -49,6 +49,8 @@ class Scenario:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.mechanism == "het_ipm" and self.etas is None:
             raise ValueError("het_ipm needs item weights")
+        if self.order_policy not in ("random", "fixed"):
+            raise ValueError(f"unknown order policy {self.order_policy!r}")
 
     @property
     def label(self) -> str:
@@ -104,11 +106,12 @@ CSV_HEADER = (
 
 
 def worker_count() -> int:
-    cap = os.environ.get("IPMLAB_THREADS", "")
+    """IPMLAB_THREADS, capped at the CPU count; 1 when unset or malformed."""
     try:
-        return max(1, int(cap))
+        wanted = int(os.environ.get("IPMLAB_THREADS", ""))
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def theoretical_bound(s: Scenario) -> float | None:
@@ -124,10 +127,12 @@ def theoretical_bound(s: Scenario) -> float | None:
     return None
 
 
-def _batch_rngs(s: Scenario, batch_idx: int):
+def _draw(s: Scenario, batch_idx: int, size: int):
+    """A batch's (size, n) valuations, from stream 0 of its seed, and the
+    generator on stream 1 that the engines use for rationing and orders."""
     draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 0)))
     aux = np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 1)))
-    return draw, aux
+    return np.asarray(s.d.quantile(draw.random((size, s.n))), dtype=float), aux
 
 
 def _batches(reps: int):
@@ -144,10 +149,8 @@ def _batches(reps: int):
 # Homogeneous uniform-price engine (also backs `item_price`)
 
 
-def _uniform_price_batch(s: Scenario, price: float, threshold: float, batch_idx: int, size: int):
-    draw, aux = _batch_rngs(s, batch_idx)
-    v = np.asarray(s.d.quantile(draw.random((size, s.n))), dtype=float)
-    groups = s.structure.groups()
+def _uniform_price_batch(s: Scenario, groups, price: float, threshold: float, batch_idx: int, size: int):
+    v, aux = _draw(s, batch_idx, size)
     m = len(groups)
     qualify = v >= threshold
     q = np.empty((size, m), dtype=np.int64)
@@ -190,16 +193,14 @@ def _uniform_price_batch(s: Scenario, price: float, threshold: float, batch_idx:
 MENU_BLOCK = 1024
 
 
-def _menu_batch(s: Scenario, menu: Menu, batch_idx: int, size: int):
+def _menu_batch(s: Scenario, groups, menu: Menu, batch_idx: int, size: int):
     """Sequential menu sale for a batch, in blocks of rows: at each step
     every row offers its remaining items to its next intermediary, whose
     purchase comes from the O(k b) DP of `agents.menu_purchase_dp` over the
     block's rows at once (ties to the larger set, then the lexicographically
     smallest).  Revenue and welfare accumulate per step in ascending item
     order."""
-    draw, aux = _batch_rngs(s, batch_idx)
-    v = np.asarray(s.d.quantile(draw.random((size, s.n))), dtype=float)
-    groups = s.structure.groups()
+    v, aux = _draw(s, batch_idx, size)
     m = len(groups)
     if s.order_policy == "random":
         orders = np.argsort(aux.random((size, m)), axis=1)
@@ -242,20 +243,19 @@ def _menu_sale(menu: Menu, groups, v: np.ndarray, orders: np.ndarray):
 # Benchmark engines
 
 
-def _kplus1_batch(s: Scenario, reserve: float, batch_idx: int, size: int):
-    draw, _ = _batch_rngs(s, batch_idx)
-    v = np.asarray(s.d.quantile(draw.random((size, s.n))), dtype=float)
-    groups = s.structure.groups()
-    # Each intermediary bids its top min(k, |group|) buyer values.
-    cols = []
+def _group_tops(v: np.ndarray, groups, k: int):
+    """Each group's top min(k, |group|) values, unordered; a group that fits
+    whole comes back as its own columns."""
     for idxs in groups:
         g = v[:, idxs]
-        take = min(s.k, len(idxs))
-        if len(idxs) == 1:
-            cols.append(g)
-        else:
-            cols.append(-np.partition(-g, take - 1, axis=1)[:, :take])
-    bids = np.sort(np.concatenate(cols, axis=1), axis=1)[:, ::-1]
+        take = min(k, len(idxs))
+        yield g if take == len(idxs) else -np.partition(-g, take - 1, axis=1)[:, :take]
+
+
+def _kplus1_batch(s: Scenario, groups, reserve: float, batch_idx: int, size: int):
+    v, _ = _draw(s, batch_idx, size)
+    # Each intermediary bids its top min(k, |group|) buyer values.
+    bids = np.sort(np.concatenate(list(_group_tops(v, groups, s.k)), axis=1), axis=1)[:, ::-1]
     nb = bids.shape[1]
     winners = np.minimum((bids >= reserve).sum(axis=1), s.k)
     floor = bids[:, s.k] if nb > s.k else np.zeros(size)
@@ -266,19 +266,12 @@ def _kplus1_batch(s: Scenario, reserve: float, batch_idx: int, size: int):
     return _sums(revenue, welfare)
 
 
-def _bundle_batch(s: Scenario, price: float, batch_idx: int, size: int):
-    draw, _ = _batch_rngs(s, batch_idx)
-    v = np.asarray(s.d.quantile(draw.random((size, s.n))), dtype=float)
-    groups = s.structure.groups()
-    m = len(groups)
-    value = np.empty((size, m))
-    for ell, idxs in enumerate(groups):
-        g = v[:, idxs]
-        take = min(s.k, len(idxs))
-        if take == len(idxs):
-            value[:, ell] = g.sum(axis=1)
-        else:
-            value[:, ell] = -np.partition(-g, take - 1, axis=1)[:, :take].sum(axis=1)
+def _bundle_batch(s: Scenario, groups, price: float, batch_idx: int, size: int):
+    v, _ = _draw(s, batch_idx, size)
+    # Each intermediary values the bundle at its top min(k, |group|) buyers.
+    value = np.empty((size, len(groups)))
+    for ell, top in enumerate(_group_tops(v, groups, s.k)):
+        value[:, ell] = top.sum(axis=1)
     accept = value >= price
     any_accept = accept.any(axis=1)
     first = np.argmax(accept, axis=1)
@@ -302,25 +295,26 @@ def _sums(revenue: np.ndarray, welfare: np.ndarray):
 
 
 def _batch_fn(s: Scenario):
+    groups = s.structure.groups()
     if s.mechanism in ("ipm", "item_price"):
         if s.mechanism == "ipm":
             price = ipm_price(s.d, s.n, s.k)
         else:
             price, _ = optimal_item_price(s.d)
         threshold = agents.purchase_threshold(s.model, s.d, price)
-        return lambda b, sz: _uniform_price_batch(s, price, threshold, b, sz), {"price": price}
+        return lambda b, sz: _uniform_price_batch(s, groups, price, threshold, b, sz), {"price": price}
     if s.mechanism == "het_ipm":
         menu = build_menu(s.d, s.n, s.etas)
-        return lambda b, sz: _menu_batch(s, menu, b, sz), {"menu": menu}
+        return lambda b, sz: _menu_batch(s, groups, menu, b, sz), {"menu": menu}
     if s.mechanism == "kplus1":
         reserve = inverse_virtual_value(s.d, 0.0)
-        return lambda b, sz: _kplus1_batch(s, reserve, b, sz), {"reserve": reserve}
+        return lambda b, sz: _kplus1_batch(s, groups, reserve, b, sz), {"reserve": reserve}
     if s.mechanism == "bundle":
         if s.epsilon is not None:
             price = s.n * (s.d.mean() - s.epsilon)
         else:
-            price = float(sum(expected_rank(s.d, j, s.n) for j in range(1, s.k + 1)))
-        return lambda b, sz: _bundle_batch(s, price, b, sz), {"price": price}
+            price = top_k_welfare(s.d, s.n, s.k)
+        return lambda b, sz: _bundle_batch(s, groups, price, b, sz), {"price": price}
     raise AssertionError(s.mechanism)
 
 

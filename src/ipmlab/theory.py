@@ -14,16 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import (
-    Distribution,
-    Pareto,
-    builtin_families,
-    c_of_lambda,
-    g_lambda,
-    inverse_virtual_value,
-)
+from .agents import monopolist_tau_analytic
+from .distributions import Distribution, Pareto, builtin_families, c_of_lambda, g_lambda
 from .errors import InfeasibleClaim
-from .order_statistics import expected_max, expected_rank, tail_probability_vs_mean
+from .order_statistics import expected_rank, tail_probability_vs_mean
 
 # Certified rational bounds: 2.718281828459045 < e < 2.718281828459046.
 INV_E_LOWER = Fraction(10**15, 2718281828459046)
@@ -293,7 +287,7 @@ def check_lemma_main(d: Distribution, cases, reps: int = 200_000, rng_seed: int 
     for n, k in cases:
         if exact_no_large_elements(n, k) > INV_E_UPPER:
             return CheckResult("lemma_main", -1.0, False, f"combinatorial core n={n} k={k}")
-        lhs = k * expected_max(d, math.ceil(n / k))
+        lhs = k * expected_rank(d, 1, math.ceil(n / k))
         rhs_terms = [expected_rank(d, j, n) for j in range(1, k + 1)]
         rhs = (1.0 - 1.0 / math.e) * sum(rhs_terms)
         # MC cross-check of the order-statistic sum.
@@ -322,7 +316,7 @@ def check_facts_2_3(d: Distribution, s_max: int) -> CheckResult:
         if slack < worst:
             worst, detail = slack, f"fact2 t={t}"
     for s in range(2, s_max + 1):
-        m = expected_max(d, s)
+        m = expected_rank(d, 1, s)
         p = float(-np.expm1((s - 1) * np.log(np.clip(d.cdf(m), 1e-300, 1.0))))
         slack = p - ((s - 1) / s) * c
         if slack < worst:
@@ -336,8 +330,7 @@ def check_monopolist_tau(d: Distribution, lam: float, p_grid) -> CheckResult:
     worst = math.inf
     detail = ""
     for p in p_grid:
-        thr = inverse_virtual_value(d, float(p))
-        ratio = float((1.0 - d.cdf(thr)) / (1.0 - d.cdf(p)))
+        ratio = monopolist_tau_analytic(d, float(p))
         if ratio - c < worst:
             worst, detail = ratio - c, f"p={p:.6g}"
     return CheckResult("monopolist_tau", worst, worst >= -1e-5, detail)
@@ -350,7 +343,7 @@ def check_claim1(d: Distribution, ns=(4, 8, 16)) -> CheckResult:
     detail = ""
     for n in ns:
         for j in range(1, n + 1):
-            u_j = expected_max(d, math.ceil(n / j))
+            u_j = expected_rank(d, 1, math.ceil(n / j))
             lhs = n * float(1.0 - d.cdf(u_j))
             slack = lhs - 0.5 * j * c
             if slack < worst:
@@ -362,64 +355,24 @@ def check_claim1(d: Distribution, ns=(4, 8, 16)) -> CheckResult:
 # Registry
 
 
-def _default_fact1():
-    out = []
-    for d in builtin_families():
-        r = check_fact1_convexity(d, d.lambda_claimed, n_max=8)
-        r.detail = f"{d.descriptor} {r.detail}"
-        r.name = "fact1_convexity"
-        out.append(r)
-    return out
+def _per_family(check):
+    """Registry entry: ``check(d)`` for every builtin family, with the
+    family's descriptor leading each row's detail."""
+
+    def run():
+        out = []
+        for d in builtin_families():
+            r = check(d)
+            r.detail = f"{d.descriptor} {r.detail}"
+            out.append(r)
+        return out
+
+    return run
 
 
-def _default_lamb_aux():
-    return [check_lamb_aux(12)]
-
-
-def _default_optprog():
-    out = []
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        r = check_optprog((3.0, 2.0, 1.0), 10, lam)
-        out.append(r)
-    return out
-
-
-def _default_lemma_main():
-    cases = [(n, k) for n in (4, 6, 12) for k in (1, 2, 3, n)]
-    out = []
-    for d in builtin_families():
-        r = check_lemma_main(d, cases, reps=50_000)
-        r.detail = f"{d.descriptor} {r.detail}"
-        out.append(r)
-    return out
-
-
-def _default_facts23():
-    out = []
-    for d in builtin_families():
-        r = check_facts_2_3(d, 32)
-        r.detail = f"{d.descriptor} {r.detail}"
-        out.append(r)
-    return out
-
-
-def _default_tau():
-    out = []
-    for d in builtin_families():
-        grid = [float(d.quantile(q)) for q in (0.05, 0.25, 0.5, 0.75, 0.9)]
-        r = check_monopolist_tau(d, d.lambda_claimed, grid)
-        r.detail = f"{d.descriptor} {r.detail}"
-        out.append(r)
-    return out
-
-
-def _default_claim1():
-    out = []
-    for d in builtin_families():
-        r = check_claim1(d)
-        r.detail = f"{d.descriptor} {r.detail}"
-        out.append(r)
-    return out
+def _tau_on_quantiles(d: Distribution) -> CheckResult:
+    grid = [float(d.quantile(q)) for q in (0.05, 0.25, 0.5, 0.75, 0.9)]
+    return check_monopolist_tau(d, d.lambda_claimed, grid)
 
 
 def _negcontrol_fact1():
@@ -441,13 +394,15 @@ def _negcontrol_optprog():
 
 
 REGISTRY = {
-    "fact1": _default_fact1,
-    "lamb_aux": _default_lamb_aux,
-    "optprog": _default_optprog,
-    "lemma_main": _default_lemma_main,
-    "facts23": _default_facts23,
-    "tau": _default_tau,
-    "claim1": _default_claim1,
+    "fact1": _per_family(lambda d: check_fact1_convexity(d, d.lambda_claimed, n_max=8)),
+    "lamb_aux": lambda: [check_lamb_aux(12)],
+    "optprog": lambda: [check_optprog((3.0, 2.0, 1.0), 10, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)],
+    "lemma_main": _per_family(
+        lambda d: check_lemma_main(d, [(n, k) for n in (4, 6, 12) for k in (1, 2, 3, n)], reps=50_000)
+    ),
+    "facts23": _per_family(lambda d: check_facts_2_3(d, 32)),
+    "tau": _per_family(_tau_on_quantiles),
+    "claim1": _per_family(check_claim1),
     "negcontrol_fact1": _negcontrol_fact1,
     "negcontrol_optprog": _negcontrol_optprog,
 }

@@ -11,6 +11,8 @@ from ipmlab.distributions import Exponential, Pareto, Uniform, builtin_families,
 from ipmlab.errors import ParseError
 from ipmlab.mechanisms import Menu, build_menu
 
+import oracles
+
 
 def test_structure_constructors():
     c = agents.competition(4)
@@ -47,6 +49,11 @@ def test_behavior_parsing():
     assert a.kind is agents.Kind.ALPHA_BARGAIN and a.alpha == 0.3
     with pytest.raises(ParseError):
         agents.parse_behavior("altruist")
+    # The descriptor keeps every digit of alpha, so it parses back exactly.
+    for text in ("surplus", "monopolist", "alpha:1", "alpha:0.5", "alpha:0.1234567", "alpha:1e-07"):
+        m = agents.parse_behavior(text)
+        assert m.descriptor == text
+        assert agents.parse_behavior(m.descriptor) == m
 
 
 def test_purchase_thresholds():
@@ -63,11 +70,11 @@ def test_uniform_price_purchase_counts():
     sm = agents.BehaviorModel(agents.Kind.SURPLUS_MAX)
     mono = agents.BehaviorModel(agents.Kind.MONOPOLIST)
     vals = [0.5, 1.2, 2.3, 3.0]
-    assert agents.uniform_price_purchases(sm, d, 1.0, vals) == 3
+    assert oracles.uniform_price_purchases(sm, d, 1.0, vals) == 3
     # Monopolist needs phi(v) = v - 1 >= 1, i.e. v >= 2.
-    assert agents.uniform_price_purchases(mono, d, 1.0, vals) == 2
+    assert oracles.uniform_price_purchases(mono, d, 1.0, vals) == 2
     alpha = agents.BehaviorModel(agents.Kind.ALPHA_BARGAIN, 0.5)
-    assert agents.uniform_price_purchases(alpha, d, 1.0, vals) == 3
+    assert oracles.uniform_price_purchases(alpha, d, 1.0, vals) == 3
 
 
 def test_monopolist_tau_closed_forms():
@@ -83,12 +90,12 @@ def test_monopolist_tau_closed_forms():
 
 def test_estimate_tau_surplus_is_one():
     sm = agents.BehaviorModel(agents.Kind.SURPLUS_MAX)
-    assert agents.estimate_tau(sm, Exponential(1.0), [0.5, 1.0]) == 1.0
+    assert oracles.estimate_tau(sm, Exponential(1.0), [0.5, 1.0]) == 1.0
 
 
 def test_estimate_tau_monopolist_matches_analytic():
     mono = agents.BehaviorModel(agents.Kind.MONOPOLIST)
-    got = agents.estimate_tau(mono, Exponential(1.0), [0.5, 1.0, 2.0], reps=400_000, rng_seed=1)
+    got = oracles.estimate_tau(mono, Exponential(1.0), [0.5, 1.0, 2.0], reps=400_000, rng_seed=1)
     assert got == pytest.approx(1 / math.e, abs=3e-3)
 
 
@@ -98,7 +105,7 @@ def test_estimate_tau_dominates_c_lambda():
         if d.lambda_claimed >= 1.0:
             continue  # c(1) = 0: vacuous
         grid = [float(d.quantile(q)) for q in (0.1, 0.5, 0.8)]
-        got = agents.estimate_tau(mono, d, grid, reps=150_000, rng_seed=2)
+        got = oracles.estimate_tau(mono, d, grid, reps=150_000, rng_seed=2)
         se = math.sqrt(0.25 / 150_000)
         assert got >= c_of_lambda(d.lambda_claimed) - 2 * se
 
@@ -115,13 +122,13 @@ def test_menu_purchase_matches_brute_force_on_grid():
     menu3 = build_menu(Exponential(1.0), 3, (1.0, 0.6, 0.2))
     for nb in (1, 2, 3):
         for vals in itertools.product(grid, repeat=nb):
-            fast = agents.surplus_max_menu_purchase(menu3, range(3), vals)
-            brute = agents.brute_force_menu_purchase(menu3, range(3), vals)
+            fast = oracles.surplus_max_menu_purchase(menu3, range(3), vals)
+            brute = oracles.brute_force_menu_purchase(menu3, range(3), vals)
             assert fast[2] == pytest.approx(brute[2], abs=1e-9), vals
 
 
 def test_menu_purchase_respects_availability():
-    purchase, assignment, surplus = agents.surplus_max_menu_purchase(MENU, [2], [10.0])
+    purchase, assignment, surplus = oracles.surplus_max_menu_purchase(MENU, [2], [10.0])
     assert purchase == {2}
     assert assignment == {0: 2}
     assert surplus == pytest.approx(0.25 * 10.0 - MENU.rs[2])
@@ -129,7 +136,7 @@ def test_menu_purchase_respects_availability():
 
 def test_demand_set_thresholds():
     vals = [MENU.us[0] + 0.1, MENU.us[2] + 0.01, 0.0]
-    assert agents.demand_set(MENU, vals) == [0, 2, None]
+    assert oracles.demand_set(MENU, vals) == [0, 2, None]
 
 
 def test_demand_band_buyer_forces_sale():
@@ -137,7 +144,7 @@ def test_demand_band_buyer_forces_sale():
     # the only thing on the table.
     for j in range(1, MENU.k):
         v = (MENU.us[j] + MENU.us[j - 1]) / 2
-        purchase, _, _ = agents.surplus_max_menu_purchase(MENU, [j], [v])
+        purchase, _, _ = oracles.surplus_max_menu_purchase(MENU, [j], [v])
         assert j in purchase
 
 
@@ -160,7 +167,7 @@ def test_menu_purchase_matches_assignment_oracle():
             nb = int(rng.integers(1, k + 1))
             vals = rng.exponential(size=nb) + rng.uniform(0.0, 6.0, size=nb)
             available = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
-            got = agents.surplus_max_menu_purchase(menu, available, vals)[2]
+            got = oracles.surplus_max_menu_purchase(menu, available, vals)[2]
             assert got == pytest.approx(_assignment_oracle(menu, available, vals), abs=1e-9)
 
 
@@ -226,7 +233,7 @@ def test_menu_purchase_tie_break_matches_exhaustive():
             available = np.flatnonzero(avail[r]).tolist()
             items, optima = _exhaustive_purchase(menu.etas, menu.rs, available, g)
             assert tuple(np.flatnonzero(taken[r])) == items
-            assert agents.surplus_max_menu_purchase(menu, available, g[::-1])[0] == set(items)
+            assert oracles.surplus_max_menu_purchase(menu, available, g[::-1])[0] == set(items)
             tied += optima > 1
     assert tied > 500  # most instances exercise the tie-break, not just the optimum
 
@@ -245,8 +252,8 @@ def test_menu_purchase_matches_brute_force_property(etas, vals, data):
     etas = sorted(etas, reverse=True)
     menu = build_menu(Exponential(1.0), 6, etas)
     available = sorted(data.draw(st.sets(st.integers(0, len(etas) - 1))))
-    fast = agents.surplus_max_menu_purchase(menu, available, vals)
-    brute = agents.brute_force_menu_purchase(menu, available, vals)
+    fast = oracles.surplus_max_menu_purchase(menu, available, vals)
+    brute = oracles.brute_force_menu_purchase(menu, available, vals)
     assert fast[0] <= set(available)
     assert fast[2] == pytest.approx(brute[2], abs=1e-9)
 
@@ -254,7 +261,7 @@ def test_menu_purchase_matches_brute_force_property(etas, vals, data):
 @given(vals=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_menu_purchase_surplus_nonnegative_and_feasible(vals):
-    purchase, assignment, surplus = agents.surplus_max_menu_purchase(MENU, range(3), vals)
+    purchase, assignment, surplus = oracles.surplus_max_menu_purchase(MENU, range(3), vals)
     assert surplus >= -1e-12
     assert set(assignment.values()) <= purchase
     assert len(set(assignment.values())) == len(assignment)

@@ -86,6 +86,27 @@ def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
     assert out_csv.read_bytes() == first
 
 
+def test_simulate_gives_no_verdict_below_replicate_floor(tmp_path, capsys):
+    # 5000 replicates: the bound is printed but not judged, so no FAIL and
+    # no bound-failure exit code.
+    out_csv = tmp_path / "r.csv"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG.format(out=out_csv).replace("reps = 20000\n", ""))
+    code, out, _ = run(["simulate", str(cfg)], capsys)
+    assert code == 0
+    assert out.startswith("---- smoke: ratio ")
+    assert "vs bound 0.232544" in out
+    assert out_csv.read_text().splitlines()[1].endswith(", ")
+
+
+def test_simulate_rejects_unknown_order_policy(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "r.csv") + "order = randmo\n")
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert "randmo" in err
+
+
 def test_simulate_rejects_zero_reps(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed = 1\nreps = 0\n")

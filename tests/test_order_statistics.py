@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from ipmlab.distributions import Exponential, Pareto, Uniform, builtin_families, c_of_lambda
 from ipmlab.order_statistics import (
-    OrderStatSpec,
-    expected_max,
     expected_order_stat,
     expected_rank,
-    first_order_stat_cdf,
-    sample_order_stats,
     tail_probability_vs_mean,
     top_k_welfare,
 )
+
+from oracles import first_order_stat_cdf, sample_order_stats
 
 
 def harmonic_tail(j: int, t: int) -> float:
@@ -28,7 +26,7 @@ def test_exponential_ranks_match_harmonic_sums():
     d = Exponential(1.0)
     for t in (1, 2, 3, 6, 12):
         for j in range(1, t + 1):
-            got = expected_order_stat(OrderStatSpec(j, t, d))
+            got = expected_order_stat(d, j, t)
             assert got == pytest.approx(harmonic_tail(j, t), abs=2e-6)
 
 
@@ -38,7 +36,7 @@ def test_cache_keys_on_exact_parameters():
 
     ipm_price(Exponential(1.0), 6, 3)
     near = Exponential(1.0000004)
-    assert ipm_price(near, 6, 3) == expected_order_stat(OrderStatSpec(1, 2, near))
+    assert ipm_price(near, 6, 3) == expected_order_stat(near, 1, 2)
 
 
 def test_exponential_second_of_three():
@@ -65,7 +63,7 @@ def test_monte_carlo_cross_check():
 
 def test_expected_max_monotone_in_sample_size():
     for d in builtin_families():
-        vals = [expected_max(d, t) for t in range(1, 10)]
+        vals = [expected_rank(d, 1, t) for t in range(1, 10)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -74,7 +72,7 @@ def test_expected_max_single_draw_is_mean():
     # accurate to quadrature precision.
     for d in builtin_families():
         tol = 2e-4 if isinstance(d, Pareto) else 1e-5
-        assert expected_max(d, 1) == pytest.approx(d.mean(), rel=tol)
+        assert expected_rank(d, 1, 1) == pytest.approx(d.mean(), rel=tol)
 
 
 def test_first_order_stat_cdf():
@@ -85,7 +83,7 @@ def test_first_order_stat_cdf():
 
 def test_bad_rank_rejected():
     with pytest.raises(ValueError):
-        OrderStatSpec(3, 2, Exponential(1.0))
+        expected_order_stat(Exponential(1.0), 3, 2)
 
 
 def test_tail_probability_examples():
@@ -106,7 +104,7 @@ def test_shifted_tail_probability():
     for d in builtin_families():
         c = c_of_lambda(d.lambda_claimed)
         for s in range(2, 33):
-            m = expected_max(d, s)
+            m = expected_rank(d, 1, s)
             p = float(-np.expm1((s - 1) * np.log(max(float(d.cdf(m)), 1e-300))))
             assert p >= (s - 1) / s * c - 1e-4
 
@@ -116,7 +114,7 @@ def test_order_stat_lower_bound_full():
     for d in builtin_families():
         for n in (4, 6, 12):
             for k in (1, 2, 3, n):
-                lhs = k * expected_max(d, math.ceil(n / k))
+                lhs = k * expected_rank(d, 1, math.ceil(n / k))
                 rhs = (1 - 1 / math.e) * sum(expected_rank(d, j, n) for j in range(1, k + 1))
                 assert lhs >= rhs - 1e-5 * max(1.0, rhs), (d.descriptor, n, k)
 

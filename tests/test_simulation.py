@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from ipmlab import agents, simulation
-from ipmlab.distributions import Exponential, Uniform
+from ipmlab.distributions import Exponential, Uniform, inverse_virtual_value
 from ipmlab.mechanisms import build_menu
-from ipmlab.order_statistics import expected_max
+from ipmlab.order_statistics import expected_rank
+
+from oracles import kplus1_auction, sequential_menu_sale
 
 
 def scenario(**overrides):
@@ -34,6 +36,8 @@ def test_scenario_validation():
         scenario(mechanism="vcg")
     with pytest.raises(ValueError):
         scenario(mechanism="het_ipm")  # needs weights
+    with pytest.raises(ValueError):
+        scenario(order_policy="randmo")
 
 
 def test_same_seed_reproduces_exactly(monkeypatch):
@@ -115,8 +119,6 @@ def test_heterogeneous_random_vs_fixed_order():
 
 def test_heterogeneous_engine_matches_reference_sale():
     # The batched fast path must agree with the reference sequential sale.
-    from ipmlab.mechanisms import sequential_menu_sale
-
     s = scenario(mechanism="het_ipm", etas=(1.0, 0.5), structure=agents.balanced(6, 3),
                  order_policy="fixed", reps=64)
     menu = build_menu(s.d, s.n, s.etas)
@@ -125,16 +127,14 @@ def test_heterogeneous_engine_matches_reference_sale():
     v = np.asarray(s.d.quantile(rng.random((64, 6))), dtype=float)
     total = 0.0
     for r in range(64):
-        out = sequential_menu_sale(menu, s.structure.groups(), v[r], range(3))
-        total += out.revenue
+        _, revenue, _ = sequential_menu_sale(menu, s.structure.groups(), v[r], range(3))
+        total += revenue
     assert rep.mean_revenue == pytest.approx(total / 64, abs=1e-9)
 
 
 def test_heterogeneous_engine_runs_at_k_equals_n_64():
     # 64 items: the exact purchase is a DP, not a 2^64 enumeration.  Fixed
     # order, so each row replays through the reference sale.
-    from ipmlab.mechanisms import sequential_menu_sale
-
     etas = tuple(1.0 / (j + 1) for j in range(64))
     s = scenario(mechanism="het_ipm", n=64, k=64, etas=etas, structure=agents.balanced(64, 8),
                  order_policy="fixed", reps=96)
@@ -145,8 +145,22 @@ def test_heterogeneous_engine_runs_at_k_equals_n_64():
     rng = np.random.default_rng(np.random.SeedSequence((s.master_seed, 0, 0)))
     v = np.asarray(s.d.quantile(rng.random((96, 64))), dtype=float)
     sales = [sequential_menu_sale(menu, s.structure.groups(), v[r], range(8)) for r in range(96)]
-    assert rep.mean_revenue == pytest.approx(sum(o.revenue for o in sales) / 96, rel=1e-12)
-    assert rep.mean_welfare == pytest.approx(sum(o.welfare for o in sales) / 96, rel=1e-12)
+    assert rep.mean_revenue == pytest.approx(sum(rev for _, rev, _ in sales) / 96, rel=1e-12)
+    assert rep.mean_welfare == pytest.approx(sum(wel for _, _, wel in sales) / 96, rel=1e-12)
+
+
+def test_kplus1_engine_matches_reference_auction():
+    # Under competition every buyer bids alone, so the batched auction and
+    # the scalar one see the same bids; replay one batch row by row.
+    s = scenario(mechanism="kplus1", n=8, structure=agents.competition(8), reps=512)
+    rep = simulation.run_scenario(s)
+    reserve = inverse_virtual_value(s.d, 0.0)
+    assert rep.extra["reserve"] == reserve
+    rng = np.random.default_rng(np.random.SeedSequence((s.master_seed, 0, 0)))
+    v = np.asarray(s.d.quantile(rng.random((512, 8))), dtype=float)
+    sales = [kplus1_auction(v[r], s.k, reserve) for r in range(512)]
+    assert rep.mean_revenue == pytest.approx(sum(rev for _, _, rev, _ in sales) / 512, rel=1e-12)
+    assert rep.mean_welfare == pytest.approx(sum(wel for _, _, _, wel in sales) / 512, rel=1e-12)
 
 
 def test_heterogeneous_report_identical_across_threads_and_blocks(monkeypatch):
@@ -177,7 +191,7 @@ def test_uniform_price_engine_against_naive_reference():
     rep = simulation.run_scenario(s)
     draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, 0, 0)))
     aux = np.random.default_rng(np.random.SeedSequence((s.master_seed, 0, 1)))
-    price = expected_max(s.d, 3)
+    price = expected_rank(s.d, 1, 3)
     v = np.asarray(s.d.quantile(draw.random((256, 6))), dtype=float)
     total_rev = 0.0
     for r in range(256):
@@ -203,9 +217,17 @@ def test_ln_gap_experiment_rejects_small_n():
 
 
 def test_worker_count_env(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv("IPMLAB_THREADS", raising=False)
     assert simulation.worker_count() == 1
     monkeypatch.setenv("IPMLAB_THREADS", "6")
     assert simulation.worker_count() == 6
     monkeypatch.setenv("IPMLAB_THREADS", "junk")
+    assert simulation.worker_count() == 1
+    # Capped at the CPU count; an unknown count means one thread.
+    monkeypatch.setenv("IPMLAB_THREADS", "100000")
+    assert simulation.worker_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert simulation.worker_count() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert simulation.worker_count() == 1
