@@ -17,10 +17,14 @@ import numpy as np
 
 from . import agents
 from .distributions import Distribution, c_of_lambda, inverse_virtual_value
+from .errors import OutOfRange
 from .mechanisms import Menu, build_menu, ipm_price, optimal_item_price
 from .order_statistics import top_k_welfare
 
 BATCH_SIZE = 8192
+# Rows per block of the uniform-price and menu engines: a block's arrays stay
+# in cache and no second valuation-sized buffer is live.
+ROW_BLOCK = 1024
 
 MECHANISMS = ("ipm", "het_ipm", "kplus1", "bundle", "item_price")
 
@@ -149,51 +153,76 @@ def _batches(reps: int):
 # Homogeneous uniform-price engine (also backs `item_price`)
 
 
-def _uniform_price_batch(s: Scenario, groups, price: float, threshold: float, batch_idx: int, size: int):
+def _group_layout(groups):
+    """Each column's group, and the groups in size classes [2^j, 2^(j+1)):
+    per class its members and a (members, width) index of their columns,
+    padded to the class's largest group, with a mask of the padding slots.
+    So the padded views hold fewer than 2n values, however unequal the
+    groups."""
+    sizes = np.array([len(idxs) for idxs in groups])
+    group_of = np.empty(sizes.sum(), dtype=np.intp)
+    group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), sizes)
+    size_class = np.frexp(sizes)[1]
+    classes = []
+    for c in sorted(set(size_class.tolist())):
+        members = np.flatnonzero(size_class == c)
+        padding = np.arange(sizes[members].max()) >= sizes[members, None]
+        pad = np.zeros(padding.shape, dtype=np.intp)
+        pad[~padding] = np.concatenate([groups[ell] for ell in members])
+        classes.append((members, pad, padding))
+    return group_of, classes
+
+
+def _sorted_groups(v: np.ndarray, pad: np.ndarray, padding: np.ndarray):
+    """Each row's values of a class's groups as (rows, members, width),
+    padded with -inf and sorted ascending: one sort for the class."""
+    vals = v[:, pad]
+    vals[:, padding] = -np.inf
+    vals.sort(axis=2)
+    return vals
+
+
+def _uniform_price_batch(s: Scenario, layout, price: float, threshold: float, batch_idx: int, size: int):
+    """Each buyer valued at or above the threshold asks for a unit; past k
+    asks, a lottery rations them (`_rationed_welfare`).  In blocks of rows."""
     v, aux = _draw(s, batch_idx, size)
-    m = len(groups)
-    qualify = v >= threshold
-    q = np.empty((size, m), dtype=np.int64)
-    for ell, idxs in enumerate(groups):
-        q[:, ell] = qualify[:, idxs].sum(axis=1)
-    total = q.sum(axis=1)
-    served = q.copy()
-    over = total > s.k
-    if np.any(over):
-        rows = np.where(over)[0]
-        remaining_pop = total[rows].copy()
-        remaining_k = np.full(len(rows), s.k, dtype=np.int64)
-        for ell in range(m):
-            good = q[rows, ell]
-            bad = remaining_pop - good
-            take = aux.hypergeometric(np.maximum(good, 0), np.maximum(bad, 0), remaining_k)
-            served[rows, ell] = take
-            remaining_pop -= good
-            remaining_k -= take
-    units = served.sum(axis=1)
-    revenue = price * units
-    welfare = np.zeros(size)
-    for ell, idxs in enumerate(groups):
-        if len(idxs) == 1:
-            welfare += np.where(served[:, ell] > 0, v[:, idxs[0]], 0.0)
-            continue
-        vals = np.sort(v[:, idxs], axis=1)[:, ::-1]
-        csum = np.cumsum(vals, axis=1)
-        cnt = served[:, ell]
-        welfare += np.where(cnt > 0, np.take_along_axis(csum, np.maximum(cnt - 1, 0)[:, None], axis=1)[:, 0], 0.0)
+    revenue, welfare = np.empty((2, size))
+    for lo in range(0, size, ROW_BLOCK):
+        vb = v[lo : lo + ROW_BLOCK]
+        qualify = vb >= threshold
+        total = np.count_nonzero(qualify, axis=1)
+        revenue[lo : lo + ROW_BLOCK] = price * np.minimum(total, s.k)
+        welfare[lo : lo + ROW_BLOCK] = np.einsum("ij,ij->i", vb, qualify)
+        over = np.flatnonzero(total > s.k)
+        if over.size:
+            welfare[lo + over] = _rationed_welfare(vb[over], qualify[over], layout, s.k, aux)
     return _sums(revenue, welfare)
+
+
+def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, layout, k: int, aux):
+    """Welfare of rows where more than k buyers qualify.  Every buyer draws
+    one uniform key from ``aux`` and qualifiers' keys move down by 1, so the
+    k smallest keys pick k qualifiers uniformly without replacement (group
+    counts are multivariate hypergeometric); each group serves its top
+    values."""
+    group_of, classes = layout
+    rows, m = len(v), group_of.max() + 1
+    keys = aux.random(v.shape) - qualify
+    winners = np.argsort(keys, axis=1)[:, :k]
+    cells = group_of[winners] + m * np.arange(rows)[:, None]
+    served = np.bincount(cells.ravel(), minlength=rows * m).reshape(rows, m)
+    welfare = np.zeros(rows)
+    for members, pad, padding in classes:
+        top = np.arange(pad.shape[1]) >= pad.shape[1] - served[:, members, None]
+        welfare += np.where(top, _sorted_groups(v, pad, padding), 0.0).sum(axis=(1, 2))
+    return welfare
 
 
 # ---------------------------------------------------------------------------
 # Sequential menu engine (heterogeneous items)
 
 
-# Rows per block of the menu sale: the DP's arrays stay in cache and the
-# engine's peak memory stays at the uniform-price engine's level.
-MENU_BLOCK = 1024
-
-
-def _menu_batch(s: Scenario, groups, menu: Menu, batch_idx: int, size: int):
+def _menu_batch(s: Scenario, layout, menu: Menu, batch_idx: int, size: int):
     """Sequential menu sale for a batch, in blocks of rows: at each step
     every row offers its remaining items to its next intermediary, whose
     purchase comes from the O(k b) DP of `agents.menu_purchase_dp` over the
@@ -201,28 +230,30 @@ def _menu_batch(s: Scenario, groups, menu: Menu, batch_idx: int, size: int):
     smallest).  Revenue and welfare accumulate per step in ascending item
     order."""
     v, aux = _draw(s, batch_idx, size)
-    m = len(groups)
+    m = s.structure.m
     if s.order_policy == "random":
         orders = np.argsort(aux.random((size, m)), axis=1)
     else:
         orders = np.tile(np.arange(m), (size, 1))
     revenue, welfare = np.empty((2, size))
-    for lo in range(0, size, MENU_BLOCK):
-        block = slice(lo, lo + MENU_BLOCK)
-        revenue[block], welfare[block] = _menu_sale(menu, groups, v[block], orders[block])
+    for lo in range(0, size, ROW_BLOCK):
+        block = slice(lo, lo + ROW_BLOCK)
+        revenue[block], welfare[block] = _menu_sale(menu, layout, v[block], orders[block])
     return _sums(revenue, welfare)
 
 
-def _menu_sale(menu: Menu, groups, v: np.ndarray, orders: np.ndarray):
+def _menu_sale(menu: Menu, layout, v: np.ndarray, orders: np.ndarray):
     """Per-row revenue and welfare of the sequential menu sale on valuation
     rows ``v``, visiting intermediaries in the order of ``orders``."""
     size, m = orders.shape
-    width = max(len(idxs) for idxs in groups)
+    _, classes = layout
+    width = max(pad.shape[1] for _, pad, _ in classes)
     # Group values sorted descending, zero-padded; the extra zero column is
     # the value of an item bought unassigned (slot == width).
     sorted_vals = np.zeros((size, m, width + 1))
-    for ell, idxs in enumerate(groups):
-        sorted_vals[:, ell, : len(idxs)] = np.sort(v[:, idxs], axis=1)[:, ::-1]
+    for members, pad, padding in classes:
+        desc = _sorted_groups(v, pad, padding)[:, :, ::-1]
+        sorted_vals[:, members, : pad.shape[1]] = np.where(padding, 0.0, desc)
     rows = np.arange(size)
     available = np.ones((size, menu.k), dtype=bool)
     revenue = np.zeros(size)
@@ -254,9 +285,12 @@ def _group_tops(v: np.ndarray, groups, k: int):
 
 def _kplus1_batch(s: Scenario, groups, reserve: float, batch_idx: int, size: int):
     v, _ = _draw(s, batch_idx, size)
-    # Each intermediary bids its top min(k, |group|) buyer values.
-    bids = np.sort(np.concatenate(list(_group_tops(v, groups, s.k)), axis=1), axis=1)[:, ::-1]
+    # Each intermediary bids its top min(k, |group|) buyer values; only the
+    # top k + 1 bids set the winners and the price.
+    bids = np.concatenate(list(_group_tops(v, groups, s.k)), axis=1)
     nb = bids.shape[1]
+    cut = max(nb - s.k - 1, 0)
+    bids = np.sort(np.partition(bids, cut, axis=1)[:, cut:], axis=1)[:, ::-1]
     winners = np.minimum((bids >= reserve).sum(axis=1), s.k)
     floor = bids[:, s.k] if nb > s.k else np.zeros(size)
     pay = np.maximum(floor, reserve)
@@ -296,18 +330,22 @@ def _sums(revenue: np.ndarray, welfare: np.ndarray):
 
 def _batch_fn(s: Scenario):
     groups = s.structure.groups()
+    layout = _group_layout(groups)
     if s.mechanism in ("ipm", "item_price"):
         if s.mechanism == "ipm":
             price = ipm_price(s.d, s.n, s.k)
         else:
             price, _ = optimal_item_price(s.d)
         threshold = agents.purchase_threshold(s.model, s.d, price)
-        return lambda b, sz: _uniform_price_batch(s, groups, price, threshold, b, sz), {"price": price}
+        return lambda b, sz: _uniform_price_batch(s, layout, price, threshold, b, sz), {"price": price}
     if s.mechanism == "het_ipm":
         menu = build_menu(s.d, s.n, s.etas)
-        return lambda b, sz: _menu_batch(s, groups, menu, b, sz), {"menu": menu}
+        return lambda b, sz: _menu_batch(s, layout, menu, b, sz), {"menu": menu}
     if s.mechanism == "kplus1":
-        reserve = inverse_virtual_value(s.d, 0.0)
+        try:
+            reserve = inverse_virtual_value(s.d, 0.0)
+        except OutOfRange:  # phi > 0 on the whole support: reserve at its lower end
+            reserve = s.d.support.lo
         return lambda b, sz: _kplus1_batch(s, groups, reserve, b, sz), {"reserve": reserve}
     if s.mechanism == "bundle":
         if s.epsilon is not None:
@@ -405,13 +443,9 @@ def ln_gap_experiment(n: int, reps: int = 50_000, seed: int = 0):
     _, per_buyer = optimal_item_price(d)
     item_revenue = n * per_buyer
     bundle_price = (n * n * math.log(n)) / (2.0 * (n - 1.0))
-    rng = np.random.default_rng(seed)
-    accept = 0
-    done = 0
-    while done < reps:
-        size = min(BATCH_SIZE, reps - done)
-        v = np.asarray(d.quantile(rng.random((size, n))), dtype=float)
-        accept += int(np.sum(v.sum(axis=1) >= bundle_price))
-        done += size
+    # A bundle sale to a monopsony, drawn batch by batch like any scenario.
+    s = Scenario(d, n, n, agents.monopsony(n), agents.parse_behavior("surplus"), mechanism="bundle",
+                 reps=reps, master_seed=seed)
+    accept = sum(int(np.sum(_draw(s, b, size)[0].sum(axis=1) >= bundle_price)) for b, size in _batches(reps))
     acceptance = accept / reps
     return item_revenue, bundle_price * acceptance, acceptance

@@ -2,7 +2,7 @@ import textwrap
 
 import pytest
 
-from ipmlab import cli
+from ipmlab import cli, simulation
 
 
 def run(argv, capsys):
@@ -105,6 +105,20 @@ def test_simulate_rejects_unknown_order_policy(tmp_path, capsys):
     code, _, err = run(["simulate", str(cfg)], capsys)
     assert code == 2
     assert "randmo" in err
+
+
+def test_simulate_kplus1_reserve_at_support_lower_end(tmp_path, capsys):
+    # pareto:3:1 has phi(1) = 2/3 > 0, so phi never reaches 0 on the
+    # support and the Myerson reserve is the support's lower end.
+    text = CONFIG.format(out=tmp_path / "r.csv").replace("dist = exp:1", "dist = pareto:3:1")
+    text = text.replace("mechanism = ipm", "mechanism = kplus1")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    code, out, _ = run(["simulate", str(cfg)], capsys)
+    assert code == 0
+    assert "smoke" in out
+    (s,) = cli.parse_config(text).build_scenarios()
+    assert simulation.run_scenario(s).extra["reserve"] == 1.0
 
 
 def test_simulate_rejects_zero_reps(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ipmlab.distributions import Exponential, Uniform, inverse_virtual_value
 from ipmlab.mechanisms import build_menu
 from ipmlab.order_statistics import expected_rank
 
-from oracles import kplus1_auction, sequential_menu_sale
+from oracles import ipm_allocate, kplus1_auction, sequential_menu_sale
 
 
 def scenario(**overrides):
@@ -171,8 +172,83 @@ def test_heterogeneous_report_identical_across_threads_and_blocks(monkeypatch):
     monkeypatch.setenv("IPMLAB_THREADS", "2")
     assert simulation.run_scenario(s).csv_row() == one
     # Row blocks only bound the engine's memory: one block per batch agrees.
-    monkeypatch.setattr(simulation, "MENU_BLOCK", simulation.BATCH_SIZE)
+    monkeypatch.setattr(simulation, "ROW_BLOCK", simulation.BATCH_SIZE)
     assert simulation.run_scenario(s).csv_row() == one
+
+
+def test_rationing_law_is_multivariate_hypergeometric():
+    # Groups interleaved over the columns ask for q = (3, 3, 2) units, one
+    # buyer per group below the threshold, and k = 3.  Qualifying values
+    # 1, 10 and 100 per group make the welfare spell out the served counts,
+    # whose law must be the multivariate hypergeometric one.
+    structure = agents.DemandStructure(11, 3, (0, 1, 2) * 3 + (0, 1))
+    groups = structure.groups()
+    row = np.empty(11)
+    for ell, value in enumerate((1.0, 10.0, 100.0)):
+        row[groups[ell]] = value
+        row[groups[ell][-1]] = 0.0
+    trials = 40_000
+    v = np.tile(row, (trials, 1))
+    welfare = simulation._rationed_welfare(v, v >= 0.5, simulation._group_layout(groups), 3,
+                                           np.random.default_rng(5))
+    counts = Counter((int(w) % 10, int(w) // 10 % 10, int(w) // 100) for w in welfare)
+    assert all(sum(served) == 3 for served in counts)
+    for c0 in range(4):
+        for c1 in range(4 - c0):
+            c2 = 3 - c0 - c1
+            pmf = math.comb(3, c0) * math.comb(3, c1) * math.comb(2, c2) / math.comb(8, 3)
+            assert counts[(c0, c1, c2)] / trials == pytest.approx(pmf, abs=0.015), (c0, c1, c2)
+
+
+def test_group_layout_pads_fewer_than_twice_n():
+    # One group of 129 buyers beside 127 singletons: a single padded view
+    # would hold 128 x 129 slots, the size classes fewer than 2n.
+    structure = agents.DemandStructure(256, 128, (0,) * 129 + tuple(range(1, 128)))
+    groups = structure.groups()
+    group_of, classes = simulation._group_layout(groups)
+    assert sum(pad.size for _, pad, _ in classes) < 2 * 256
+    assert sorted(np.concatenate([pad[~padding] for _, pad, padding in classes])) == list(range(256))
+    for members, pad, padding in classes:
+        for ell, cols, void in zip(members, pad, padding):
+            assert list(cols[~void]) == groups[ell]
+            assert (group_of[cols[~void]] == ell).all()
+
+
+def test_uniform_price_welfare_matches_ipm_allocate_replay():
+    # Rationing binds often (n = 6 buyers, k = 2 units at the item price).
+    # Replay every row with the scalar lottery of `ipm_allocate` and each
+    # group's top served values; the means agree within the combined ci95.
+    s = scenario(mechanism="item_price", k=2, structure=agents.random_partition(6, 3, 7), reps=20_000)
+    rep = simulation.run_scenario(s)
+    price = rep.extra["price"]
+    groups = s.structure.groups()
+    rng = np.random.default_rng(11)
+    welfare = []
+    for b, size in simulation._batches(s.reps):
+        draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, b, 0)))
+        for v in np.asarray(s.d.quantile(draw.random((size, 6))), dtype=float):
+            asks = [int((v[idxs] >= price).sum()) for idxs in groups]
+            served, revenue = ipm_allocate(asks, s.k, price, rng)
+            assert revenue == price * min(sum(asks), s.k)
+            welfare.append(sum(np.sort(v[groups[ell]])[::-1][:cnt].sum() for ell, cnt in served.items()))
+    welfare = np.array(welfare)
+    ci = 1.96 * welfare.std() / math.sqrt(len(welfare))
+    assert rep.mean_welfare == pytest.approx(welfare.mean(), abs=3 * math.hypot(ci, rep.ci95_welfare))
+
+
+def test_uniform_price_report_identical_across_threads_and_blocks(monkeypatch):
+    s = scenario(mechanism="item_price", k=2, structure=agents.random_partition(6, 3, 7),
+                 reps=2 * simulation.BATCH_SIZE + 100)
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    one = simulation.run_scenario(s)
+    monkeypatch.setenv("IPMLAB_THREADS", "2")
+    two = simulation.run_scenario(s)
+    assert (two.csv_row(), two.ci95_welfare) == (one.csv_row(), one.ci95_welfare)
+    # Row blocks only bound the engine's memory: the rationing keys come from
+    # stream 1 in row order, so one block per batch gives the same report.
+    monkeypatch.setattr(simulation, "ROW_BLOCK", simulation.BATCH_SIZE)
+    whole = simulation.run_scenario(s)
+    assert (whole.csv_row(), whole.ci95_welfare) == (one.csv_row(), one.ci95_welfare)
 
 
 def test_price_structure_invariance_sweep():
