@@ -187,8 +187,8 @@ class Pareto(Distribution):
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = 1.0 - np.power(self.scale / v, self.shape)
+        # Exact for v >= scale; np.where discards the rest.
+        out = 1.0 - np.power(self.scale / np.maximum(v, self.scale), self.shape)
         return np.where(v >= self.scale, out, 0.0)
 
     def pdf(self, v):

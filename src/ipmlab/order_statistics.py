@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy.stats import beta as beta_dist
+from scipy.special._ufuncs import _beta_pdf
 
 from .distributions import Distribution, Pareto
 from .errors import NonIntegrable, QuadratureFailure
@@ -29,7 +29,7 @@ def expected_order_stat(d: Distribution, j: int, t: int) -> float:
     if j == 1:
         hi = d.truncation_point()
         val, err = integrate.quad(
-            lambda x: -np.expm1(t * np.log(np.clip(d.cdf(x), 0.0, 1.0))) if d.cdf(x) > 0 else 1.0,
+            lambda x: -np.expm1(t * np.log(np.minimum(F, 1.0))) if (F := d.cdf(x)) > 0 else 1.0,
             d.support.lo,
             hi,
             limit=400,
@@ -38,10 +38,10 @@ def expected_order_stat(d: Distribution, j: int, t: int) -> float:
         # t * tail quantile width; negligible at the 1e-8 truncation level.
         result = d.support.lo + val
     else:
-        # j-th largest of t ~ quantile of a Beta(t-j+1, j) variate.
-        w = beta_dist(t - j + 1, j)
+        # j-th largest of t ~ quantile of a Beta(t-j+1, j) variate; _beta_pdf is the ufunc
+        # behind scipy.stats.beta.pdf, without its per-call overhead or the scipy.stats import.
         val, err = integrate.quad(
-            lambda u: float(d.quantile(u)) * w.pdf(u),
+            lambda u: float(d.quantile(u)) * _beta_pdf(u, t - j + 1, j),
             0.0,
             1.0,
             limit=400,

@@ -247,13 +247,13 @@ def _menu_sale(menu: Menu, layout, v: np.ndarray, orders: np.ndarray):
     rows ``v``, visiting intermediaries in the order of ``orders``."""
     size, m = orders.shape
     _, classes = layout
-    width = max(pad.shape[1] for _, pad, _ in classes)
-    # Group values sorted descending, zero-padded; the extra zero column is
-    # the value of an item bought unassigned (slot == width).
+    width = min(max(pad.shape[1] for _, pad, _ in classes), menu.k)
+    # Each group's top `width` values (a purchase has at most k items), descending and
+    # zero-padded; the extra zero column is the value of an item bought unassigned (slot == width).
     sorted_vals = np.zeros((size, m, width + 1))
     for members, pad, padding in classes:
-        desc = _sorted_groups(v, pad, padding)[:, :, ::-1]
-        sorted_vals[:, members, : pad.shape[1]] = np.where(padding, 0.0, desc)
+        desc = _sorted_groups(v, pad, padding)[:, :, ::-1][:, :, :width]
+        sorted_vals[:, members, : desc.shape[2]] = np.where(padding[:, :width], 0.0, desc)
     rows = np.arange(size)
     available = np.ones((size, menu.k), dtype=bool)
     revenue = np.zeros(size)

@@ -292,9 +292,9 @@ def check_lemma_main(d: Distribution, cases, reps: int = 200_000, rng_seed: int 
         rhs = (1.0 - 1.0 / math.e) * sum(rhs_terms)
         # MC cross-check of the order-statistic sum.
         draws = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
-        topk = -np.partition(-draws, k - 1, axis=1)[:, :k] if k < n else draws
-        mc = float(topk.sum(axis=1).mean())
-        mc_se = float(topk.sum(axis=1).std(ddof=1)) / math.sqrt(reps)
+        sums = (-np.partition(-draws, k - 1, axis=1)[:, :k] if k < n else draws).sum(axis=1)
+        mc = float(sums.mean())
+        mc_se = float(sums.std(ddof=1)) / math.sqrt(reps)
         if abs(mc - sum(rhs_terms)) > 5.0 * mc_se + 1e-4 * max(1.0, mc):
             return CheckResult("lemma_main", mc - sum(rhs_terms), False, f"MC cross-check n={n} k={k}")
         tol = 3.0 * (1e-6 * max(1.0, rhs) + (1.0 - 1.0 / math.e) * mc_se)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -172,3 +175,12 @@ def test_program_subcommand(capsys):
     assert "optprog" in out
     code2, _, _ = run(["program", "--r", "1,1", "--n", "10", "--lam", "0"], capsys)
     assert code2 == 4
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # The analytic side needs only scipy.integrate and scipy.special;
+    # importing scipy.stats would add its setup time and memory to every run.
+    code = "import ipmlab.cli, sys; assert 'scipy.stats' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)

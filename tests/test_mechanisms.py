@@ -19,6 +19,14 @@ def test_uniform_posted_price_examples():
     assert ipm_price(Exponential(1.0), 5, 5) == pytest.approx(1.0, abs=1e-6)
 
 
+@given(rate=st.floats(0.01, 100.0), n=st.integers(1, 300), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ipm_price_scales_inversely_with_exponential_rate(rate, n, data):
+    # exp:r is exp:1 divided by r, and so is the expected max of any sample.
+    k = data.draw(st.integers(1, n))
+    assert ipm_price(Exponential(rate), n, k) * rate == pytest.approx(ipm_price(Exponential(1.0), n, k), rel=1e-9)
+
+
 def test_price_rejects_bad_k():
     with pytest.raises(ValueError):
         ipm_price(Exponential(1.0), 3, 4)

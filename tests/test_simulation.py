@@ -1,12 +1,15 @@
 import math
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipmlab import agents, simulation
-from ipmlab.distributions import Exponential, Uniform, inverse_virtual_value
+from ipmlab.distributions import Exponential, Uniform, inverse_virtual_value, parse_distribution
 from ipmlab.mechanisms import build_menu
 from ipmlab.order_statistics import expected_rank
 
@@ -148,6 +151,22 @@ def test_heterogeneous_engine_runs_at_k_equals_n_64():
     sales = [sequential_menu_sale(menu, s.structure.groups(), v[r], range(8)) for r in range(96)]
     assert rep.mean_revenue == pytest.approx(sum(rev for _, rev, _ in sales) / 96, rel=1e-12)
     assert rep.mean_welfare == pytest.approx(sum(wel for _, _, wel in sales) / 96, rel=1e-12)
+
+
+def test_heterogeneous_engine_matches_reference_sale_past_k_buyers():
+    # Groups of 5 and 4 buyers hold more than k = 3, groups of 2 and 1 fewer:
+    # only a group's top k values can be bought for, so the engine keeps
+    # those alone.  Fixed order, so each row replays through the reference.
+    structure = agents.DemandStructure(13, 5, (0, 1, 0, 2, 0, 3, 0, 1, 4, 0, 4, 4, 4), "mixed")
+    s = scenario(mechanism="het_ipm", n=13, k=3, etas=(1.0, 0.6, 0.3), structure=structure,
+                 order_policy="fixed", reps=400)
+    rep = simulation.run_scenario(s)
+    menu = build_menu(s.d, s.n, s.etas)
+    rng = np.random.default_rng(np.random.SeedSequence((s.master_seed, 0, 0)))
+    v = np.asarray(s.d.quantile(rng.random((400, 13))), dtype=float)
+    sales = [sequential_menu_sale(menu, structure.groups(), v[r], range(5)) for r in range(400)]
+    assert rep.mean_revenue == pytest.approx(sum(rev for _, rev, _ in sales) / 400, rel=1e-12)
+    assert rep.mean_welfare == pytest.approx(sum(wel for _, _, wel in sales) / 400, rel=1e-12)
 
 
 def test_kplus1_engine_matches_reference_auction():
@@ -307,3 +326,40 @@ def test_worker_count_env(monkeypatch):
     assert simulation.worker_count() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert simulation.worker_count() == 1
+
+
+DISTS = st.sampled_from(["exp:1", "uniform:0:1", "pareto:3:1"])
+
+
+@st.composite
+def markets(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    structure = agents.random_partition(n, draw(st.integers(1, n)), draw(st.integers(0, 99)))
+    return n, k, structure
+
+
+@given(market=markets(), dist=DISTS, mechanism=st.sampled_from(["ipm", "item_price"]),
+       model=st.sampled_from(["surplus", "monopolist", "alpha:0.5"]))
+@settings(max_examples=30, deadline=None)
+def test_uniform_price_revenue_bits_independent_of_demand_structure(market, dist, mechanism, model):
+    # Revenue is price * min(k, buyers asking): who holds the buyers cannot
+    # change a bit of it for the same seed.
+    n, k, structure = market
+    base = scenario(d=parse_distribution(dist), n=n, k=k, mechanism=mechanism,
+                    model=agents.parse_behavior(model), structure=agents.competition(n), reps=3000)
+    ref = simulation.run_scenario(base)
+    for other in (structure, agents.monopsony(n)):
+        rep = simulation.run_scenario(replace(base, structure=other))
+        assert (rep.mean_revenue.hex(), rep.ci95_revenue.hex()) == (ref.mean_revenue.hex(), ref.ci95_revenue.hex())
+
+
+@given(market=markets(), dist=DISTS, mechanism=st.sampled_from(simulation.MECHANISMS),
+       model=st.sampled_from(["surplus", "alpha:0.5"]), order=st.sampled_from(["random", "fixed"]))
+@settings(max_examples=40, deadline=None)
+def test_pass_through_revenue_never_exceeds_welfare_pointwise(market, dist, mechanism, model, order):
+    n, k, structure = market
+    etas = tuple(1.0 / (j + 1) for j in range(k)) if mechanism == "het_ipm" else None
+    s = scenario(d=parse_distribution(dist), n=n, k=k, mechanism=mechanism, etas=etas, structure=structure,
+                 model=agents.parse_behavior(model), order_policy=order, reps=2000)
+    assert simulation.run_scenario(s).extra["pointwise_rev_gt_wel"] == 0
