@@ -14,21 +14,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
-from .errors import (
-    DomainError,
-    NonMonotone,
-    OutOfRange,
-    OutOfSupport,
-    ParseError,
-    QuadratureFailure,
-    TailDegenerate,
-)
+from .errors import DomainError, NonMonotone, OutOfRange, OutOfSupport, ParseError, TailDegenerate
 
 # Quantile levels used to trim degenerate tails on evaluation grids.
 TAIL_TRIM_Q = 1e-6
-# Infinite supports are truncated at this quantile for quadrature.
+# Infinite supports are truncated at this quantile for the virtual-value
+# bracket and the regularity certificate.
 TRUNCATION_Q = 1e-8
 
 
@@ -50,6 +42,8 @@ class Distribution:
     name: str = "abstract"
     support: Support
     lambda_claimed: float
+    # Exponential growth rate of tail_quantile(s) as s -> inf.
+    tail_growth: float = 0.0
 
     def cdf(self, v):
         raise NotImplementedError
@@ -60,6 +54,10 @@ class Distribution:
     def quantile(self, u):
         raise NotImplementedError
 
+    def tail_quantile(self, s):
+        """Q(1 - e^-s): the quantile at survival e^-s, with no rounding of u to 1."""
+        return self.quantile(-np.expm1(-np.asarray(s, dtype=float)))
+
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -68,7 +66,7 @@ class Distribution:
         raise NotImplementedError
 
     def truncation_point(self) -> float:
-        """Upper quadrature limit; the exact endpoint for bounded supports."""
+        """Upper end of the virtual-value bracket; the exact endpoint for bounded supports."""
         if math.isfinite(self.support.hi):
             return self.support.hi
         return float(self.quantile(1.0 - TRUNCATION_Q))
@@ -103,6 +101,9 @@ class Exponential(Distribution):
     def quantile(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
 
+    def tail_quantile(self, s):
+        return np.asarray(s, dtype=float) / self.rate
+
     def mean(self) -> float:
         return 1.0 / self.rate
 
@@ -132,6 +133,9 @@ class Uniform(Distribution):
 
     def quantile(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
+
+    def tail_quantile(self, s):
+        return self.b - (self.b - self.a) * np.exp(-np.asarray(s, dtype=float))
 
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
@@ -166,8 +170,11 @@ class Weibull(Distribution):
     def quantile(self, u):
         return self.scale * np.power(-np.log1p(-np.asarray(u, dtype=float)), 1.0 / self.shape)
 
+    def tail_quantile(self, s):
+        return self.scale * np.power(np.asarray(s, dtype=float), 1.0 / self.shape)
+
     def mean(self) -> float:
-        return self.scale * special.gamma(1.0 + 1.0 / self.shape)
+        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
     @property
     def descriptor(self) -> str:
@@ -183,6 +190,7 @@ class Pareto(Distribution):
         self.shape, self.scale = float(shape), float(scale)
         self.support = Support(self.scale, math.inf)
         self.lambda_claimed = 1.0 / self.shape
+        self.tail_growth = 1.0 / self.shape
         self.name = "pareto"
 
     def cdf(self, v):
@@ -199,6 +207,9 @@ class Pareto(Distribution):
 
     def quantile(self, u):
         return self.scale * np.power(1.0 - np.asarray(u, dtype=float), -1.0 / self.shape)
+
+    def tail_quantile(self, s):
+        return self.scale * np.exp(np.asarray(s, dtype=float) / self.shape)
 
     def mean(self) -> float:
         return self.shape * self.scale / (self.shape - 1.0)
@@ -317,13 +328,11 @@ def virtual_value(d: Distribution, v):
 
 
 def inverse_virtual_value(d: Distribution, c: float, rtol: float = 1e-9) -> float:
-    """Solve virtual_value(d, v) = c by bisection.
+    """Solve virtual_value(d, v) = c by bracket refinement.
 
     Requires a lambda-regular family (so the virtual value is nondecreasing).
     The monopoly reserve price is ``inverse_virtual_value(d, 0)``.
     """
-    from scipy.optimize import brentq
-
     lo = float(d.quantile(1e-12)) if d.support.lo == 0.0 else d.support.lo
     lo = max(lo, float(d.quantile(1e-12)))
     hi = min(d.truncation_point(), float(d.quantile(1.0 - 1e-13)))
@@ -345,10 +354,18 @@ def inverse_virtual_value(d: Distribution, c: float, rtol: float = 1e-9) -> floa
         raise OutOfRange(f"target {c} above the virtual-value range of {d.descriptor}")
     if phi_hi < phi_lo:
         raise NonMonotone(f"virtual value of {d.descriptor} decreases across the bracket")
-    root = brentq(lambda v: virtual_value(d, v) - c, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    # Each round keeps the one of 64 sub-brackets where the sign changes.
+    for _ in range(64):
+        if hi - lo <= 1e-14 + 8.9e-16 * hi:
+            break
+        xs = np.linspace(lo, hi, 65)
+        above = np.flatnonzero(virtual_value(d, xs[1:-1]) >= c)
+        i = int(above[0]) if above.size else 63
+        lo, hi = float(xs[i]), float(xs[i + 1])
+    root = 0.5 * (lo + hi)
     if abs(virtual_value(d, root) - c) > rtol * max(1.0, abs(c)):
-        raise NonMonotone(f"bisection failed to pin virtual value at {c} for {d.descriptor}")
-    return float(root)
+        raise NonMonotone(f"bracket refinement failed to pin virtual value at {c} for {d.descriptor}")
+    return root
 
 
 def _phi_right_limit(d: Distribution) -> float:
@@ -438,23 +455,6 @@ def generalized_hazard(d: Distribution, lam: float, v):
     v = np.asarray(v, dtype=float)
     surv = 1.0 - d.cdf(v)
     return d.pdf(v) / np.power(surv, 1.0 + lam)
-
-
-def gamma_h_representation(d: Distribution, lam: float, v: float) -> tuple[float, float]:
-    """Cumulative generalized hazard H_lam(v) plus the reconstruction error.
-
-    H_lam(v) = int_{v_lo}^{v} r_lam, and for a lambda-regular family
-    Gamma_lam(H_lam(v)) must reproduce the survival function 1 - F(v).
-    """
-    if not d.support.interior(v) and v != d.support.lo:
-        raise OutOfSupport(f"{v} not inside {d.descriptor} support")
-    if v == d.support.lo:
-        return 0.0, 0.0
-    val, err = integrate.quad(lambda z: float(generalized_hazard(d, lam, z)), d.support.lo, v, limit=200)
-    if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureFailure(f"H integral did not converge for {d.descriptor} at v={v}")
-    recon = float(gamma_lambda(lam, val))
-    return float(val), abs(recon - (1.0 - float(d.cdf(v))))
 
 
 def c_of_lambda(lam: float) -> float:

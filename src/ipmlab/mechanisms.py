@@ -8,12 +8,12 @@ batched in `simulation`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, inverse_virtual_value
+from .errors import OutOfRange
 from .order_statistics import expected_rank
 
 
@@ -88,36 +88,16 @@ def build_menu(d: Distribution, n: int, etas) -> Menu:
     return menu
 
 
-def optimal_item_price(d: Distribution, grid_size: int = 512) -> tuple[float, float]:
-    """Maximize p * (1 - F(p)) over the support.
+def optimal_item_price(d: Distribution) -> tuple[float, float]:
+    """Myerson's monopoly price r, where the virtual value crosses 0, and
+    its per-buyer revenue r (1 - F(r)).
 
-    Coarse quantile-grid scan (so heavy tails are covered) followed by a
-    bounded golden-section refinement around the best bracket.  Warns if the
-    scan reveals multiple strict local maxima.
+    The virtual value of a regular (lambda <= 1) family is nondecreasing, so
+    revenue rises up to r and falls after it; where it is positive on the
+    whole support, r is the support's lower end.
     """
-    from scipy.optimize import minimize_scalar
-
-    lo = d.support.lo
-    hi = d.truncation_point()
-    us = np.linspace(0.0, 1.0 - 1e-9, grid_size)
-    ps = np.asarray(d.quantile(us), dtype=float)
-    ps = np.clip(ps, lo, hi)
-    rev = ps * (1.0 - np.asarray(d.cdf(ps), dtype=float))
-    interior_max = (rev[1:-1] > rev[:-2]) & (rev[1:-1] > rev[2:])
-    if int(interior_max.sum()) > 1:
-        warnings.warn(f"revenue curve for {d.descriptor} looks multimodal; using grid fallback")
-    best = int(np.argmax(rev))
-    a = ps[max(best - 1, 0)]
-    b = ps[min(best + 1, grid_size - 1)]
-    if a == b:
-        return float(ps[best]), float(rev[best])
-    res = minimize_scalar(
-        lambda p: -p * (1.0 - float(d.cdf(p))),
-        bounds=(a, b),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    cand_p, cand_r = float(res.x), float(-res.fun)
-    if cand_r >= rev[best]:
-        return cand_p, cand_r
-    return float(ps[best]), float(rev[best])
+    try:
+        r = inverse_virtual_value(d, 0.0)
+    except OutOfRange:
+        r = d.support.lo
+    return r, r * (1.0 - float(d.cdf(r)))

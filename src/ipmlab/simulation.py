@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import agents
-from .distributions import Distribution, c_of_lambda, inverse_virtual_value
-from .errors import OutOfRange
+from .distributions import Distribution, c_of_lambda
 from .mechanisms import Menu, build_menu, ipm_price, optimal_item_price
 from .order_statistics import top_k_welfare
 
@@ -342,10 +341,7 @@ def _batch_fn(s: Scenario):
         menu = build_menu(s.d, s.n, s.etas)
         return lambda b, sz: _menu_batch(s, layout, menu, b, sz), {"menu": menu}
     if s.mechanism == "kplus1":
-        try:
-            reserve = inverse_virtual_value(s.d, 0.0)
-        except OutOfRange:  # phi > 0 on the whole support: reserve at its lower end
-            reserve = s.d.support.lo
+        reserve, _ = optimal_item_price(s.d)
         return lambda b, sz: _kplus1_batch(s, groups, reserve, b, sz), {"reserve": reserve}
     if s.mechanism == "bundle":
         if s.epsilon is not None:

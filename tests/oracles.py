@@ -9,11 +9,14 @@ nothing outside the tests calls these.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy import integrate, stats
 
 from ipmlab.agents import BehaviorModel, Kind, menu_purchase_dp
-from ipmlab.distributions import Distribution, virtual_value
+from ipmlab.distributions import Distribution, gamma_lambda, generalized_hazard, virtual_value
+from ipmlab.errors import OutOfSupport, QuadratureFailure
 from ipmlab.mechanisms import Menu
 from ipmlab.order_statistics import top_k_welfare
 
@@ -188,7 +191,55 @@ def demand_set(menu: Menu, valuations):
 
 
 # ---------------------------------------------------------------------------
-# Order statistics
+# Order statistics and the generalized hazard
+
+
+def quad_order_stat(d: Distribution, j: int, t: int) -> float:
+    """E[v^(j,t)] as the integral of v times the density of the j-th largest
+    of t draws, C F^(t-j) (1-F)^(j-1) f, by adaptive quadrature in value
+    space.  The pieces end at the values where a Beta(t-j+1, j) variable,
+    the order statistic's F, has its quantiles 1e-15 .. 1-1e-15."""
+    log_c = math.lgamma(t + 1) - math.lgamma(t - j + 1) - math.lgamma(j)
+
+    def integrand(v):
+        f_v = float(d.cdf(v))
+        if f_v <= 0.0 or (f_v >= 1.0 and j > 1):
+            return 0.0
+        log_p = (t - j) * math.log(f_v) + ((j - 1) * math.log1p(-f_v) if j > 1 else 0.0)
+        return v * math.exp(log_c + log_p) * float(d.pdf(v))
+
+    levels = stats.beta(t - j + 1, j).ppf([1e-15, 1e-6, 0.01, 0.5, 0.99, 1 - 1e-6, 1 - 1e-15])
+    with np.errstate(divide="ignore"):
+        inner = sorted(float(x) for x in d.quantile(levels) if math.isfinite(x))
+    # Pieces narrower than 1e-9 relative hold no weight that matters, and
+    # quad cannot subdivide them.
+    edges = [d.support.lo]
+    for x in inner:
+        gap = 1e-9 * max(1.0, abs(x))
+        if x - edges[-1] > gap and d.support.hi - x > gap:
+            edges.append(x)
+    edges.append(d.support.hi)
+    return math.fsum(
+        integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=1e-11, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+def gamma_h_representation(d: Distribution, lam: float, v: float) -> tuple[float, float]:
+    """Cumulative generalized hazard H_lam(v) plus the reconstruction error.
+
+    H_lam(v) = int_{v_lo}^{v} r_lam, and for a lambda-regular family
+    Gamma_lam(H_lam(v)) must reproduce the survival function 1 - F(v).
+    """
+    if not d.support.interior(v) and v != d.support.lo:
+        raise OutOfSupport(f"{v} not inside {d.descriptor} support")
+    if v == d.support.lo:
+        return 0.0, 0.0
+    val, err = integrate.quad(lambda z: float(generalized_hazard(d, lam, z)), d.support.lo, v, limit=200)
+    if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
+        raise QuadratureFailure(f"H integral did not converge for {d.descriptor} at v={v}")
+    recon = float(gamma_lambda(lam, val))
+    return float(val), abs(recon - (1.0 - float(d.cdf(v))))
 
 
 def first_order_stat_cdf(d: Distribution, t: int, v) -> float:

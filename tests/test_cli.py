@@ -31,10 +31,9 @@ def test_price_menu_table(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "j, eta_j, u_j, r_j"
-    assert lines[1].startswith("1, 1, 2.08333")
-    assert "1.79166" in lines[1]
-    assert lines[2].startswith("2, 0.5, 1.49999")
-    assert "0.74999" in lines[2]
+    # u_1 = H_4 = 25/12, u_2 = H_2 = 3/2; r_2 = u_2 / 2, r_1 = r_2 + u_1 / 2.
+    assert lines[1] == "1, 1, 2.08333333333, 1.79166666667"
+    assert lines[2] == "2, 0.5, 1.5, 0.75"
 
 
 def test_price_parse_error_exit_code(capsys):
@@ -177,10 +176,105 @@ def test_program_subcommand(capsys):
     assert code2 == 4
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # The analytic side needs only scipy.integrate and scipy.special;
-    # importing scipy.stats would add its setup time and memory to every run.
-    code = "import ipmlab.cli, sys; assert 'scipy.stats' not in sys.modules"
+def _python(code: str, *args, cwd=None):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-c", code, *args], timeout=300, env=env, cwd=cwd)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # Importing scipy.stats would add its setup time and memory to every run.
+    code = "import ipmlab.cli, sys; assert 'scipy.stats' not in sys.modules"
+    assert _python(code).returncode == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # The runtime needs numpy alone; scipy is a test-only oracle.
+    code = "import ipmlab.cli, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    assert _python(code).returncode == 0
+
+
+# Every mechanism, the monopolist model and both price paths.
+NO_SCIPY_CONFIG = textwrap.dedent("""\
+    seed = 3
+    reps = 2000
+    output = r.csv
+
+    [scenario]
+    id = ipm-monopolist
+    dist = pareto:3:1
+    n = 6
+    k = 2
+    structure = balanced:2
+    model = monopolist
+    mechanism = ipm
+
+    [scenario]
+    id = item
+    dist = weibull:1:2
+    n = 6
+    k = 2
+    structure = competition
+    model = surplus
+    mechanism = item_price
+
+    [scenario]
+    id = kplus1
+    dist = exp:1
+    n = 6
+    k = 2
+    structure = balanced:3
+    model = surplus
+    mechanism = kplus1
+
+    [scenario]
+    id = bundle
+    dist = uniform:0:1
+    n = 6
+    k = 2
+    structure = monopsony
+    model = surplus
+    mechanism = bundle
+
+    [scenario]
+    id = het
+    dist = ter:100
+    n = 6
+    etas = 1,0.5
+    structure = balanced:2
+    model = surplus
+    mechanism = het_ipm
+""")
+
+BLOCK_SCIPY = """\
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from ipmlab import cli
+
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["price", "--dist", "pareto:2:1", "--n", "8", "--k", "4"],
+        ["price", "--dist", "weibull:1:2", "--n", "6", "--etas", "1,0.5,0.25"],
+        ["check"],
+        ["simulate", "no_scipy.cfg"],
+    ],
+    ids=["price", "price-etas", "check", "simulate"],
+)
+def test_cli_runs_with_scipy_blocked(argv, tmp_path):
+    # An import of scipy anywhere, also inside a function, fails the run.
+    (tmp_path / "no_scipy.cfg").write_text(NO_SCIPY_CONFIG)
+    assert _python(BLOCK_SCIPY, *argv, cwd=tmp_path).returncode == 0

@@ -15,7 +15,6 @@ from ipmlab.distributions import (
     c_of_lambda,
     check_lambda_regularity,
     g_lambda,
-    gamma_h_representation,
     gamma_lambda,
     generalized_hazard,
     hazard,
@@ -24,6 +23,8 @@ from ipmlab.distributions import (
     virtual_value,
 )
 from ipmlab.errors import DomainError, OutOfRange, ParseError
+
+from oracles import gamma_h_representation
 
 
 FAMILIES = builtin_families()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipmlab.distributions import Exponential, TruncatedEqualRevenue, Uniform
+from ipmlab.distributions import Exponential, Pareto, TruncatedEqualRevenue, Uniform, Weibull
 from ipmlab.mechanisms import Menu, build_menu, ipm_price, optimal_item_price
 
 from oracles import bundle_price_monopsony, ipm_allocate, kplus1_auction, sequential_menu_sale
@@ -128,14 +128,20 @@ def test_bundle_price_grid_optimal_reasonable():
 
 
 def test_optimal_item_price_closed_forms():
-    p, r = optimal_item_price(Exponential(1.0))
-    assert p == pytest.approx(1.0, abs=1e-5)
-    assert r == pytest.approx(1 / math.e, abs=1e-6)
-    p, r = optimal_item_price(Uniform(0, 1))
-    assert p == pytest.approx(0.5, abs=1e-6)
-    assert r == pytest.approx(0.25, abs=1e-8)
-    p, r = optimal_item_price(TruncatedEqualRevenue(100))
-    assert r == pytest.approx(1.0, rel=1e-3)
+    # (family, monopoly price, per-buyer revenue); phi > 0 on the whole
+    # support of pareto and ter, so their price is the support's lower end.
+    cases = [
+        (Exponential(1.0), 1.0, 1 / math.e),
+        (Uniform(0, 1), 0.5, 0.25),
+        (Weibull(1.0, 2.0), math.sqrt(0.5), math.sqrt(0.5) * math.exp(-0.5)),
+        (Pareto(2.0, 1.0), 1.0, 1.0),
+        (Pareto(3.0, 2.5), 2.5, 2.5),
+        (TruncatedEqualRevenue(100), 1.0, 1.0),
+    ]
+    for d, price, revenue in cases:
+        p, r = optimal_item_price(d)
+        assert p == pytest.approx(price, rel=1e-12, abs=1e-12), d.descriptor
+        assert r == pytest.approx(revenue, rel=1e-12, abs=1e-12), d.descriptor
 
 
 def test_sequential_sale_single_buyer_example():

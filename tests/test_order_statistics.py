@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipmlab.distributions import Exponential, Pareto, Uniform, builtin_families, c_of_lambda, parse_distribution
+from ipmlab.distributions import (
+    Exponential,
+    Pareto,
+    TruncatedEqualRevenue,
+    Uniform,
+    Weibull,
+    builtin_families,
+    c_of_lambda,
+    parse_distribution,
+)
+from ipmlab.errors import NonIntegrable, QuadratureFailure
 from ipmlab.order_statistics import (
     expected_order_stat,
     expected_rank,
@@ -14,7 +24,7 @@ from ipmlab.order_statistics import (
     top_k_welfare,
 )
 
-from oracles import first_order_stat_cdf, sample_order_stats
+from oracles import first_order_stat_cdf, quad_order_stat, sample_order_stats
 
 
 def harmonic_tail(j: int, t: int) -> float:
@@ -22,12 +32,90 @@ def harmonic_tail(j: int, t: int) -> float:
     return float(sum(Fraction(1, i) for i in range(j, t + 1)))
 
 
+def closed_form_order_stat(descriptor: str, j: int, t: int) -> float:
+    """E of the j-th largest of t draws for exp, uniform and pareto."""
+    kind, *args = descriptor.split(":")
+    if kind == "exp":
+        return math.fsum(1.0 / i for i in range(j, t + 1)) / float(args[0])
+    if kind == "uniform":
+        a, b = map(float, args)
+        return a + (b - a) * (t - j + 1) / (t + 1)
+    shape, scale = map(float, args)
+    # t!/(j-1)! Gamma(j - 1/a)/Gamma(t + 1 - 1/a) = prod_(i=j..t) i / (i - 1/a),
+    # summed in logs so that no lgamma of a large argument loses digits.
+    return scale * math.exp(-math.fsum(math.log1p(-1.0 / (shape * i)) for i in range(j, t + 1)))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["exp:1", "exp:0.25", "uniform:0:1", "uniform:-2:3",
+     "pareto:1.05:1", "pareto:1.1:1", "pareto:1.5:1", "pareto:2:1", "pareto:3:2.5"],
+)
+def test_order_stats_match_closed_forms_to_1e9(descriptor):
+    d = parse_distribution(descriptor)
+    for t in (1, 2, 3, 16, 256, 1000, 20000, 100000):
+        for j in sorted({1, 2, 3, t // 2, t} & set(range(1, t + 1))):
+            want = closed_form_order_stat(descriptor, j, t)
+            assert expected_order_stat(d, j, t) == pytest.approx(want, rel=1e-9), (j, t)
+
+
+def test_deep_ranks_of_many_draws_enter_welfare_exactly():
+    # The top three of 20 000 exponentials sum to H - 1/2 - 2/3 ... in closed form.
+    want = math.fsum(closed_form_order_stat("exp:1", j, 20000) for j in (1, 2, 3))
+    assert top_k_welfare(Exponential(1.0), 20000, 3) == pytest.approx(want, rel=1e-9)
+
+
+@given(scale=st.floats(0.2, 5.0), shape=st.floats(1.0, 6.0), t=st.integers(1, 256), rank=st.floats(0.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_weibull_order_stats_match_quad_oracle(scale, shape, t, rank):
+    d = Weibull(scale, shape)
+    j = 1 + int(rank * (t - 1))
+    assert expected_order_stat(d, j, t) == pytest.approx(quad_order_stat(d, j, t), rel=1e-9)
+
+
+@given(n=st.integers(2, 2000), t=st.integers(1, 256), rank=st.floats(0.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_truncated_equal_revenue_order_stats_match_quad_oracle(n, t, rank):
+    d = TruncatedEqualRevenue(n)
+    j = 1 + int(rank * (t - 1))
+    assert expected_order_stat(d, j, t) == pytest.approx(quad_order_stat(d, j, t), rel=1e-9)
+
+
+class _NanTail(Exponential):
+    def tail_quantile(self, s):
+        return np.full(np.shape(s), np.nan)
+
+
+def test_non_finite_tail_quantile_raises():
+    with pytest.raises(QuadratureFailure):
+        expected_order_stat(_NanTail(1.0), 2, 16)
+
+
+def test_tail_beyond_float_range_raises():
+    # E[max of 16 pareto:1.01:1] is finite, but its integrand still carries
+    # weight where the quantile exceeds the largest float.
+    with pytest.raises(QuadratureFailure):
+        expected_order_stat(Pareto(1.01, 1.0), 1, 16)
+    assert expected_order_stat(Pareto(1.01, 1.0), 2, 16) == pytest.approx(
+        closed_form_order_stat("pareto:1.01:1", 2, 16), rel=1e-9
+    )
+
+
+class _ExpTail(Exponential):
+    tail_growth = 1.0
+
+
+def test_rank_at_or_below_tail_growth_diverges():
+    with pytest.raises(NonIntegrable):
+        expected_order_stat(_ExpTail(1.0), 1, 4)
+
+
 def test_exponential_ranks_match_harmonic_sums():
     d = Exponential(1.0)
     for t in (1, 2, 3, 6, 12):
         for j in range(1, t + 1):
             got = expected_order_stat(d, j, t)
-            assert got == pytest.approx(harmonic_tail(j, t), abs=2e-6)
+            assert got == pytest.approx(harmonic_tail(j, t), rel=1e-9)
 
 
 def test_cache_keys_on_exact_parameters():
@@ -49,7 +137,7 @@ def test_uniform_ranks_closed_form():
     for t in (1, 4, 9):
         for j in range(1, t + 1):
             got = expected_rank(d, j, t)
-            assert got == pytest.approx((t - j + 1) / (t + 1), abs=1e-7)
+            assert got == pytest.approx((t - j + 1) / (t + 1), rel=1e-9)
 
 
 def test_monte_carlo_cross_check():
@@ -68,11 +156,8 @@ def test_expected_max_monotone_in_sample_size():
 
 
 def test_expected_max_single_draw_is_mean():
-    # Heavy tails carry a truncated remainder of order 1e-4; light tails are
-    # accurate to quadrature precision.
     for d in builtin_families():
-        tol = 2e-4 if isinstance(d, Pareto) else 1e-5
-        assert expected_rank(d, 1, 1) == pytest.approx(d.mean(), rel=tol)
+        assert expected_rank(d, 1, 1) == pytest.approx(d.mean(), rel=1e-9)
 
 
 def test_first_order_stat_cdf():
@@ -140,79 +225,79 @@ def test_samples_sorted_and_deterministic(seed, t):
 
 # float.hex of expected_order_stat(d, j, t) for the builtin families plus
 # pareto:3:1, j in {1, 2, t // 2, t}, t in {1, 3, 16, 256}.  A change to the
-# integrands, nodes, tolerances or breakpoints of the quadrature shows here.
+# nodes, range or weights of the rule shows here.
 GOLDEN_ORDER_STATS = {
-    ("exp:1", 1, 1): "0x1.ffffffaa19c48p-1",
-    ("exp:1", 1, 3): "0x1.d55554d47bfc2p+0",
-    ("exp:1", 2, 3): "0x1.aaaaaaaaaa861p-1",
-    ("exp:1", 3, 3): "0x1.5555555554c13p-2",
-    ("exp:1", 1, 16): "0x1.b0bbb8efae6fep+1",
-    ("exp:1", 2, 16): "0x1.30bbba4746f66p+1",
-    ("exp:1", 8, 16): "0x1.9363f06d927acp-1",
-    ("exp:1", 16, 16): "0x1.ffffffffffffdp-5",
-    ("exp:1", 1, 256): "0x1.87f539d6673fep+2",
-    ("exp:1", 2, 256): "0x1.47f544932e341p+2",
-    ("exp:1", 128, 256): "0x1.65e4afef639f6p-1",
-    ("exp:1", 256, 256): "0x1.0000000000002p-8",
+    ("exp:1", 1, 1): "0x1.0000000000000p+0",
+    ("exp:1", 1, 3): "0x1.d555555555554p+0",
+    ("exp:1", 2, 3): "0x1.aaaaaaaaaaaaap-1",
+    ("exp:1", 3, 3): "0x1.5555555555556p-2",
+    ("exp:1", 1, 16): "0x1.b0bbba47475d2p+1",
+    ("exp:1", 2, 16): "0x1.30bbba47475d2p+1",
+    ("exp:1", 8, 16): "0x1.9363f06d927ccp-1",
+    ("exp:1", 16, 16): "0x1.fffffffffffffp-5",
+    ("exp:1", 1, 256): "0x1.87f544932e3dfp+2",
+    ("exp:1", 2, 256): "0x1.47f544932e3e1p+2",
+    ("exp:1", 128, 256): "0x1.65e4afef639ffp-1",
+    ("exp:1", 256, 256): "0x1.ffffffffffffep-9",
     ("uniform:0:1", 1, 1): "0x1.0000000000000p-1",
-    ("uniform:0:1", 1, 3): "0x1.8000000000000p-1",
-    ("uniform:0:1", 2, 3): "0x1.0000000000001p-1",
-    ("uniform:0:1", 3, 3): "0x1.0000000000000p-2",
-    ("uniform:0:1", 1, 16): "0x1.e1e1e1e1e1e1dp-1",
-    ("uniform:0:1", 2, 16): "0x1.c3c3c3c3c3c3dp-1",
-    ("uniform:0:1", 8, 16): "0x1.0f0f0f0f0f0f1p-1",
-    ("uniform:0:1", 16, 16): "0x1.e1e1e1e1e1e1ap-5",
-    ("uniform:0:1", 1, 256): "0x1.fe01fe01fe020p-1",
-    ("uniform:0:1", 2, 256): "0x1.fc03fc03fc042p-1",
-    ("uniform:0:1", 128, 256): "0x1.00ff00ff00fefp-1",
-    ("uniform:0:1", 256, 256): "0x1.fe01fe01fe024p-9",
-    ("weibull:1:2", 1, 1): "0x1.c5bf89118dad5p-1",
-    ("weibull:1:2", 1, 3): "0x1.4a55e137214e9p+0",
-    ("weibull:1:2", 2, 3): "0x1.b69a1b8ea2e90p-1",
-    ("weibull:1:2", 3, 3): "0x1.05f8bd37c1eabp-1",
-    ("weibull:1:2", 1, 16): "0x1.cf2b5781d616bp+0",
-    ("weibull:1:2", 2, 16): "0x1.861dd75fedb59p+0",
-    ("weibull:1:2", 8, 16): "0x1.bfe87e131075cp-1",
-    ("weibull:1:2", 16, 16): "0x1.c5bf891b4ebcdp-3",
-    ("weibull:1:2", 1, 256): "0x1.3b268236b7a70p+1",
-    ("weibull:1:2", 2, 256): "0x1.20e69311fb12cp+1",
-    ("weibull:1:2", 128, 256): "0x1.aba2aae44b471p-1",
-    ("weibull:1:2", 256, 256): "0x1.c5bf891b4ed09p-5",
-    ("pareto:2:1", 1, 1): "0x1.fff9724744ed0p+0",
-    ("pareto:2:1", 1, 3): "0x1.998fc5048189ep+1",
-    ("pareto:2:1", 2, 3): "0x1.99999999903a0p+0",
-    ("pareto:2:1", 3, 3): "0x1.333333332a0fdp+0",
-    ("pareto:2:1", 1, 16): "0x1.c93439176abc0p+2",
-    ("pareto:2:1", 2, 16): "0x1.c94e6ffa1a476p+1",
-    ("pareto:2:1", 8, 16): "0x1.7f2c38d338b30p+0",
-    ("pareto:2:1", 16, 16): "0x1.0842108421083p+0",
-    ("pareto:2:1", 1, 256): "0x1.c58f690cf4751p+4",
-    ("pareto:2:1", 2, 256): "0x1.c5f8449178a24p+3",
-    ("pareto:2:1", 128, 256): "0x1.6b47effc49f9dp+0",
-    ("pareto:2:1", 256, 256): "0x1.0080402010080p+0",
-    ("ter:100", 1, 1): "0x1.29b53da0c7f4ap+2",
-    ("ter:100", 1, 3): "0x1.3531e75e99896p+3",
-    ("ter:100", 2, 3): "0x1.6743b00ce97a3p+1",
-    ("ter:100", 3, 3): "0x1.7c68487ac039bp+0",
-    ("ter:100", 1, 16): "0x1.ae7f8078ac47fp+4",
-    ("ter:100", 2, 16): "0x1.7ed9bfdbcc503p+3",
-    ("ter:100", 8, 16): "0x1.2044afb0245edp+1",
+    ("uniform:0:1", 1, 3): "0x1.7fffffffffffep-1",
+    ("uniform:0:1", 2, 3): "0x1.fffffffffffffp-2",
+    ("uniform:0:1", 3, 3): "0x1.0000000000001p-2",
+    ("uniform:0:1", 1, 16): "0x1.e1e1e1e1e1e1ep-1",
+    ("uniform:0:1", 2, 16): "0x1.c3c3c3c3c3c3bp-1",
+    ("uniform:0:1", 8, 16): "0x1.0f0f0f0f0f0f8p-1",
+    ("uniform:0:1", 16, 16): "0x1.e1e1e1e1e1e1ep-5",
+    ("uniform:0:1", 1, 256): "0x1.fe01fe01fe018p-1",
+    ("uniform:0:1", 2, 256): "0x1.fc03fc03fc039p-1",
+    ("uniform:0:1", 128, 256): "0x1.00ff00ff00ff5p-1",
+    ("uniform:0:1", 256, 256): "0x1.fe01fe01fe02dp-9",
+    ("weibull:1:2", 1, 1): "0x1.c5bf891b4ef6ap-1",
+    ("weibull:1:2", 1, 3): "0x1.4a55e145c33c8p+0",
+    ("weibull:1:2", 2, 3): "0x1.b69a1b8ea584cp-1",
+    ("weibull:1:2", 3, 3): "0x1.05f8bd37c0e62p-1",
+    ("weibull:1:2", 1, 16): "0x1.cf2b57cfe0610p+0",
+    ("weibull:1:2", 2, 16): "0x1.861dd75ff95eap+0",
+    ("weibull:1:2", 8, 16): "0x1.bfe87e131076bp-1",
+    ("weibull:1:2", 16, 16): "0x1.c5bf891b4ef6ap-3",
+    ("weibull:1:2", 1, 256): "0x1.3b2684a709e0bp+1",
+    ("weibull:1:2", 2, 256): "0x1.20e69312055f4p+1",
+    ("weibull:1:2", 128, 256): "0x1.aba2aae44b47cp-1",
+    ("weibull:1:2", 256, 256): "0x1.c5bf891b4ef69p-5",
+    ("pareto:2:1", 1, 1): "0x1.fffffffffffffp+0",
+    ("pareto:2:1", 1, 3): "0x1.999999999999ap+1",
+    ("pareto:2:1", 2, 3): "0x1.999999999999ap+0",
+    ("pareto:2:1", 3, 3): "0x1.3333333333334p+0",
+    ("pareto:2:1", 1, 16): "0x1.c94e6ffa4c078p+2",
+    ("pareto:2:1", 2, 16): "0x1.c94e6ffa4c07ap+1",
+    ("pareto:2:1", 8, 16): "0x1.7f2c38d338b52p+0",
+    ("pareto:2:1", 16, 16): "0x1.0842108421084p+0",
+    ("pareto:2:1", 1, 256): "0x1.c5f84495b9f9cp+4",
+    ("pareto:2:1", 2, 256): "0x1.c5f84495b9f9ep+3",
+    ("pareto:2:1", 128, 256): "0x1.6b47effc49fa0p+0",
+    ("pareto:2:1", 256, 256): "0x1.008040201007cp+0",
+    ("ter:100", 1, 1): "0x1.29b53da0c7f52p+2",
+    ("ter:100", 1, 3): "0x1.3531e75e9989ep+3",
+    ("ter:100", 2, 3): "0x1.6743b00ce97a2p+1",
+    ("ter:100", 3, 3): "0x1.7c68487ac039cp+0",
+    ("ter:100", 1, 16): "0x1.ae7f8078ac4b7p+4",
+    ("ter:100", 2, 16): "0x1.7ed9bfdbcc4fbp+3",
+    ("ter:100", 8, 16): "0x1.2044afb0249e3p+1",
     ("ter:100", 16, 16): "0x1.10df360ae2944p+0",
-    ("ter:100", 1, 256): "0x1.31c88aafd828ep+6",
-    ("ter:100", 2, 256): "0x1.e8813cb29efe5p+5",
-    ("ter:100", 128, 256): "0x1.fecd7ce8e98d5p+0",
+    ("ter:100", 1, 256): "0x1.31c88aafccbe7p+6",
+    ("ter:100", 2, 256): "0x1.e8813cb29efebp+5",
+    ("ter:100", 128, 256): "0x1.fecd7ce8e98e0p+0",
     ("ter:100", 256, 256): "0x1.00fe69f21c4eap+0",
-    ("pareto:3:1", 1, 1): "0x1.7fffd910438b7p+0",
-    ("pareto:3:1", 1, 3): "0x1.0332f8cb98883p+1",
-    ("pareto:3:1", 2, 3): "0x1.5999999998ac5p+0",
-    ("pareto:3:1", 3, 3): "0x1.1ffffffff7bd3p+0",
-    ("pareto:3:1", 1, 16): "0x1.b7c8e2e286490p+1",
-    ("pareto:3:1", 2, 16): "0x1.253166eae6b87p+1",
-    ("pareto:3:1", 8, 16): "0x1.4e42b35f6d376p+0",
-    ("pareto:3:1", 16, 16): "0x1.0572620ae4c41p+0",
-    ("pareto:3:1", 1, 256): "0x1.133d72067dcf2p+3",
-    ("pareto:3:1", 2, 256): "0x1.6f03155227935p+2",
-    ("pareto:3:1", 128, 256): "0x1.433ddfb637471p+0",
+    ("pareto:3:1", 1, 1): "0x1.8000000000000p+0",
+    ("pareto:3:1", 1, 3): "0x1.0333333333330p+1",
+    ("pareto:3:1", 2, 3): "0x1.5999999999998p+0",
+    ("pareto:3:1", 3, 3): "0x1.2000000000000p+0",
+    ("pareto:3:1", 1, 16): "0x1.b7ca1a6069512p+1",
+    ("pareto:3:1", 2, 16): "0x1.253166eaf0e0ap+1",
+    ("pareto:3:1", 8, 16): "0x1.4e42b35f6d388p+0",
+    ("pareto:3:1", 16, 16): "0x1.0572620ae4c40p+0",
+    ("pareto:3:1", 1, 256): "0x1.13424ffde2bddp+3",
+    ("pareto:3:1", 2, 256): "0x1.6f03155283a7ap+2",
+    ("pareto:3:1", 128, 256): "0x1.433ddfb637470p+0",
     ("pareto:3:1", 256, 256): "0x1.005571d09ade4p+0",
 }
 
@@ -221,16 +306,3 @@ def test_order_stats_match_golden_bits():
     families = {d.descriptor: d for d in builtin_families() + [parse_distribution("pareto:3:1")]}
     got = {(name, j, t): float.hex(expected_order_stat(families[name], j, t)) for name, j, t in GOLDEN_ORDER_STATS}
     assert got == GOLDEN_ORDER_STATS
-
-
-def test_beta_pdf_ufunc_matches_scipy_stats_bits():
-    # expected_order_stat calls the ufunc behind scipy.stats.beta.pdf
-    # directly; a scipy that moves or changes it must fail here.
-    from scipy import stats
-    from scipy.special._ufuncs import _beta_pdf
-
-    u = np.concatenate([[0.0, 1e-300, 1e-9], np.linspace(0.0, 1.0, 1001), [1.0 - 1e-9, 1.0]])
-    for a in (1, 2, 3, 7, 16, 129, 255, 256):
-        for b in (1, 2, 3, 8, 128, 256):
-            assert _beta_pdf(u, a, b).tobytes() == stats.beta(a, b).pdf(u).tobytes(), (a, b)
-            assert float(_beta_pdf(0.3, a, b)).hex() == float(stats.beta(a, b).pdf(0.3)).hex(), (a, b)
