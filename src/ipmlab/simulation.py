@@ -21,8 +21,8 @@ from .mechanisms import Menu, build_menu, ipm_price, optimal_item_price
 from .order_statistics import top_k_welfare
 
 BATCH_SIZE = 8192
-# Rows per block of the uniform-price and menu engines: a block's arrays stay
-# in cache and no second valuation-sized buffer is live.
+# Rows per drawn block: a block's arrays stay in cache and only one block of
+# valuations is live per batch.
 ROW_BLOCK = 1024
 
 MECHANISMS = ("ipm", "het_ipm", "kplus1", "bundle", "item_price")
@@ -130,14 +130,6 @@ def theoretical_bound(s: Scenario) -> float | None:
     return None
 
 
-def _draw(s: Scenario, batch_idx: int, size: int):
-    """A batch's (size, n) valuations, from stream 0 of its seed, and the
-    generator on stream 1 that the engines use for rationing and orders."""
-    draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 0)))
-    aux = np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 1)))
-    return np.asarray(s.d.quantile(draw.random((size, s.n))), dtype=float), aux
-
-
 def _batches(reps: int):
     start = 0
     idx = 0
@@ -146,6 +138,34 @@ def _batches(reps: int):
         yield idx, size
         idx += 1
         start += size
+
+
+def _run_batch(s: Scenario, block, batch_idx: int, size: int):
+    """Draw, allocate and reduce one batch.  Stream 0 of the batch's seed is
+    drawn ROW_BLOCK rows at a time into one reused buffer (bit-identical to
+    a whole-batch draw: `random` fills rows in order), ``block(v, aux)``
+    gives each block's per-row revenue and welfare, with ``aux`` the
+    generator on stream 1, and the batch reduces to its partial sums."""
+    draw, aux = (np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, stream)))
+                 for stream in (0, 1))
+    u = np.empty((min(ROW_BLOCK, size), s.n))
+    revenue, welfare = np.empty((2, size))
+    for lo in range(0, size, ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, size))
+        ub = u[: rows.stop - lo]
+        draw.random(out=ub)
+        revenue[rows], welfare[rows] = block(s.d.quantile(ub), aux)
+    return _sums(revenue, welfare)
+
+
+def _sums(revenue: np.ndarray, welfare: np.ndarray):
+    return (
+        float(revenue.sum()),
+        float(np.square(revenue).sum()),
+        float(welfare.sum()),
+        float(np.square(welfare).sum()),
+        int(np.sum(revenue > welfare + 1e-9)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +201,16 @@ def _sorted_groups(v: np.ndarray, pad: np.ndarray, padding: np.ndarray):
     return vals
 
 
-def _uniform_price_batch(s: Scenario, layout, price: float, threshold: float, batch_idx: int, size: int):
+def _uniform_price_block(s: Scenario, layout, price: float, threshold: float, v: np.ndarray, aux):
     """Each buyer valued at or above the threshold asks for a unit; past k
-    asks, a lottery rations them (`_rationed_welfare`).  In blocks of rows."""
-    v, aux = _draw(s, batch_idx, size)
-    revenue, welfare = np.empty((2, size))
-    for lo in range(0, size, ROW_BLOCK):
-        vb = v[lo : lo + ROW_BLOCK]
-        qualify = vb >= threshold
-        total = np.count_nonzero(qualify, axis=1)
-        revenue[lo : lo + ROW_BLOCK] = price * np.minimum(total, s.k)
-        welfare[lo : lo + ROW_BLOCK] = np.einsum("ij,ij->i", vb, qualify)
-        over = np.flatnonzero(total > s.k)
-        if over.size:
-            welfare[lo + over] = _rationed_welfare(vb[over], qualify[over], layout, s.k, aux)
-    return _sums(revenue, welfare)
+    asks, a lottery rations them (`_rationed_welfare`)."""
+    qualify = v >= threshold
+    total = np.count_nonzero(qualify, axis=1)
+    welfare = np.einsum("ij,ij->i", v, qualify)
+    over = np.flatnonzero(total > s.k)
+    if over.size:
+        welfare[over] = _rationed_welfare(v[over], qualify[over], layout, s.k, aux)
+    return price * np.minimum(total, s.k), welfare
 
 
 def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, layout, k: int, aux):
@@ -221,30 +236,18 @@ def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, layout, k: int, aux):
 # Sequential menu engine (heterogeneous items)
 
 
-def _menu_batch(s: Scenario, layout, menu: Menu, batch_idx: int, size: int):
-    """Sequential menu sale for a batch, in blocks of rows: at each step
-    every row offers its remaining items to its next intermediary, whose
-    purchase comes from the O(k b) DP of `agents.menu_purchase_dp` over the
-    block's rows at once (ties to the larger set, then the lexicographically
-    smallest).  Revenue and welfare accumulate per step in ascending item
-    order."""
-    v, aux = _draw(s, batch_idx, size)
-    m = s.structure.m
+def _menu_block(s: Scenario, layout, menu: Menu, v: np.ndarray, aux):
+    """Sequential menu sale: at each step every row offers its remaining
+    items to its next intermediary, whose purchase comes from the O(k b) DP
+    of `agents.menu_purchase_dp` over the block's rows at once (ties to the
+    larger set, then the lexicographically smallest).  Random visit orders
+    come from ``aux`` in row order.  Revenue and welfare accumulate per step
+    in ascending item order."""
+    size, m = len(v), s.structure.m
     if s.order_policy == "random":
         orders = np.argsort(aux.random((size, m)), axis=1)
     else:
         orders = np.tile(np.arange(m), (size, 1))
-    revenue, welfare = np.empty((2, size))
-    for lo in range(0, size, ROW_BLOCK):
-        block = slice(lo, lo + ROW_BLOCK)
-        revenue[block], welfare[block] = _menu_sale(menu, layout, v[block], orders[block])
-    return _sums(revenue, welfare)
-
-
-def _menu_sale(menu: Menu, layout, v: np.ndarray, orders: np.ndarray):
-    """Per-row revenue and welfare of the sequential menu sale on valuation
-    rows ``v``, visiting intermediaries in the order of ``orders``."""
-    size, m = orders.shape
     _, classes = layout
     width = min(max(pad.shape[1] for _, pad, _ in classes), menu.k)
     # Each group's top `width` values (a purchase has at most k items), descending and
@@ -282,8 +285,7 @@ def _group_tops(v: np.ndarray, groups, k: int):
         yield g if take == len(idxs) else -np.partition(-g, take - 1, axis=1)[:, :take]
 
 
-def _kplus1_batch(s: Scenario, groups, reserve: float, batch_idx: int, size: int):
-    v, _ = _draw(s, batch_idx, size)
+def _kplus1_block(s: Scenario, groups, reserve: float, v: np.ndarray, aux):
     # Each intermediary bids its top min(k, |group|) buyer values; only the
     # top k + 1 bids set the winners and the price.
     bids = np.concatenate(list(_group_tops(v, groups, s.k)), axis=1)
@@ -291,36 +293,25 @@ def _kplus1_batch(s: Scenario, groups, reserve: float, batch_idx: int, size: int
     cut = max(nb - s.k - 1, 0)
     bids = np.sort(np.partition(bids, cut, axis=1)[:, cut:], axis=1)[:, ::-1]
     winners = np.minimum((bids >= reserve).sum(axis=1), s.k)
-    floor = bids[:, s.k] if nb > s.k else np.zeros(size)
+    floor = bids[:, s.k] if nb > s.k else np.zeros(len(v))
     pay = np.maximum(floor, reserve)
     revenue = winners * pay
     csum = np.cumsum(bids, axis=1)
     welfare = np.where(winners > 0, np.take_along_axis(csum, np.maximum(winners - 1, 0)[:, None], axis=1)[:, 0], 0.0)
-    return _sums(revenue, welfare)
+    return revenue, welfare
 
 
-def _bundle_batch(s: Scenario, groups, price: float, batch_idx: int, size: int):
-    v, _ = _draw(s, batch_idx, size)
+def _bundle_block(s: Scenario, groups, price: float, v: np.ndarray, aux):
     # Each intermediary values the bundle at its top min(k, |group|) buyers.
-    value = np.empty((size, len(groups)))
+    value = np.empty((len(v), len(groups)))
     for ell, top in enumerate(_group_tops(v, groups, s.k)):
         value[:, ell] = top.sum(axis=1)
     accept = value >= price
     any_accept = accept.any(axis=1)
     first = np.argmax(accept, axis=1)
     revenue = np.where(any_accept, price, 0.0)
-    welfare = np.where(any_accept, value[np.arange(size), first], 0.0)
-    return _sums(revenue, welfare)
-
-
-def _sums(revenue: np.ndarray, welfare: np.ndarray):
-    return (
-        float(revenue.sum()),
-        float(np.square(revenue).sum()),
-        float(welfare.sum()),
-        float(np.square(welfare).sum()),
-        int(np.sum(revenue > welfare + 1e-9)),
-    )
+    welfare = np.where(any_accept, value[np.arange(len(v)), first], 0.0)
+    return revenue, welfare
 
 
 # ---------------------------------------------------------------------------
@@ -336,33 +327,33 @@ def _batch_fn(s: Scenario):
         else:
             price, _ = optimal_item_price(s.d)
         threshold = agents.purchase_threshold(s.model, s.d, price)
-        return lambda b, sz: _uniform_price_batch(s, layout, price, threshold, b, sz), {"price": price}
+        return lambda v, aux: _uniform_price_block(s, layout, price, threshold, v, aux), {"price": price}
     if s.mechanism == "het_ipm":
         menu = build_menu(s.d, s.n, s.etas)
-        return lambda b, sz: _menu_batch(s, layout, menu, b, sz), {"menu": menu}
+        return lambda v, aux: _menu_block(s, layout, menu, v, aux), {"menu": menu}
     if s.mechanism == "kplus1":
         reserve, _ = optimal_item_price(s.d)
-        return lambda b, sz: _kplus1_batch(s, groups, reserve, b, sz), {"reserve": reserve}
+        return lambda v, aux: _kplus1_block(s, groups, reserve, v, aux), {"reserve": reserve}
     if s.mechanism == "bundle":
         if s.epsilon is not None:
             price = s.n * (s.d.mean() - s.epsilon)
         else:
             price = top_k_welfare(s.d, s.n, s.k)
-        return lambda b, sz: _bundle_batch(s, groups, price, b, sz), {"price": price}
+        return lambda v, aux: _bundle_block(s, groups, price, v, aux), {"price": price}
     raise AssertionError(s.mechanism)
 
 
 def run_scenario(s: Scenario) -> SimulationReport:
     """Simulate the scenario and compare mean revenue to the analytic
     welfare benchmark and the matching theoretical bound."""
-    fn, extra = _batch_fn(s)
+    block, extra = _batch_fn(s)
     jobs = list(_batches(s.reps))
     threads = worker_count()
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda j: fn(*j), jobs))
+            parts = list(pool.map(lambda j: _run_batch(s, block, *j), jobs))
     else:
-        parts = [fn(b, sz) for b, sz in jobs]
+        parts = [_run_batch(s, block, b, sz) for b, sz in jobs]
     # Combine in batch order so the result is independent of scheduling.
     rev_sum = rev_sq = wel_sum = wel_sq = 0.0
     violations = 0
@@ -442,6 +433,10 @@ def ln_gap_experiment(n: int, reps: int = 50_000, seed: int = 0):
     # A bundle sale to a monopsony, drawn batch by batch like any scenario.
     s = Scenario(d, n, n, agents.monopsony(n), agents.parse_behavior("surplus"), mechanism="bundle",
                  reps=reps, master_seed=seed)
-    accept = sum(int(np.sum(_draw(s, b, size)[0].sum(axis=1) >= bundle_price)) for b, size in _batches(reps))
+    def block(v, aux):
+        value = v.sum(axis=1)
+        return (value >= bundle_price).astype(float), value
+
+    accept = sum(_run_batch(s, block, b, size)[0] for b, size in _batches(reps))
     acceptance = accept / reps
     return item_revenue, bundle_price * acceptance, acceptance
