@@ -159,13 +159,28 @@ def _run_batch(s: Scenario, block, batch_idx: int, size: int):
 
 
 def _sums(revenue: np.ndarray, welfare: np.ndarray):
-    return (
-        float(revenue.sum()),
-        float(np.square(revenue).sum()),
-        float(welfare.sum()),
-        float(np.square(welfare).sum()),
-        int(np.sum(revenue > welfare + 1e-9)),
-    )
+    """Each series' sum and its M2 about the batch mean, in two passes over
+    the batch's rows, and the rows where revenue exceeds welfare."""
+    sums = []
+    for x in (revenue, welfare):
+        total = float(x.sum())
+        sums += [total, float(np.square(x - total / len(x)).sum())]
+    return (*sums, int(np.sum(revenue > welfare + 1e-9)))
+
+
+def _merge(parts, sizes, col: int):
+    """Mean and ci95 of one series from its batches' (sum, M2), in batch
+    order: the mean from the raw sums, M2 = sum M2_b + n_b (mean_b - mean)^2
+    (Chan, Golub & LeVeque 1979)."""
+    reps = sum(sizes)
+    total = 0.0
+    for p in parts:
+        total += p[col]
+    mean = total / reps
+    m2 = 0.0
+    for p, size in zip(parts, sizes):
+        m2 += p[col + 1] + size * (p[col] / size - mean) ** 2
+    return mean, 1.96 * math.sqrt(m2 / reps / reps)
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +370,10 @@ def run_scenario(s: Scenario) -> SimulationReport:
     else:
         parts = [_run_batch(s, block, b, sz) for b, sz in jobs]
     # Combine in batch order so the result is independent of scheduling.
-    rev_sum = rev_sq = wel_sum = wel_sq = 0.0
-    violations = 0
-    for p in parts:
-        rev_sum += p[0]
-        rev_sq += p[1]
-        wel_sum += p[2]
-        wel_sq += p[3]
-        violations += p[4]
-    reps = s.reps
-    mean_rev = rev_sum / reps
-    mean_wel = wel_sum / reps
-    var_rev = max(rev_sq / reps - mean_rev**2, 0.0)
-    var_wel = max(wel_sq / reps - mean_wel**2, 0.0)
-    ci_rev = 1.96 * math.sqrt(var_rev / reps)
-    ci_wel = 1.96 * math.sqrt(var_wel / reps)
+    sizes = [size for _, size in jobs]
+    mean_rev, ci_rev = _merge(parts, sizes, 0)
+    mean_wel, ci_wel = _merge(parts, sizes, 2)
+    violations = sum(p[4] for p in parts)
     if s.mechanism == "het_ipm":
         analytic = top_k_welfare(s.d, s.n, len(s.etas), s.etas)
     else:
@@ -377,7 +381,7 @@ def run_scenario(s: Scenario) -> SimulationReport:
     ratio = mean_rev / analytic if analytic > 0 else 0.0
     bound = theoretical_bound(s)
     passed: bool | None = None
-    if bound is not None and reps >= 10_000:
+    if bound is not None and s.reps >= 10_000:
         ci_ratio = ci_rev / analytic
         passed = ratio >= bound - 2.0 * ci_ratio
     extra = dict(extra)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -183,18 +184,6 @@ def test_kplus1_engine_matches_reference_auction():
     assert rep.mean_welfare == pytest.approx(sum(wel for _, _, _, wel in sales) / 512, rel=1e-12)
 
 
-def test_heterogeneous_report_identical_across_threads_and_blocks(monkeypatch):
-    s = scenario(mechanism="het_ipm", etas=(1.0, 0.5, 0.25), structure=agents.random_partition(6, 3, 7),
-                 reps=2 * simulation.BATCH_SIZE + 100)
-    monkeypatch.setenv("IPMLAB_THREADS", "1")
-    one = simulation.run_scenario(s).csv_row()
-    monkeypatch.setenv("IPMLAB_THREADS", "2")
-    assert simulation.run_scenario(s).csv_row() == one
-    # Row blocks only bound the engine's memory: one block per batch agrees.
-    monkeypatch.setattr(simulation, "ROW_BLOCK", simulation.BATCH_SIZE)
-    assert simulation.run_scenario(s).csv_row() == one
-
-
 def test_rationing_law_is_multivariate_hypergeometric():
     # Groups interleaved over the columns ask for q = (3, 3, 2) units, one
     # buyer per group below the threshold, and k = 3.  Qualifying values
@@ -255,19 +244,59 @@ def test_uniform_price_welfare_matches_ipm_allocate_replay():
     assert rep.mean_welfare == pytest.approx(welfare.mean(), abs=3 * math.hypot(ci, rep.ci95_welfare))
 
 
-def test_uniform_price_report_identical_across_threads_and_blocks(monkeypatch):
-    s = scenario(mechanism="item_price", k=2, structure=agents.random_partition(6, 3, 7),
-                 reps=2 * simulation.BATCH_SIZE + 100)
+@pytest.mark.parametrize("mechanism", ["ipm", "item_price", "het_ipm", "kplus1", "bundle"])
+def test_report_identical_across_threads_and_blocks(monkeypatch, mechanism):
+    s = scenario(mechanism=mechanism, k=2, etas=(1.0, 0.5) if mechanism == "het_ipm" else None,
+                 structure=agents.random_partition(6, 3, 7), reps=2 * simulation.BATCH_SIZE + 100)
+
+    def report():
+        rep = simulation.run_scenario(s)
+        return rep.csv_row(), rep.ci95_revenue, rep.ci95_welfare
+
     monkeypatch.setenv("IPMLAB_THREADS", "1")
-    one = simulation.run_scenario(s)
+    one = report()
     monkeypatch.setenv("IPMLAB_THREADS", "2")
-    two = simulation.run_scenario(s)
-    assert (two.csv_row(), two.ci95_welfare) == (one.csv_row(), one.ci95_welfare)
-    # Row blocks only bound the engine's memory: the rationing keys come from
-    # stream 1 in row order, so one block per batch gives the same report.
-    monkeypatch.setattr(simulation, "ROW_BLOCK", simulation.BATCH_SIZE)
-    whole = simulation.run_scenario(s)
-    assert (whole.csv_row(), whole.ci95_welfare) == (one.csv_row(), one.ci95_welfare)
+    assert report() == one
+    # Row blocks only bound the engine's memory: valuations, rationing keys
+    # and visit orders come from their streams in row order, so one block
+    # per batch, or 333-row blocks with a partial last one, agree.
+    for rows in (simulation.BATCH_SIZE, 333):
+        monkeypatch.setattr(simulation, "ROW_BLOCK", rows)
+        assert report() == one, rows
+
+
+@pytest.mark.parametrize("mechanism", ["ipm", "item_price", "het_ipm", "kplus1", "bundle"])
+def test_batch_memory_stays_below_two_valuation_arrays(monkeypatch, mechanism):
+    # Only one ROW_BLOCK of valuations is live at a time, so a full batch of
+    # n = 256 buyers never holds two (BATCH_SIZE, n) float arrays at once.
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    s = scenario(mechanism=mechanism, n=256, k=16, structure=agents.balanced(256, 16),
+                 etas=tuple(1.0 / (j + 1) for j in range(16)) if mechanism == "het_ipm" else None,
+                 reps=simulation.BATCH_SIZE)
+    simulation.run_scenario(replace(s, reps=1))  # warm the analytic cache
+    tracemalloc.start()
+    try:
+        simulation.run_scenario(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * simulation.BATCH_SIZE * 256 * 8
+
+
+def test_ci95_exact_on_a_shifted_family():
+    # Values near 2e6 that vary by about 1: a raw sum of squares loses most
+    # of the variance to cancellation, the merged per-batch M2 does not.
+    s = scenario(d=Uniform(1_000_000, 1_000_001), n=4, k=2, mechanism="kplus1",
+                 structure=agents.competition(4), reps=20_000, master_seed=3)
+    rep = simulation.run_scenario(s)
+    rows = []
+    for b, size in simulation._batches(s.reps):
+        draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, b, 0)))
+        rows += [kplus1_auction(v, s.k, rep.extra["reserve"])[2:] for v in s.d.quantile(draw.random((size, s.n)))]
+    revenue, welfare = np.array(rows).T
+    assert rep.mean_revenue == revenue.mean()
+    for got, x in ((rep.ci95_revenue, revenue), (rep.ci95_welfare, welfare)):
+        assert got == pytest.approx(1.96 * x.std() / math.sqrt(s.reps), rel=1e-9)
 
 
 def test_price_structure_invariance_sweep():
