@@ -27,7 +27,6 @@ class ExperimentConfig:
     seed: int
     reps: int = 100_000
     output: str = "report.csv"
-    checks: list = field(default_factory=list)
     scenarios: list = field(default_factory=list)  # list of dicts of raw keys
 
     def build_scenarios(self) -> list[simulation.Scenario]:
@@ -38,8 +37,6 @@ class ExperimentConfig:
 
     def serialize(self) -> str:
         lines = [f"seed = {self.seed}", f"reps = {self.reps}", f"output = {self.output}"]
-        if self.checks:
-            lines.append("checks = " + ",".join(self.checks))
         for raw in self.scenarios:
             lines.append("")
             lines.append("[scenario]")
@@ -48,7 +45,7 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-_GLOBAL_KEYS = {"seed", "reps", "output", "checks"}
+_GLOBAL_KEYS = {"seed", "reps", "output"}
 _SCENARIO_KEYS = {
     "id", "dist", "n", "k", "structure", "model", "mechanism",
     "reps", "etas", "seed", "order", "epsilon",
@@ -91,11 +88,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ParseError(f"bad integer in config: {exc}") from exc
     if reps < 1:
         raise ParseError("reps must be >= 1")
-    checks = [c.strip() for c in globals_.get("checks", "").split(",") if c.strip()]
-    cfg = ExperimentConfig(
-        seed=seed, reps=reps, output=globals_.get("output", "report.csv"),
-        checks=checks, scenarios=scenarios,
-    )
+    cfg = ExperimentConfig(seed=seed, reps=reps, output=globals_.get("output", "report.csv"), scenarios=scenarios)
     cfg.build_scenarios()  # validate eagerly so parse errors exit with code 2
     return cfg
 

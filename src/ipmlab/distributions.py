@@ -29,9 +29,6 @@ class Support:
     lo: float
     hi: float  # may be +inf
 
-    def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
-
     def interior(self, v: float) -> bool:
         return self.lo < v < self.hi
 
@@ -39,7 +36,6 @@ class Support:
 class Distribution:
     """Base class: subclasses fill in cdf/pdf/quantile and metadata."""
 
-    name: str = "abstract"
     support: Support
     lambda_claimed: float
     # Exponential growth rate of tail_quantile(s) as s -> inf.
@@ -90,7 +86,6 @@ class Exponential(Distribution):
         self.rate = float(rate)
         self.support = Support(0.0, math.inf)
         self.lambda_claimed = 0.0
-        self.name = "exponential"
 
     def cdf(self, v):
         return -np.expm1(-self.rate * np.asarray(v, dtype=float))
@@ -121,7 +116,6 @@ class Uniform(Distribution):
         self.a, self.b = float(a), float(b)
         self.support = Support(self.a, self.b)
         self.lambda_claimed = 0.0
-        self.name = "uniform"
 
     def cdf(self, v):
         return np.clip((np.asarray(v, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
@@ -155,7 +149,6 @@ class Weibull(Distribution):
         self.scale, self.shape = float(scale), float(shape)
         self.support = Support(0.0, math.inf)
         self.lambda_claimed = 0.0
-        self.name = "weibull"
 
     def cdf(self, v):
         z = np.asarray(v, dtype=float) / self.scale
@@ -191,7 +184,6 @@ class Pareto(Distribution):
         self.support = Support(self.scale, math.inf)
         self.lambda_claimed = 1.0 / self.shape
         self.tail_growth = 1.0 / self.shape
-        self.name = "pareto"
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -233,7 +225,6 @@ class TruncatedEqualRevenue(Distribution):
         self.n = int(n)
         self.support = Support(1.0, float(n))
         self.lambda_claimed = 1.0
-        self.name = "ter"
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -333,8 +324,7 @@ def inverse_virtual_value(d: Distribution, c: float, rtol: float = 1e-9) -> floa
     Requires a lambda-regular family (so the virtual value is nondecreasing).
     The monopoly reserve price is ``inverse_virtual_value(d, 0)``.
     """
-    lo = float(d.quantile(1e-12)) if d.support.lo == 0.0 else d.support.lo
-    lo = max(lo, float(d.quantile(1e-12)))
+    lo = max(d.support.lo, float(d.quantile(1e-12)))
     hi = min(d.truncation_point(), float(d.quantile(1.0 - 1e-13)))
     phi_lo = virtual_value(d, lo) if d.support.interior(lo) else _phi_right_limit(d)
     if c < phi_lo - rtol * max(1.0, abs(c)):
@@ -346,9 +336,9 @@ def inverse_virtual_value(d: Distribution, c: float, rtol: float = 1e-9) -> floa
     for _ in range(64):
         if phi_hi >= c:
             break
-        hi = hi * 2.0 if math.isinf(d.support.hi) else hi
         if not math.isinf(d.support.hi):
             raise OutOfRange(f"target {c} above the virtual-value range of {d.descriptor}")
+        hi *= 2.0
         phi_hi = virtual_value(d, hi)
     else:
         raise OutOfRange(f"target {c} above the virtual-value range of {d.descriptor}")

@@ -130,6 +130,16 @@ def test_simulate_rejects_zero_reps(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_rejects_checks_key(tmp_path, capsys):
+    # `checks` selected nothing in `simulate`; a config naming it is an error.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("checks = fact1,no_such_check\n" + CONFIG.format(out=tmp_path / "r.csv"))
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert "checks" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("reps = 100\n")
