@@ -2,8 +2,8 @@
 
 Replicates are processed in fixed-size batches; each batch derives its RNG
 from (master_seed, batch_index), so results are bit-identical no matter how
-many worker threads run the batches.  Batch partial sums are combined in
-batch order.
+many worker threads run the batches.  One driver, `_run_batch`, draws,
+allocates and reduces every batch; batch sums and M2s merge in batch order.
 """
 
 from __future__ import annotations
@@ -434,9 +434,11 @@ def ln_gap_experiment(n: int, reps: int = 50_000, seed: int = 0):
     _, per_buyer = optimal_item_price(d)
     item_revenue = n * per_buyer
     bundle_price = (n * n * math.log(n)) / (2.0 * (n - 1.0))
-    # A bundle sale to a monopsony, drawn batch by batch like any scenario.
+    # A bundle sale to a monopsony, drawn batch by batch like any scenario;
+    # the block's first series counts the rows that accept.
     s = Scenario(d, n, n, agents.monopsony(n), agents.parse_behavior("surplus"), mechanism="bundle",
                  reps=reps, master_seed=seed)
+
     def block(v, aux):
         value = v.sum(axis=1)
         return (value >= bundle_price).astype(float), value
