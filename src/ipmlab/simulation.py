@@ -151,10 +151,8 @@ def _run_batch(s: Scenario, block, batch_idx: int, size: int):
     u = np.empty((min(ROW_BLOCK, size), s.n))
     revenue, welfare = np.empty((2, size))
     for lo in range(0, size, ROW_BLOCK):
-        rows = slice(lo, min(lo + ROW_BLOCK, size))
-        ub = u[: rows.stop - lo]
-        draw.random(out=ub)
-        revenue[rows], welfare[rows] = block(s.d.quantile(ub), aux)
+        ub = draw.random(out=u[: size - lo])
+        revenue[lo : lo + ROW_BLOCK], welfare[lo : lo + ROW_BLOCK] = block(s.d.quantile(ub), aux)
     return _sums(revenue, welfare)
 
 
