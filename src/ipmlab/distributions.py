@@ -47,7 +47,8 @@ class Distribution:
     def pdf(self, v):
         raise NotImplementedError
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
+        """Q(u), written into ``out`` when given (``out=u`` maps u in place)."""
         raise NotImplementedError
 
     def tail_quantile(self, s):
@@ -93,8 +94,11 @@ class Exponential(Distribution):
     def pdf(self, v):
         return self.rate * np.exp(-self.rate * np.asarray(v, dtype=float))
 
-    def quantile(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
+    def quantile(self, u, out=None):
+        u, x = _operands(u, out)
+        np.log1p(np.negative(u, out=x), out=x)
+        # x / -rate has the bits of -x / rate: negation is exact.
+        return _result(np.divide(x, -self.rate, out=x))
 
     def tail_quantile(self, s):
         return np.asarray(s, dtype=float) / self.rate
@@ -125,8 +129,10 @@ class Uniform(Distribution):
         inside = (v >= self.a) & (v <= self.b)
         return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
-    def quantile(self, u):
-        return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
+    def quantile(self, u, out=None):
+        u, x = _operands(u, out)
+        np.multiply(u, self.b - self.a, out=x)
+        return _result(np.add(x, self.a, out=x))
 
     def tail_quantile(self, s):
         return self.b - (self.b - self.a) * np.exp(-np.asarray(s, dtype=float))
@@ -160,8 +166,11 @@ class Weibull(Distribution):
             out = (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(-np.power(z, self.shape))
         return np.where(np.asarray(v, dtype=float) > 0, out, 0.0)
 
-    def quantile(self, u):
-        return self.scale * np.power(-np.log1p(-np.asarray(u, dtype=float)), 1.0 / self.shape)
+    def quantile(self, u, out=None):
+        u, x = _operands(u, out)
+        np.log1p(np.negative(u, out=x), out=x)
+        np.power(np.negative(x, out=x), 1.0 / self.shape, out=x)
+        return _result(np.multiply(x, self.scale, out=x))
 
     def tail_quantile(self, s):
         return self.scale * np.power(np.asarray(s, dtype=float), 1.0 / self.shape)
@@ -197,8 +206,10 @@ class Pareto(Distribution):
             out = self.shape * np.power(self.scale, self.shape) / np.power(v, self.shape + 1.0)
         return np.where(v >= self.scale, out, 0.0)
 
-    def quantile(self, u):
-        return self.scale * np.power(1.0 - np.asarray(u, dtype=float), -1.0 / self.shape)
+    def quantile(self, u, out=None):
+        u, x = _operands(u, out)
+        np.power(np.subtract(1.0, u, out=x), -1.0 / self.shape, out=x)
+        return _result(np.multiply(x, self.scale, out=x))
 
     def tail_quantile(self, s):
         return self.scale * np.exp(np.asarray(s, dtype=float) / self.shape)
@@ -240,9 +251,10 @@ class TruncatedEqualRevenue(Distribution):
             out = c / (v * v)
         return np.where(inside, out, 0.0)
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return 1.0 / (1.0 - u * (self.n - 1.0) / self.n)
+    def quantile(self, u, out=None):
+        u, x = _operands(u, out)
+        np.divide(np.multiply(u, self.n - 1.0, out=x), self.n, out=x)
+        return _result(np.divide(1.0, np.subtract(1.0, x, out=x), out=x))
 
     def mean(self) -> float:
         return self.n / (self.n - 1.0) * math.log(self.n)
@@ -250,6 +262,18 @@ class TruncatedEqualRevenue(Distribution):
     @property
     def descriptor(self) -> str:
         return f"ter:{self.n}"
+
+
+def _operands(u, out):
+    """``u`` as a float array, and the array a quantile computes in: ``out``
+    (which may be ``u`` itself) or a new one shaped like ``u``."""
+    u = np.asarray(u, dtype=float)
+    return u, np.empty_like(u) if out is None else out
+
+
+def _result(x: np.ndarray):
+    """``x``, or its value as a numpy scalar when 0-d, as a ufunc returns it."""
+    return x if x.ndim else x[()]
 
 
 def _fmt(x: float) -> str:

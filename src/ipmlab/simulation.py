@@ -143,16 +143,17 @@ def _batches(reps: int):
 def _run_batch(s: Scenario, block, batch_idx: int, size: int):
     """Draw, allocate and reduce one batch.  Stream 0 of the batch's seed is
     drawn ROW_BLOCK rows at a time into one reused buffer (bit-identical to
-    a whole-batch draw: `random` fills rows in order), ``block(v, aux)``
-    gives each block's per-row revenue and welfare, with ``aux`` the
-    generator on stream 1, and the batch reduces to its partial sums."""
+    a whole-batch draw: `random` fills rows in order) and mapped to values
+    in place, ``block(v, aux)`` gives each block's per-row revenue and
+    welfare, with ``aux`` the generator on stream 1, and the batch reduces
+    to its partial sums."""
     draw, aux = (np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, stream)))
                  for stream in (0, 1))
     u = np.empty((min(ROW_BLOCK, size), s.n))
     revenue, welfare = np.empty((2, size))
     for lo in range(0, size, ROW_BLOCK):
         ub = draw.random(out=u[: size - lo])
-        revenue[lo : lo + ROW_BLOCK], welfare[lo : lo + ROW_BLOCK] = block(s.d.quantile(ub), aux)
+        revenue[lo : lo + ROW_BLOCK], welfare[lo : lo + ROW_BLOCK] = block(s.d.quantile(ub, out=ub), aux)
     return _sums(revenue, welfare)
 
 
@@ -219,10 +220,13 @@ def _uniform_price_block(s: Scenario, layout, price: float, threshold: float, v:
     asks, a lottery rations them (`_rationed_welfare`)."""
     qualify = v >= threshold
     total = np.count_nonzero(qualify, axis=1)
-    welfare = np.einsum("ij,ij->i", v, qualify)
-    over = np.flatnonzero(total > s.k)
-    if over.size:
-        welfare[over] = _rationed_welfare(v[over], qualify[over], layout, s.k, aux)
+    over = total > s.k
+    if over.all():  # every row rations: no row copies
+        welfare = _rationed_welfare(v, qualify, layout, s.k, aux)
+    else:
+        welfare = np.einsum("ij,ij->i", v, qualify)
+        if over.any():
+            welfare[over] = _rationed_welfare(v[over], qualify[over], layout, s.k, aux)
     return price * np.minimum(total, s.k), welfare
 
 
@@ -234,19 +238,34 @@ def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, layout, k: int, aux):
     values."""
     group_of, classes = layout
     rows, m = len(v), group_of.max() + 1
-    keys = aux.random(v.shape) - qualify
-    winners = np.argsort(keys, axis=1)[:, :k]
-    cells = group_of[winners] + m * np.arange(rows)[:, None]
+    keys = aux.random(v.shape)
+    keys -= qualify
+    cells = group_of[np.argsort(keys, axis=1)[:, :k]] + m * np.arange(rows)[:, None]
+    del keys  # free the block-sized keys before the sorts below
     served = np.bincount(cells.ravel(), minlength=rows * m).reshape(rows, m)
     welfare = np.zeros(rows)
     for members, pad, padding in classes:
-        top = np.arange(pad.shape[1]) >= pad.shape[1] - served[:, members, None]
-        welfare += np.where(top, _sorted_groups(v, pad, padding), 0.0).sum(axis=(1, 2))
+        vals = _sorted_groups(v, pad, padding)
+        vals[np.arange(pad.shape[1]) < pad.shape[1] - served[:, members, None]] = 0.0
+        welfare += vals.sum(axis=(1, 2))
     return welfare
 
 
 # ---------------------------------------------------------------------------
 # Sequential menu engine (heterogeneous items)
+
+
+def _top_values(v: np.ndarray, classes, m: int, width: int):
+    """Each group's top `width` values (a purchase has at most k items) as
+    (rows, m, width + 1), descending and zero-padded; the extra zero column
+    is the value of an item bought unassigned (slot == width).  The sorted
+    copies die on return, before the sale runs."""
+    out = np.zeros((len(v), m, width + 1))
+    for members, pad, padding in classes:
+        desc = _sorted_groups(v, pad, padding)[:, :, ::-1][:, :, :width]
+        desc[:, padding[:, :width]] = 0.0
+        out[:, members, : desc.shape[2]] = desc
+    return out
 
 
 def _menu_block(s: Scenario, layout, menu: Menu, v: np.ndarray, aux):
@@ -263,12 +282,7 @@ def _menu_block(s: Scenario, layout, menu: Menu, v: np.ndarray, aux):
         orders = np.tile(np.arange(m), (size, 1))
     _, classes = layout
     width = min(max(pad.shape[1] for _, pad, _ in classes), menu.k)
-    # Each group's top `width` values (a purchase has at most k items), descending and
-    # zero-padded; the extra zero column is the value of an item bought unassigned (slot == width).
-    sorted_vals = np.zeros((size, m, width + 1))
-    for members, pad, padding in classes:
-        desc = _sorted_groups(v, pad, padding)[:, :, ::-1][:, :, :width]
-        sorted_vals[:, members, : desc.shape[2]] = np.where(padding[:, :width], 0.0, desc)
+    sorted_vals = _top_values(v, classes, m, width)
     rows = np.arange(size)
     available = np.ones((size, menu.k), dtype=bool)
     revenue = np.zeros(size)
@@ -291,20 +305,32 @@ def _menu_block(s: Scenario, layout, menu: Menu, v: np.ndarray, aux):
 
 def _group_tops(v: np.ndarray, groups, k: int):
     """Each group's top min(k, |group|) values, unordered; a group that fits
-    whole comes back as its own columns."""
+    whole comes back as its own columns.  The others are negated and
+    partitioned in their own copy, and come back as a view of it."""
     for idxs in groups:
         g = v[:, idxs]
         take = min(k, len(idxs))
-        yield g if take == len(idxs) else -np.partition(-g, take - 1, axis=1)[:, :take]
+        if take < len(idxs):
+            np.negative(g, out=g)
+            g.partition(take - 1, axis=1)
+            g = g[:, :take]
+            np.negative(g, out=g)
+        yield g
 
 
 def _kplus1_block(s: Scenario, groups, reserve: float, v: np.ndarray, aux):
     # Each intermediary bids its top min(k, |group|) buyer values; only the
     # top k + 1 bids set the winners and the price.
-    bids = np.concatenate(list(_group_tops(v, groups, s.k)), axis=1)
-    nb = bids.shape[1]
+    # Filled one group at a time, so only one group's copy is live at once.
+    nb = sum(min(s.k, len(idxs)) for idxs in groups)
+    bids = np.empty((len(v), nb))
+    hi = 0
+    for top in _group_tops(v, groups, s.k):
+        hi += top.shape[1]
+        bids[:, hi - top.shape[1] : hi] = top
     cut = max(nb - s.k - 1, 0)
-    bids = np.sort(np.partition(bids, cut, axis=1)[:, cut:], axis=1)[:, ::-1]
+    bids.partition(cut, axis=1)
+    bids = np.sort(bids[:, cut:], axis=1)[:, ::-1]
     winners = np.minimum((bids >= reserve).sum(axis=1), s.k)
     floor = bids[:, s.k] if nb > s.k else np.zeros(len(v))
     pay = np.maximum(floor, reserve)

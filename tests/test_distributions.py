@@ -38,6 +38,22 @@ def test_cdf_quantile_roundtrip(d):
     assert np.allclose(back, us, atol=1e-9)
 
 
+@pytest.mark.parametrize("d", FAMILIES + [Uniform(-2.0, 3.0), Weibull(1.5, 2.0)], ids=lambda d: d.descriptor)
+def test_quantile_in_place_is_bit_exact(d):
+    # The simulator maps its draw buffer in place: `out=` must not move a bit.
+    u = np.random.default_rng(5).random((64, 33))
+    u[0, :4] = [0.0, 0.5, 1.0 - 2.0**-53, 2.0**-60]
+    want = d.quantile(u)
+    buf = np.empty_like(u)
+    assert d.quantile(u, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    assert d.quantile(u, out=u) is u
+    assert u.tobytes() == want.tobytes()
+    scalar = d.quantile(0.3)
+    assert isinstance(scalar, np.float64)
+    assert scalar == d.quantile(np.array([0.3]))[0]
+
+
 @pytest.mark.parametrize("d", FAMILIES, ids=lambda d: d.descriptor)
 def test_pdf_matches_cdf_derivative(d):
     us = np.linspace(0.05, 0.95, 31)

@@ -283,6 +283,90 @@ def test_batch_memory_stays_below_two_valuation_arrays(monkeypatch, mechanism):
     assert peak < 2 * simulation.BATCH_SIZE * 256 * 8
 
 
+# Each mechanism's traced peak for one n = 256 batch, in valuation blocks
+# (ROW_BLOCK x 256 floats): the peak once block temporaries were computed in
+# place, plus 25 % headroom, so that a new block-sized temporary fails.
+PEAK_BLOCKS = {"ipm": 1.56, "item_price": 4.12, "het_ipm": 4.01, "kplus1": 2.75, "bundle": 1.57}
+
+
+@pytest.mark.parametrize("mechanism", list(PEAK_BLOCKS))
+def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism):
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    s = scenario(mechanism=mechanism, n=256, k=16, structure=agents.balanced(256, 16),
+                 etas=tuple(1.0 / (j + 1) for j in range(16)) if mechanism == "het_ipm" else None,
+                 reps=simulation.BATCH_SIZE)
+    simulation.run_scenario(replace(s, reps=1))  # warm the analytic cache
+    tracemalloc.start()
+    try:
+        simulation.run_scenario(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BLOCKS[mechanism] * simulation.ROW_BLOCK * 256 * 8
+
+
+# csv_row() and the ci95_welfare hex of a small grid, recorded before the
+# engines computed their temporaries in place: the same streams must give
+# the same bits.  Two full batches and a partial one, and rows that ration.
+GOLDEN_GRID = [
+    ("ipm-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, ipm, 16484, 5.51221790827, 0.0511014227085, 7.55238695578, 11.9006474484, 0.46318638815, 0.232544157935, True",
+     "0x1.2e217abdd8468p-4"),
+    ("het_ipm-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, het_ipm, 16484, 3.71518117043, 0.0376100414516, 4.93632407818, 8.18790465526, 0.453740160255, 0.106205132686, True",
+     "0x1.be5bdbb1c90a3p-5"),
+    ("kplus1-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, kplus1, 16484, 7.88727448763, 0.0264306802941, 11.8743074777, 11.9006474484, 0.662760116357, , ",
+     "0x1.48871ce3ced80p-5"),
+    ("bundle-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, bundle, 16484, 1.38614675449, 0.058280558059, 1.56819336938, 11.9006474484, 0.116476583354, , ",
+     "0x1.0fe313eb7f986p-4"),
+    ("item_price-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, item_price, 16484, 3.9995146809, 0.000375931866146, 10.3556807767, 11.9006474484, 0.336075385666, , ",
+     "0x1.2fcc87ecf1e55p-5"),
+    ("ipm-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, ipm, 16484, 2.0832398083, 0.0358349366433, 3.61285449563, 11.9006474484, 0.1750526446, 0.0855482148687, True",
+     "0x1.0417f8dfa011ep-4"),
+    ("het_ipm-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, het_ipm, 16484, 3.71518117043, 0.0376100414516, 4.93632407818, 8.18790465526, 0.453740160255, 0.106205132686, True",
+     "0x1.be5bdbb1c90a3p-5"),
+    ("kplus1-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, kplus1, 16484, 7.88727448763, 0.0264306802941, 11.8743074777, 11.9006474484, 0.662760116357, , ",
+     "0x1.48871ce3ced80p-5"),
+    ("bundle-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, bundle, 16484, 1.38614675449, 0.058280558059, 1.56819336938, 11.9006474484, 0.116476583354, , ",
+     "0x1.0fe313eb7f986p-4"),
+    ("item_price-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, item_price, 16484, 3.40791070129, 0.0141865038721, 10.5420238295, 11.9006474484, 0.286363470228, , ",
+     "0x1.be395380b58a3p-5"),
+    ("ipm-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, ipm, 16484, 4.13889543416, 0.048010442072, 6.20045942339, 11.7169913126, 0.353238755901, 0.187294980394, True",
+     "0x1.55e2c44c32c87p-4"),
+    ("het_ipm-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, het_ipm, 16484, 2.83957109492, 0.0359842913136, 4.25781924247, 8.20189391881, 0.346209195465, 0.0870408790274, True",
+     "0x1.17abbf3fe32a0p-4"),
+    ("kplus1-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, kplus1, 16484, 7.80106443073, 0.0180438239953, 11.6692887135, 11.7169913126, 0.665790749742, , ",
+     "0x1.cdd44fb5a1078p-5"),
+    ("bundle-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, bundle, 16484, 1.91207878129, 0.066099705011, 2.40119594506, 11.7169913126, 0.163188546469, , ",
+     "0x1.673c19a05d4b5p-4"),
+    ("item_price-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, item_price, 16484, 4, 0, 9.89607097731, 11.7169913126, 0.341384566506, , ",
+     "0x1.918ad563cf7b1p-5"),
+    ("ipm-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, ipm, 16484, 1.24664923046, 0.0281350863941, 2.78183463491, 11.7169913126, 0.106396701781, 0.0554948090055, True",
+     "0x1.22fdfd918d2e1p-4"),
+    ("het_ipm-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, het_ipm, 16484, 2.83957109492, 0.0359842913136, 4.25781924247, 8.20189391881, 0.346209195465, 0.0870408790274, True",
+     "0x1.17abbf3fe32a0p-4"),
+    ("kplus1-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, kplus1, 16484, 7.80106443073, 0.0180438239953, 11.6692887135, 11.7169913126, 0.665790749742, , ",
+     "0x1.cdd44fb5a1078p-5"),
+    ("bundle-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, bundle, 16484, 1.91207878129, 0.066099705011, 2.40119594506, 11.7169913126, 0.163188546469, , ",
+     "0x1.673c19a05d4b5p-4"),
+    ("item_price-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, item_price, 16484, 3.99235622422, 0.00160865447968, 10.5759303588, 11.7169913126, 0.340732199735, , ",
+     "0x1.9eed0f3355e95p-5"),
+]
+
+
+def test_golden_bits_of_a_small_grid(monkeypatch):
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    got = []
+    for dist in ("exp:1", "pareto:3:1"):
+        for model in ("surplus", "monopolist"):
+            for mechanism in simulation.MECHANISMS:
+                s = scenario(d=parse_distribution(dist), n=32, k=4, structure=agents.parse_structure("random:4:7", 32),
+                             model=agents.parse_behavior(model), mechanism=mechanism,
+                             etas=(1.0, 0.75, 0.5, 0.25) if mechanism == "het_ipm" else None,
+                             reps=2 * simulation.BATCH_SIZE + 100, master_seed=11)
+                rep = simulation.run_scenario(s)
+                got.append((rep.csv_row(), rep.ci95_welfare.hex()))
+    assert got == GOLDEN_GRID
+
+
 def test_ci95_exact_on_a_shifted_family():
     # Values near 2e6 that vary by about 1: a raw sum of squares loses most
     # of the variance to cancellation, the merged per-batch M2 does not.
