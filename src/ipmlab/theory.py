@@ -280,29 +280,35 @@ def exact_no_large_elements(n: int, k: int) -> Fraction:
 def check_lemma_main(d: Distribution, cases, reps: int = 200_000, rng_seed: int = 0) -> CheckResult:
     """k E[v^(1,ceil(n/k))] >= (1-1/e) sum_{j<=k} E[v^(j,n)], with the exact
     combinatorial core C(n-k,s)/C(n,s) <= 1/e checked in rational arithmetic
-    and an MC cross-check of the right-hand side."""
-    rng = np.random.default_rng(rng_seed)
+    and an MC cross-check of the right-hand side.  The cross-check draws one
+    (reps, max n) sample: case n sorts its first n columns once, and each
+    top-k sum is a prefix sum of that sort.  The detail reports the largest
+    cross-check |z| = |mc - sum_j E[v^(j,n)]| / se."""
+    cases = list(cases)
+    draws = np.random.default_rng(rng_seed).random((reps, max(n for n, _ in cases)))
+    d.quantile(draws, out=draws)
+    top_sums = {}
     worst = math.inf
-    detail = ""
+    worst_at = ""
+    z_max = 0.0
     for n, k in cases:
         if exact_no_large_elements(n, k) > INV_E_UPPER:
             return CheckResult("lemma_main", -1.0, False, f"combinatorial core n={n} k={k}")
         lhs = k * expected_rank(d, 1, math.ceil(n / k))
         rhs_terms = [expected_rank(d, j, n) for j in range(1, k + 1)]
         rhs = (1.0 - 1.0 / math.e) * sum(rhs_terms)
-        # MC cross-check of the order-statistic sum.
-        draws = np.asarray(d.quantile(rng.random((reps, n))), dtype=float)
-        sums = (-np.partition(-draws, k - 1, axis=1)[:, :k] if k < n else draws).sum(axis=1)
+        if n not in top_sums:
+            top_sums[n] = np.cumsum(np.sort(draws[:, :n], axis=1)[:, ::-1], axis=1)
+        sums = top_sums[n][:, k - 1]
         mc = float(sums.mean())
         mc_se = float(sums.std(ddof=1)) / math.sqrt(reps)
         if abs(mc - sum(rhs_terms)) > 5.0 * mc_se + 1e-4 * max(1.0, mc):
             return CheckResult("lemma_main", mc - sum(rhs_terms), False, f"MC cross-check n={n} k={k}")
-        tol = 3.0 * (1e-6 * max(1.0, rhs) + (1.0 - 1.0 / math.e) * mc_se)
+        z_max = max(z_max, abs(mc - sum(rhs_terms)) / mc_se)
         slack = (lhs - rhs) / max(1.0, rhs)
         if slack < worst:
-            worst = slack
-            detail = f"n={n} k={k} tol={tol:.2g}"
-    return CheckResult("lemma_main", worst, worst >= -3e-6, detail)
+            worst, worst_at = slack, f"n={n} k={k}"
+    return CheckResult("lemma_main", worst, worst >= -3e-6, f"{worst_at} max|z|={z_max:.2g}")
 
 
 def check_facts_2_3(d: Distribution, s_max: int) -> CheckResult:

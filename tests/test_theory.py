@@ -116,6 +116,10 @@ def test_order_stat_bound_check():
     for d in builtin_families():
         res = theory.check_lemma_main(d, cases, reps=30_000)
         assert res.passed, (d.descriptor, res.detail)
+        # The detail names the worst case and the largest cross-check |z|.
+        at, z = res.detail.split(" max|z|=")
+        assert at in {"n=6 k=3", "n=4 k=1", "n=12 k=4"}
+        assert 0.0 < float(z) < 5.0
 
 
 def test_tail_fact_checks():
