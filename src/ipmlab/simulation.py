@@ -208,8 +208,12 @@ def _group_layout(groups):
 
 def _sorted_groups(v: np.ndarray, pad: np.ndarray, padding: np.ndarray):
     """Each row's values of a class's groups as (rows, members, width),
-    padded with -inf and sorted ascending: one sort for the class."""
-    vals = v[:, pad]
+    padded with -inf and sorted ascending: one sort for the class.  The copy
+    is laid out member by member, each member a contiguous (rows, width)
+    block: each sort runs along contiguous memory, and numpy's sum over the
+    last two axes in `_rationed_welfare`, whose order follows the layout,
+    adds in the order the golden-bits test pins."""
+    vals = v[np.arange(len(v))[:, None], pad[:, None, :]].transpose(1, 0, 2)
     vals[:, padding] = -np.inf
     vals.sort(axis=2)
     return vals

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import tracemalloc
@@ -244,6 +245,23 @@ def test_uniform_price_welfare_matches_ipm_allocate_replay():
     assert rep.mean_welfare == pytest.approx(welfare.mean(), abs=3 * math.hypot(ci, rep.ci95_welfare))
 
 
+def test_block_where_every_row_rations_matches_a_mixed_block():
+    # A block whose rows all ration skips the row copies.  Its rows get the
+    # same bits when a row that does not ration sits among them: that row
+    # draws no keys, so both blocks take the same keys from the stream.
+    s = scenario(n=8, k=2, structure=agents.random_partition(8, 3, 7))
+    layout = simulation._group_layout(s.structure.groups())
+    v = np.random.default_rng(3).random((50, 8)) + 1.0  # all at or above the threshold
+    mixed = np.insert(v, 20, 0.0, axis=0)
+
+    def block(x):
+        return simulation._uniform_price_block(s, layout, 1.0, 1.0, x, np.random.default_rng(9))
+
+    rest = np.arange(51) != 20
+    for whole, part in zip(block(v), block(mixed)):
+        assert whole.tobytes() == part[rest].tobytes()
+
+
 @pytest.mark.parametrize("mechanism", ["ipm", "item_price", "het_ipm", "kplus1", "bundle"])
 def test_report_identical_across_threads_and_blocks(monkeypatch, mechanism):
     s = scenario(mechanism=mechanism, k=2, etas=(1.0, 0.5) if mechanism == "het_ipm" else None,
@@ -286,7 +304,7 @@ def test_batch_memory_stays_below_two_valuation_arrays(monkeypatch, mechanism):
 # Each mechanism's traced peak for one n = 256 batch, in valuation blocks
 # (ROW_BLOCK x 256 floats): the peak once block temporaries were computed in
 # place, plus 25 % headroom, so that a new block-sized temporary fails.
-PEAK_BLOCKS = {"ipm": 1.56, "item_price": 4.12, "het_ipm": 4.01, "kplus1": 2.75, "bundle": 1.57}
+PEAK_BLOCKS = {"ipm": 1.56, "item_price": 4.12, "het_ipm": 4.09, "kplus1": 2.75, "bundle": 1.57}
 
 
 @pytest.mark.parametrize("mechanism", list(PEAK_BLOCKS))
@@ -305,65 +323,83 @@ def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism):
     assert peak < PEAK_BLOCKS[mechanism] * simulation.ROW_BLOCK * 256 * 8
 
 
-# csv_row() and the ci95_welfare hex of a small grid, recorded before the
-# engines computed their temporaries in place: the same streams must give
-# the same bits.  Two full batches and a partial one, and rows that ration.
+# csv_row(), the ci95_welfare hex and a digest of every row's revenue and
+# welfare for a small grid, recorded before the engines computed their
+# temporaries in place: the same streams must give the same bits.  Two full
+# batches and a partial one, and rows that ration.  The row digest catches a
+# last-bit change that the report's sums would absorb.
 GOLDEN_GRID = [
     ("ipm-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, ipm, 16484, 5.51221790827, 0.0511014227085, 7.55238695578, 11.9006474484, 0.46318638815, 0.232544157935, True",
-     "0x1.2e217abdd8468p-4"),
+     "0x1.2e217abdd8468p-4", "c0d8af433a491925"),
     ("het_ipm-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, het_ipm, 16484, 3.71518117043, 0.0376100414516, 4.93632407818, 8.18790465526, 0.453740160255, 0.106205132686, True",
-     "0x1.be5bdbb1c90a3p-5"),
+     "0x1.be5bdbb1c90a3p-5", "7633fe23beaa0536"),
     ("kplus1-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, kplus1, 16484, 7.88727448763, 0.0264306802941, 11.8743074777, 11.9006474484, 0.662760116357, , ",
-     "0x1.48871ce3ced80p-5"),
+     "0x1.48871ce3ced80p-5", "ea8bc73efe71926c"),
     ("bundle-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, bundle, 16484, 1.38614675449, 0.058280558059, 1.56819336938, 11.9006474484, 0.116476583354, , ",
-     "0x1.0fe313eb7f986p-4"),
+     "0x1.0fe313eb7f986p-4", "09e68e81733d1879"),
     ("item_price-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, item_price, 16484, 3.9995146809, 0.000375931866146, 10.3556807767, 11.9006474484, 0.336075385666, , ",
-     "0x1.2fcc87ecf1e55p-5"),
+     "0x1.2fcc87ecf1e55p-5", "d181292588a82192"),
     ("ipm-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, ipm, 16484, 2.0832398083, 0.0358349366433, 3.61285449563, 11.9006474484, 0.1750526446, 0.0855482148687, True",
-     "0x1.0417f8dfa011ep-4"),
+     "0x1.0417f8dfa011ep-4", "88c8ba8aedf3a4d9"),
     ("het_ipm-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, het_ipm, 16484, 3.71518117043, 0.0376100414516, 4.93632407818, 8.18790465526, 0.453740160255, 0.106205132686, True",
-     "0x1.be5bdbb1c90a3p-5"),
+     "0x1.be5bdbb1c90a3p-5", "7633fe23beaa0536"),
     ("kplus1-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, kplus1, 16484, 7.88727448763, 0.0264306802941, 11.8743074777, 11.9006474484, 0.662760116357, , ",
-     "0x1.48871ce3ced80p-5"),
+     "0x1.48871ce3ced80p-5", "ea8bc73efe71926c"),
     ("bundle-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, bundle, 16484, 1.38614675449, 0.058280558059, 1.56819336938, 11.9006474484, 0.116476583354, , ",
-     "0x1.0fe313eb7f986p-4"),
+     "0x1.0fe313eb7f986p-4", "09e68e81733d1879"),
     ("item_price-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, item_price, 16484, 3.40791070129, 0.0141865038721, 10.5420238295, 11.9006474484, 0.286363470228, , ",
-     "0x1.be395380b58a3p-5"),
+     "0x1.be395380b58a3p-5", "c372478836f15b37"),
     ("ipm-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, ipm, 16484, 4.13889543416, 0.048010442072, 6.20045942339, 11.7169913126, 0.353238755901, 0.187294980394, True",
-     "0x1.55e2c44c32c87p-4"),
+     "0x1.55e2c44c32c87p-4", "0a84834ab038b80b"),
     ("het_ipm-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, het_ipm, 16484, 2.83957109492, 0.0359842913136, 4.25781924247, 8.20189391881, 0.346209195465, 0.0870408790274, True",
-     "0x1.17abbf3fe32a0p-4"),
+     "0x1.17abbf3fe32a0p-4", "f05ba51664df4411"),
     ("kplus1-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, kplus1, 16484, 7.80106443073, 0.0180438239953, 11.6692887135, 11.7169913126, 0.665790749742, , ",
-     "0x1.cdd44fb5a1078p-5"),
+     "0x1.cdd44fb5a1078p-5", "12519682adf537aa"),
     ("bundle-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, bundle, 16484, 1.91207878129, 0.066099705011, 2.40119594506, 11.7169913126, 0.163188546469, , ",
-     "0x1.673c19a05d4b5p-4"),
+     "0x1.673c19a05d4b5p-4", "4fd8323afb1d7a83"),
     ("item_price-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, item_price, 16484, 4, 0, 9.89607097731, 11.7169913126, 0.341384566506, , ",
-     "0x1.918ad563cf7b1p-5"),
+     "0x1.918ad563cf7b1p-5", "a30b1055977a1ad3"),
     ("ipm-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, ipm, 16484, 1.24664923046, 0.0281350863941, 2.78183463491, 11.7169913126, 0.106396701781, 0.0554948090055, True",
-     "0x1.22fdfd918d2e1p-4"),
+     "0x1.22fdfd918d2e1p-4", "fc87f0345ca270cc"),
     ("het_ipm-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, het_ipm, 16484, 2.83957109492, 0.0359842913136, 4.25781924247, 8.20189391881, 0.346209195465, 0.0870408790274, True",
-     "0x1.17abbf3fe32a0p-4"),
+     "0x1.17abbf3fe32a0p-4", "f05ba51664df4411"),
     ("kplus1-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, kplus1, 16484, 7.80106443073, 0.0180438239953, 11.6692887135, 11.7169913126, 0.665790749742, , ",
-     "0x1.cdd44fb5a1078p-5"),
+     "0x1.cdd44fb5a1078p-5", "12519682adf537aa"),
     ("bundle-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, bundle, 16484, 1.91207878129, 0.066099705011, 2.40119594506, 11.7169913126, 0.163188546469, , ",
-     "0x1.673c19a05d4b5p-4"),
+     "0x1.673c19a05d4b5p-4", "4fd8323afb1d7a83"),
     ("item_price-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, item_price, 16484, 3.99235622422, 0.00160865447968, 10.5759303588, 11.7169913126, 0.340732199735, , ",
-     "0x1.9eed0f3355e95p-5"),
+     "0x1.9eed0f3355e95p-5", "906609f65e7ea130"),
 ]
 
 
 def test_golden_bits_of_a_small_grid(monkeypatch):
     monkeypatch.setenv("IPMLAB_THREADS", "1")
+    batch_fn = simulation._batch_fn
+    digest = None
+
+    def hashed(s):
+        block, extra = batch_fn(s)
+
+        def run(v, aux):
+            rows = block(v, aux)
+            for x in rows:
+                digest.update(np.asarray(x).tobytes())
+            return rows
+
+        return run, extra
+
+    monkeypatch.setattr(simulation, "_batch_fn", hashed)
     got = []
     for dist in ("exp:1", "pareto:3:1"):
         for model in ("surplus", "monopolist"):
             for mechanism in simulation.MECHANISMS:
+                digest = hashlib.sha256()
                 s = scenario(d=parse_distribution(dist), n=32, k=4, structure=agents.parse_structure("random:4:7", 32),
                              model=agents.parse_behavior(model), mechanism=mechanism,
                              etas=(1.0, 0.75, 0.5, 0.25) if mechanism == "het_ipm" else None,
                              reps=2 * simulation.BATCH_SIZE + 100, master_seed=11)
                 rep = simulation.run_scenario(s)
-                got.append((rep.csv_row(), rep.ci95_welfare.hex()))
+                got.append((rep.csv_row(), rep.ci95_welfare.hex(), digest.hexdigest()[:16]))
     assert got == GOLDEN_GRID
 
 
