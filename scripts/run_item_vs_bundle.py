@@ -4,7 +4,7 @@ equal-revenue family: the bundle/item revenue gap grows like ln n."""
 
 import argparse
 
-from ipmlab.simulation import ln_gap_experiment
+from _experiments import ln_gap_experiment
 
 
 def main():
@@ -16,7 +16,9 @@ def main():
 
     print("n, item_revenue, bundle_revenue, acceptance, gap_ratio")
     for n in (int(x) for x in args.ns.split(",")):
-        item, bundle, acc = ln_gap_experiment(n, reps=args.reps, seed=args.seed)
+        item, report = ln_gap_experiment(n, reps=args.reps, seed=args.seed)
+        bundle = report.mean_revenue
+        acc = bundle / report.extra["price"]
         print(f"{n}, {item:.6g}, {bundle:.6g}, {acc:.6g}, {bundle / item:.6g}")
 
 

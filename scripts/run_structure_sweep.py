@@ -8,7 +8,9 @@ with concentration.
 """
 
 import argparse
+from dataclasses import replace
 
+from _experiments import canonical_structures
 from ipmlab import agents, simulation
 from ipmlab.distributions import parse_distribution
 
@@ -33,10 +35,10 @@ def main():
         reps=args.reps,
         master_seed=args.seed,
     )
-    reports = simulation.robustness_sweep(base, agents.canonical_structures(args.n))
     print(simulation.CSV_HEADER)
-    for rep in reports:
-        print(rep.csv_row())
+    # One master seed for every structure: common random numbers.
+    for structure in canonical_structures(args.n):
+        print(simulation.run_scenario(replace(base, structure=structure)).csv_row())
 
 
 if __name__ == "__main__":

@@ -114,15 +114,6 @@ def parse_structure(descriptor: str, n: int) -> DemandStructure:
     raise ParseError(f"unknown demand structure {descriptor!r}")
 
 
-def canonical_structures(n: int, seed: int = 7) -> list[DemandStructure]:
-    """Competition, monopsony, balanced halves, and a seeded random split."""
-    out = [competition(n), monopsony(n)]
-    if n >= 2:
-        out.append(balanced(n, 2))
-        out.append(random_partition(n, min(3, n), seed))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Uniform-price purchasing
 

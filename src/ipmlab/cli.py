@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import agents, simulation, theory
 from .distributions import parse_distribution
@@ -24,25 +24,8 @@ EXIT_UNKNOWN_CHECK = 5
 
 @dataclass
 class ExperimentConfig:
-    seed: int
-    reps: int = 100_000
-    output: str = "report.csv"
-    scenarios: list = field(default_factory=list)  # list of dicts of raw keys
-
-    def build_scenarios(self) -> list[simulation.Scenario]:
-        out = []
-        for idx, raw in enumerate(self.scenarios):
-            out.append(_scenario_from_keys(raw, idx, self))
-        return out
-
-    def serialize(self) -> str:
-        lines = [f"seed = {self.seed}", f"reps = {self.reps}", f"output = {self.output}"]
-        for raw in self.scenarios:
-            lines.append("")
-            lines.append("[scenario]")
-            for key, val in raw.items():
-                lines.append(f"{key} = {val}")
-        return "\n".join(lines) + "\n"
+    output: str
+    scenarios: list[simulation.Scenario]
 
 
 _GLOBAL_KEYS = {"seed", "reps", "output"}
@@ -55,7 +38,7 @@ _SCENARIO_KEYS = {
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key-value lines with repeated [scenario] blocks."""
     globals_: dict = {}
-    scenarios: list[dict] = []
+    raw_scenarios: list[dict] = []
     current: dict | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -63,7 +46,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if line == "[scenario]":
             current = {}
-            scenarios.append(current)
+            raw_scenarios.append(current)
             continue
         if line.startswith("["):
             raise ParseError(f"line {lineno}: unknown section {line}")
@@ -88,18 +71,18 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ParseError(f"bad integer in config: {exc}") from exc
     if reps < 1:
         raise ParseError("reps must be >= 1")
-    cfg = ExperimentConfig(seed=seed, reps=reps, output=globals_.get("output", "report.csv"), scenarios=scenarios)
-    cfg.build_scenarios()  # validate eagerly so parse errors exit with code 2
-    return cfg
+    # Built here, so a bad scenario is a parse error (exit code 2) before any runs.
+    scenarios = [_scenario_from_keys(raw, idx, seed, reps) for idx, raw in enumerate(raw_scenarios)]
+    return ExperimentConfig(output=globals_.get("output", "report.csv"), scenarios=scenarios)
 
 
-def _scenario_from_keys(raw: dict, idx: int, cfg: ExperimentConfig) -> simulation.Scenario:
+def _scenario_from_keys(raw: dict, idx: int, default_seed: int, default_reps: int) -> simulation.Scenario:
     try:
         d = parse_distribution(raw["dist"])
         n = int(raw["n"])
         k = int(raw.get("k", raw.get("etas", "").count(",") + 1 if raw.get("etas") else 1))
-        reps = int(raw.get("reps", cfg.reps))
-        seed = int(raw.get("seed", cfg.seed))
+        reps = int(raw.get("reps", default_reps))
+        seed = int(raw.get("seed", default_seed))
         mech = raw.get("mechanism", "ipm").strip().lower()
         structure = agents.parse_structure(raw.get("structure", "competition"), n)
         model = agents.parse_behavior(raw.get("model", "surplus"))
@@ -118,8 +101,6 @@ def _scenario_from_keys(raw: dict, idx: int, cfg: ExperimentConfig) -> simulatio
         raise ParseError(f"scenario {idx + 1}: missing key {exc}") from exc
     except (ValueError, ParseError) as exc:
         raise ParseError(f"scenario {idx + 1}: {exc}") from exc
-    if reps < 1:
-        raise ParseError(f"scenario {idx + 1}: reps must be >= 1")
     return scenario
 
 
@@ -144,10 +125,9 @@ def cmd_price(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    scenarios = cfg.build_scenarios()
     rows = [simulation.CSV_HEADER]
     all_passed = True
-    for s in scenarios:
+    for s in cfg.scenarios:
         rep = simulation.run_scenario(s)
         rows.append(rep.csv_row())
         if rep.passed is None:  # no bound, or too few replicates for a verdict

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonMonotone, OutOfRange, OutOfSupport, ParseError, TailDegenerate
+from .errors import DomainError, NonMonotone, OutOfRange, OutOfSupport, ParseError
 
 # Quantile levels used to trim degenerate tails on evaluation grids.
 TAIL_TRIM_Q = 1e-6
@@ -319,17 +319,7 @@ def builtin_families() -> list[Distribution]:
 
 
 # ---------------------------------------------------------------------------
-# Hazard / virtual value machinery
-
-
-def hazard(d: Distribution, v: float) -> float:
-    """Hazard rate f(v) / (1 - F(v)) at an interior point."""
-    if not d.support.interior(v):
-        raise OutOfSupport(f"{v} not in the interior of {d.descriptor} support")
-    surv = 1.0 - float(d.cdf(v))
-    if surv <= 0.0:
-        raise TailDegenerate(f"survival underflowed at v={v} for {d.descriptor}")
-    return float(d.pdf(v)) / surv
+# Virtual values
 
 
 def virtual_value(d: Distribution, v):
@@ -436,7 +426,7 @@ def check_lambda_regularity(d: Distribution, lam: float, grid_size: int = 400) -
 
 
 # ---------------------------------------------------------------------------
-# The g / Gamma / H apparatus
+# The g_lambda transform and the tail constant c(lambda)
 
 
 def g_lambda(lam: float, x):
@@ -454,21 +444,6 @@ def g_lambda(lam: float, x):
     else:
         out = np.expm1(-lam * np.log1p(-x)) / lam
     return float(out) if scalar else out
-
-
-def gamma_lambda(lam: float, u):
-    """Gamma_lam(u) = (1 + lam*u)^(-1/lam); exp(-u) at lam = 0."""
-    u = np.asarray(u, dtype=float)
-    if lam == 0.0:
-        return np.exp(-u)
-    return np.power(1.0 + lam * u, -1.0 / lam)
-
-
-def generalized_hazard(d: Distribution, lam: float, v):
-    """r_lam(v) = h(v) / (1-F(v))^lam; nondecreasing iff lambda-regular."""
-    v = np.asarray(v, dtype=float)
-    surv = 1.0 - d.cdf(v)
-    return d.pdf(v) / np.power(surv, 1.0 + lam)
 
 
 def c_of_lambda(lam: float) -> float:

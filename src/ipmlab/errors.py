@@ -9,10 +9,6 @@ class OutOfSupport(IpmLabError):
     """Value lies outside the distribution's support."""
 
 
-class TailDegenerate(IpmLabError):
-    """Survival probability underflowed to zero."""
-
-
 class OutOfRange(IpmLabError):
     """Target value outside the range of the inverted function."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -431,50 +431,3 @@ def run_scenario(s: Scenario) -> SimulationReport:
         extra=extra,
     )
 
-
-def robustness_sweep(base: Scenario, structures) -> list[SimulationReport]:
-    """Run the same mechanism across demand structures with common random
-    numbers (same master seed => same valuation draws per batch)."""
-    if not structures:
-        raise ValueError("structures must be nonempty")
-    reports = []
-    prices = []
-    for st in structures:
-        sc = replace(base, structure=st)
-        rep = run_scenario(sc)
-        if base.mechanism == "ipm":
-            prices.append(rep.extra["price"])
-        reports.append(rep)
-    if prices and not all(p == prices[0] for p in prices):
-        raise AssertionError("uniform posted price must not depend on the demand structure")
-    return reports
-
-
-def ln_gap_experiment(n: int, reps: int = 50_000, seed: int = 0):
-    """Item pricing vs bundle pricing under monopsony for the
-    truncated-equal-revenue family with n buyers and n items.
-
-    Item pricing earns at most ~n in total; the bundle priced at half the
-    expected total value is accepted with probability >= 3/4, so the
-    bundle/item gap grows like ln n.
-    """
-    from .distributions import TruncatedEqualRevenue
-
-    if n <= 55:
-        raise ValueError("the separation argument needs n > e^4 ~ 55")
-    d = TruncatedEqualRevenue(n)
-    _, per_buyer = optimal_item_price(d)
-    item_revenue = n * per_buyer
-    bundle_price = (n * n * math.log(n)) / (2.0 * (n - 1.0))
-    # A bundle sale to a monopsony, drawn batch by batch like any scenario;
-    # the block's first series counts the rows that accept.
-    s = Scenario(d, n, n, agents.monopsony(n), agents.parse_behavior("surplus"), mechanism="bundle",
-                 reps=reps, master_seed=seed)
-
-    def block(v, aux):
-        value = v.sum(axis=1)
-        return (value >= bundle_price).astype(float), value
-
-    accept = sum(_run_batch(s, block, b, size)[0] for b, size in _batches(reps))
-    acceptance = accept / reps
-    return item_revenue, bundle_price * acceptance, acceptance

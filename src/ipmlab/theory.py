@@ -59,16 +59,13 @@ def check_fact1_convexity(d: Distribution, lam: float, n_max: int, grid_size: in
 
 
 def _lamb_aux_h(eps, n: int):
-    """h(F) = n F^n/(1-F^n) - F/(1-F) at F = 1 - eps, cancellation-free."""
+    """h(F) = n F^n/(1-F^n) - F/(1-F) at F = 1 - eps, cancellation-free;
+    exactly 0 at F = 0, where both fractions vanish."""
     eps = np.asarray(eps, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _lamb_aux_h_raw(eps, n)
-
-
-def _lamb_aux_h_raw(eps, n: int):
-    log_f = np.log1p(-eps)
-    fn = np.exp(n * log_f)
-    return n * fn / (-np.expm1(n * log_f)) - (1.0 - eps) / eps
+        log_f = np.log1p(-eps)
+        fn = np.exp(n * log_f)
+        return n * fn / (-np.expm1(n * log_f)) - (1.0 - eps) / eps
 
 
 def lamb_aux_boundary(n: int) -> float:
@@ -88,13 +85,10 @@ def check_lamb_aux(n_max: int, grid_size: int = 2000) -> CheckResult:
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     eps_grid = 1.0 - np.linspace(0.0, 1.0 - 1e-4, grid_size)
-    eps_grid[0] = 1.0  # F = 0
     worst = math.inf
     detail = ""
     for n in range(2, n_max + 1):
-        h = np.where(eps_grid >= 1.0, -(1.0 - eps_grid), _lamb_aux_h(np.maximum(eps_grid, 1e-300), n))
-        # At F=0 both fractions vanish: h = 0 exactly.
-        h = np.where(eps_grid >= 1.0, 0.0, h)
+        h = _lamb_aux_h(eps_grid, n)
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             slack = (1.0 + lam) * h + (n - 1)
             i = int(np.argmin(slack))

@@ -3,7 +3,8 @@ against: one market or one intermediary at a time, in plain loops.
 
 The batched engines in `ipmlab.simulation` and the closed forms in
 `ipmlab.agents` and `ipmlab.order_statistics` are the production paths;
-nothing outside the tests calls these.
+nothing outside the tests calls these.  The hazard apparatus (h, r_lambda,
+Gamma_lambda) is here too: the regularity tests use it, the package does not.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from ipmlab.agents import BehaviorModel, Kind, menu_purchase_dp
-from ipmlab.distributions import Distribution, gamma_lambda, generalized_hazard, virtual_value
+from ipmlab.distributions import Distribution, virtual_value
 from ipmlab.errors import OutOfSupport, QuadratureFailure
 from ipmlab.mechanisms import Menu
 from ipmlab.order_statistics import top_k_welfare
@@ -223,6 +224,28 @@ def quad_order_stat(d: Distribution, j: int, t: int) -> float:
         integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=1e-11, limit=200)[0]
         for a, b in zip(edges, edges[1:])
     )
+
+
+def hazard(d: Distribution, v: float) -> float:
+    """Hazard rate f(v) / (1 - F(v)) at an interior point."""
+    if not d.support.interior(v):
+        raise OutOfSupport(f"{v} not in the interior of {d.descriptor} support")
+    return float(d.pdf(v)) / (1.0 - float(d.cdf(v)))
+
+
+def generalized_hazard(d: Distribution, lam: float, v):
+    """r_lam(v) = h(v) / (1-F(v))^lam; nondecreasing iff lambda-regular."""
+    v = np.asarray(v, dtype=float)
+    surv = 1.0 - d.cdf(v)
+    return d.pdf(v) / np.power(surv, 1.0 + lam)
+
+
+def gamma_lambda(lam: float, u):
+    """Gamma_lam(u) = (1 + lam*u)^(-1/lam); exp(-u) at lam = 0."""
+    u = np.asarray(u, dtype=float)
+    if lam == 0.0:
+        return np.exp(-u)
+    return np.power(1.0 + lam * u, -1.0 / lam)
 
 
 def gamma_h_representation(d: Distribution, lam: float, v: float) -> tuple[float, float]:

@@ -11,8 +11,9 @@ import pytest
 
 from ipmlab import agents, cli, simulation, theory
 from ipmlab.distributions import Exponential, Pareto, builtin_families, c_of_lambda
-from ipmlab.simulation import Scenario, ln_gap_experiment, run_scenario
+from ipmlab.simulation import Scenario, run_scenario
 
+from _experiments import canonical_structures, ln_gap_experiment
 from oracles import estimate_tau
 
 C0 = 1 / math.e
@@ -28,7 +29,7 @@ def test_uniform_price_guarantee_at_scale():
     # one million replicates per canonical structure, under a minute total.
     bound = C0 * ONE_MINUS_INV_E
     start = time.time()
-    for structure in agents.canonical_structures(6):
+    for structure in canonical_structures(6):
         rep = run_scenario(Scenario(
             d=Exponential(1.0), n=6, k=3, structure=structure,
             model=agents.parse_behavior("surplus"), mechanism="ipm",
@@ -42,7 +43,7 @@ def test_uniform_price_guarantee_at_scale():
 def test_uniform_price_guarantee_monopolist():
     bound = C0 * C0 * ONE_MINUS_INV_E  # tau = 1/e for the memoryless case
     start = time.time()
-    for structure in agents.canonical_structures(6):
+    for structure in canonical_structures(6):
         rep = run_scenario(Scenario(
             d=Exponential(1.0), n=6, k=3, structure=structure,
             model=agents.parse_behavior("monopolist"), mechanism="ipm",
@@ -140,19 +141,32 @@ def test_grid_suites_and_negative_controls():
     assert not theory.check_optprog((1.0, 1.0), 10, 0.0).passed
 
 
+# Accepting replicates at seed 9 and 30 000 replicates: the counts of rows
+# whose plain sum of values reaches n^2 ln n / (2(n-1)), drawn from the same
+# streams, which the `bundle` engine must reproduce.
+LN_GAP_ACCEPTS = {60: 29_996, 100: 30_000, 400: 30_000}
+
+
 def test_item_vs_bundle_separation():
     start = time.time()
     rows = {}
     for n in (60, 100, 400):
-        item, bundle, acc = ln_gap_experiment(n, reps=30_000, seed=9)
+        item, rep = ln_gap_experiment(n, reps=30_000, seed=9)
+        price = rep.extra["price"]
+        # n (E[v] - E[v]/2) rounds within a few ulps of the closed form.
+        exact = n * n * math.log(n) / (2 * (n - 1))
+        assert abs(price - exact) <= 4 * math.ulp(exact), n
+        acc = rep.mean_revenue / price
+        assert round(acc * 30_000) == LN_GAP_ACCEPTS[n]
         se = math.sqrt(acc * (1 - acc) / 30_000)
         assert acc >= 0.75 - 2 * se, n
-        rows[n] = bundle / item
-    assert rows[100] > 1.7
+        rows[n] = (item, rep.mean_revenue)
+    gap = {n: bundle / item for n, (item, bundle) in rows.items()}
+    assert gap[100] > 1.7
     # The three-point trend is monotone: the gap widens with n.
-    assert rows[60] < rows[100] < rows[400]
+    assert gap[60] < gap[100] < gap[400]
     # n=100 spot values.
-    item, bundle, _ = ln_gap_experiment(100, reps=30_000, seed=9)
+    item, bundle = rows[100]
     assert bundle >= 174
     assert item <= 101
     price = (100 ** 2 * math.log(100)) / (2 * 99)

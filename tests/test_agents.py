@@ -12,6 +12,7 @@ from ipmlab.errors import ParseError
 from ipmlab.mechanisms import Menu, build_menu
 
 import oracles
+from _experiments import canonical_structures
 
 
 def test_structure_constructors():
@@ -32,7 +33,7 @@ def test_random_partition_deterministic_and_surjective():
 
 
 def test_structure_descriptor_roundtrip():
-    for s in agents.canonical_structures(8):
+    for s in canonical_structures(8):
         again = agents.parse_structure(s.descriptor, 8)
         assert again.partition == s.partition
 

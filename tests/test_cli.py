@@ -119,7 +119,7 @@ def test_simulate_kplus1_reserve_at_support_lower_end(tmp_path, capsys):
     code, out, _ = run(["simulate", str(cfg)], capsys)
     assert code == 0
     assert "smoke" in out
-    (s,) = cli.parse_config(text).build_scenarios()
+    (s,) = cli.parse_config(text).scenarios
     assert simulation.run_scenario(s).extra["reserve"] == 1.0
 
 
@@ -150,13 +150,6 @@ def test_simulate_requires_seed(tmp_path, capsys):
 def test_simulate_missing_file(capsys):
     code, _, _ = run(["simulate", "/no/such/file.cfg"], capsys)
     assert code == 2
-
-
-def test_config_roundtrip(tmp_path):
-    cfg = cli.parse_config(CONFIG.format(out=tmp_path / "x.csv"))
-    again = cli.parse_config(cfg.serialize())
-    assert [s.label for s in again.build_scenarios()] == [s.label for s in cfg.build_scenarios()]
-    assert again.seed == cfg.seed and again.reps == cfg.reps
 
 
 def test_check_filter_and_exit(capsys):

@@ -15,16 +15,13 @@ from ipmlab.distributions import (
     c_of_lambda,
     check_lambda_regularity,
     g_lambda,
-    gamma_lambda,
-    generalized_hazard,
-    hazard,
     inverse_virtual_value,
     parse_distribution,
     virtual_value,
 )
 from ipmlab.errors import DomainError, OutOfRange, ParseError
 
-from oracles import gamma_h_representation
+from oracles import gamma_h_representation, gamma_lambda, generalized_hazard, hazard
 
 
 FAMILIES = builtin_families()

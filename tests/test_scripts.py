@@ -4,14 +4,38 @@ from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
+SWEEP_ROW = "exp:1, 0, 6, 3, {s}, surplus, ipm, 2000, 1.97025, 0.0627198459178, {wel}, 4.85, 0.406237113402, 0.232544157935, "
+
+# Each script's whole stdout at these sizes, byte for byte.
+EXPECTED = [
+    ("run_structure_sweep.py", ["--reps", "2000"], [
+        "scenario_id, dist, lambda, n, k, structure, model, mechanism, reps, "
+        "mean_rev, ci95, mean_wel, analytic_wel, ratio, bound, passed",
+        "ipm-exp:1-n6k3-competition-surplus, " + SWEEP_ROW.format(s="competition", wel="3.29335485779"),
+        "ipm-exp:1-n6k3-monopsony-surplus, " + SWEEP_ROW.format(s="monopsony", wel="3.31369297222"),
+        "ipm-exp:1-n6k3-balanced:2-surplus, " + SWEEP_ROW.format(s="balanced:2", wel="3.30705807175"),
+        "ipm-exp:1-n6k3-random:3:7-surplus, " + SWEEP_ROW.format(s="random:3:7", wel="3.30636821259"),
+    ]),
+    ("run_item_vs_bundle.py", ["--ns", "60", "--reps", "2000"], [
+        "n, item_revenue, bundle_revenue, acceptance, gap_ratio",
+        "60, 60, 124.912, 1, 2.08187",
+    ]),
+    ("run_benchmark_failures.py", ["--reps", "2000"], [
+        "# (k+1)-auction, monopsony, Exponential(1), k=1: revenue vs posted price",
+        "n, auction_revenue, posted_price_revenue",
+        "16, 0.999, 1.45202",
+        "64, 1, 1.97583",
+        "256, 1, 2.62734",
+        "",
+        "# bundle price tuned for monopsony, run under competition, Uniform[0,1], k=n=32",
+        "bundle revenue 0 (price 14.4) vs posted-price revenue 7.9805",
+    ]),
+]
+
 
 def test_scripts_run_at_small_sizes(monkeypatch, capsys, tmp_path):
     monkeypatch.chdir(tmp_path)  # anything a script writes stays out of the checkout
-    for name, argv in [
-        ("run_structure_sweep.py", ["--reps", "2000"]),
-        ("run_item_vs_bundle.py", ["--ns", "60", "--reps", "2000"]),
-        ("run_benchmark_failures.py", ["--reps", "2000"]),
-    ]:
+    for name, argv, lines in EXPECTED:
         path = SCRIPTS / name
         monkeypatch.setattr(sys, "argv", [str(path), *argv])
         try:
@@ -20,5 +44,5 @@ def test_scripts_run_at_small_sizes(monkeypatch, capsys, tmp_path):
         except SystemExit as exc:
             code = exc.code
         assert code in (0, None), name
-        assert capsys.readouterr().out.strip(), name
+        assert capsys.readouterr().out == "\n".join(lines) + "\n", name
     assert not any(tmp_path.iterdir())

@@ -15,6 +15,7 @@ from ipmlab.distributions import Exponential, Uniform, inverse_virtual_value, pa
 from ipmlab.mechanisms import build_menu
 from ipmlab.order_statistics import expected_rank
 
+from _experiments import canonical_structures, ln_gap_experiment
 from oracles import ipm_allocate, kplus1_auction, sequential_menu_sale
 
 
@@ -421,7 +422,7 @@ def test_ci95_exact_on_a_shifted_family():
 
 def test_price_structure_invariance_sweep():
     base = scenario()
-    reports = simulation.robustness_sweep(base, agents.canonical_structures(6))
+    reports = [simulation.run_scenario(replace(base, structure=st)) for st in canonical_structures(6)]
     prices = {rep.extra["price"] for rep in reports}
     assert len(prices) == 1
     # Common random numbers: pass-through revenue identical across structures.
@@ -457,7 +458,7 @@ def test_csv_row_formatting():
 
 def test_ln_gap_experiment_rejects_small_n():
     with pytest.raises(ValueError):
-        simulation.ln_gap_experiment(10)
+        ln_gap_experiment(10)
 
 
 def test_worker_count_env(monkeypatch):
