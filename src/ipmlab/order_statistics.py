@@ -92,10 +92,13 @@ def expected_rank(d: Distribution, j: int, t: int) -> float:
 def top_k_welfare(d: Distribution, n: int, k: int, etas=None) -> float:
     """Expected (weighted) sum of the top-k order statistics of n draws.
 
-    With no weights this is the welfare benchmark; with weights it is
+    With no weights this is the welfare benchmark, n E[v] in closed form
+    when every draw counts (k = n); with weights it is
     sum_j eta_j E[v^(j,n)].
     """
     if etas is None:
+        if k == n:
+            return n * d.mean()
         etas = [1.0] * k
     return float(sum(eta * expected_rank(d, j + 1, n) for j, eta in enumerate(etas)))
 

@@ -21,9 +21,10 @@ from .mechanisms import Menu, build_menu, ipm_price, optimal_item_price
 from .order_statistics import top_k_welfare
 
 BATCH_SIZE = 8192
-# Rows per drawn block: a block's arrays stay in cache and only one block of
-# valuations is live per batch.
-ROW_BLOCK = 1024
+# Values per drawn block (2 MB of float64), so max(1, BLOCK_VALUES // n) rows:
+# a block's arrays stay in cache and only one block of valuations is live per
+# batch, while a batch of narrow rows is one block, not many small ones.
+BLOCK_VALUES = 1 << 18
 
 MECHANISMS = ("ipm", "het_ipm", "kplus1", "bundle", "item_price")
 
@@ -142,18 +143,19 @@ def _batches(reps: int):
 
 def _run_batch(s: Scenario, block, batch_idx: int, size: int):
     """Draw, allocate and reduce one batch.  Stream 0 of the batch's seed is
-    drawn ROW_BLOCK rows at a time into one reused buffer (bit-identical to
-    a whole-batch draw: `random` fills rows in order) and mapped to values
-    in place, ``block(v, aux)`` gives each block's per-row revenue and
-    welfare, with ``aux`` the generator on stream 1, and the batch reduces
-    to its partial sums."""
+    drawn BLOCK_VALUES // n rows at a time into one reused buffer
+    (bit-identical to a whole-batch draw: `random` fills rows in order) and
+    mapped to values in place, ``block(v, aux)`` gives each block's per-row
+    revenue and welfare, with ``aux`` the generator on stream 1, and the
+    batch reduces to its partial sums."""
     draw, aux = (np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, stream)))
                  for stream in (0, 1))
-    u = np.empty((min(ROW_BLOCK, size), s.n))
+    rows = max(1, BLOCK_VALUES // s.n)
+    u = np.empty((min(rows, size), s.n))
     revenue, welfare = np.empty((2, size))
-    for lo in range(0, size, ROW_BLOCK):
+    for lo in range(0, size, rows):
         ub = draw.random(out=u[: size - lo])
-        revenue[lo : lo + ROW_BLOCK], welfare[lo : lo + ROW_BLOCK] = block(s.d.quantile(ub, out=ub), aux)
+        revenue[lo : lo + rows], welfare[lo : lo + rows] = block(s.d.quantile(ub, out=ub), aux)
     return _sums(revenue, welfare)
 
 
@@ -187,14 +189,11 @@ def _merge(parts, sizes, col: int):
 
 
 def _group_layout(groups):
-    """Each column's group, and the groups in size classes [2^j, 2^(j+1)):
-    per class its members and a (members, width) index of their columns,
-    padded to the class's largest group, with a mask of the padding slots.
-    So the padded views hold fewer than 2n values, however unequal the
-    groups."""
+    """The groups in size classes [2^j, 2^(j+1)): per class its members and a
+    (members, width) index of their columns, padded to the class's largest
+    group, with a mask of the padding slots.  So the padded views hold fewer
+    than 2n values, however unequal the groups."""
     sizes = np.array([len(idxs) for idxs in groups])
-    group_of = np.empty(sizes.sum(), dtype=np.intp)
-    group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), sizes)
     size_class = np.frexp(sizes)[1]
     classes = []
     for c in sorted(set(size_class.tolist())):
@@ -203,60 +202,87 @@ def _group_layout(groups):
         pad = np.zeros(padding.shape, dtype=np.intp)
         pad[~padding] = np.concatenate([groups[ell] for ell in members])
         classes.append((members, pad, padding))
-    return group_of, classes
+    return classes
+
+
+def _member_major(x: np.ndarray, pad: np.ndarray):
+    """Each row's entries of a class's groups as (rows, members, width),
+    laid out member by member, each member a contiguous (rows, width) block.
+    For width 1, plain indexing already gives that layout, at half the
+    cost."""
+    if pad.shape[1] == 1:
+        return x[:, pad]
+    return x[np.arange(len(x))[:, None], pad[:, None, :]].transpose(1, 0, 2)
 
 
 def _sorted_groups(v: np.ndarray, pad: np.ndarray, padding: np.ndarray):
     """Each row's values of a class's groups as (rows, members, width),
-    padded with -inf and sorted ascending: one sort for the class.  The copy
-    is laid out member by member, each member a contiguous (rows, width)
-    block: each sort runs along contiguous memory, and numpy's sum over the
-    last two axes in `_rationed_welfare`, whose order follows the layout,
-    adds in the order the golden-bits test pins.  For width 1, plain
-    indexing already gives that layout, at half the cost."""
-    if pad.shape[1] == 1:
-        vals = v[:, pad]
-    else:
-        vals = v[np.arange(len(v))[:, None], pad[:, None, :]].transpose(1, 0, 2)
+    padded with -inf and sorted ascending: one sort for the class.  In the
+    member-major layout each sort runs along contiguous memory, and
+    `_class_sum`, whose order follows the layout, adds in the order the
+    golden-bits test pins."""
+    vals = _member_major(v, pad)
     vals[:, padding] = -np.inf
     vals.sort(axis=2)
     return vals
 
 
-def _uniform_price_block(s: Scenario, layout, price: float, threshold: float, v: np.ndarray, aux):
+def _uniform_price_block(s: Scenario, classes, price: float, threshold: float, v: np.ndarray, aux):
     """Each buyer valued at or above the threshold asks for a unit; past k
     asks, a lottery rations them (`_rationed_welfare`)."""
     qualify = v >= threshold
     total = np.count_nonzero(qualify, axis=1)
     over = total > s.k
     if over.all():  # every row rations: no row copies
-        welfare = _rationed_welfare(v, qualify, layout, s.k, aux)
+        welfare = _rationed_welfare(v, qualify, classes, s.k, aux)
     else:
         welfare = np.einsum("ij,ij->i", v, qualify)
         if over.any():
-            welfare[over] = _rationed_welfare(v[over], qualify[over], layout, s.k, aux)
+            welfare[over] = _rationed_welfare(v[over], qualify[over], classes, s.k, aux)
     return price * np.minimum(total, s.k), welfare
 
 
-def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, layout, k: int, aux):
+def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, classes, k: int, aux):
     """Welfare of rows where more than k buyers qualify.  Every buyer draws
     one uniform key from ``aux`` and qualifiers' keys move down by 1, so the
-    k smallest keys pick k qualifiers uniformly without replacement (group
-    counts are multivariate hypergeometric); each group serves its top
-    values."""
-    group_of, classes = layout
-    rows, m = len(v), group_of.max() + 1
+    buyers whose keys are at most the row's k-th smallest are k qualifiers
+    drawn uniformly without replacement (group counts are multivariate
+    hypergeometric); each group serves its top values."""
     keys = aux.random(v.shape)
     keys -= qualify
-    cells = group_of[np.argsort(keys, axis=1)[:, :k]] + m * np.arange(rows)[:, None]
+    kth = np.sort(keys, axis=1)[:, k - 1 : k + 1].copy()  # the k-th and (k+1)-th smallest
+    served = keys <= kth[:, :1]
+    # Where the k-th key ties the next one, the tied buyers first in column
+    # order are served, so that every row serves exactly k.
+    for r in np.flatnonzero(kth[:, 0] == kth[:, 1]):
+        tied = np.flatnonzero(keys[r] == kth[r, 0])
+        served[r, tied[k - np.count_nonzero(keys[r] < kth[r, 0]) :]] = False
     del keys  # free the block-sized keys before the sorts below
-    served = np.bincount(cells.ravel(), minlength=rows * m).reshape(rows, m)
-    welfare = np.zeros(rows)
-    for members, pad, padding in classes:
-        vals = _sorted_groups(v, pad, padding)
-        vals[np.arange(pad.shape[1]) < pad.shape[1] - served[:, members, None]] = 0.0
-        welfare += vals.sum(axis=(1, 2))
+    welfare = np.zeros(len(v))
+    for _, pad, padding in classes:
+        if pad.shape[1] == 1:
+            vals = _member_major(v, pad)
+            vals[~_member_major(served, pad)] = 0.0
+        else:
+            vals = _sorted_groups(v, pad, padding)
+            hits = _member_major(served, pad)
+            hits[:, padding] = False
+            width = pad.shape[1]
+            vals[np.arange(width) < width - np.count_nonzero(hits, axis=2)[:, :, None]] = 0.0
+        welfare += _class_sum(vals)
     return welfare
+
+
+def _class_sum(vals: np.ndarray):
+    """Each row's sum of a class's member-major (rows, members, width)
+    values: member by member, each member's width summed first.  For a lone
+    row numpy would merge the member and width axes and add them pairwise,
+    so it is summed as the first of two rows, in the same layout."""
+    if len(vals) == 1:
+        pair = np.empty((vals.shape[1], 2, vals.shape[2])).transpose(1, 0, 2)
+        pair[:] = vals
+        return pair.sum(axis=(1, 2))[:1]
+    return vals.sum(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +302,7 @@ def _top_values(v: np.ndarray, classes, m: int, width: int):
     return out
 
 
-def _menu_block(s: Scenario, layout, menu: Menu, v: np.ndarray, aux):
+def _menu_block(s: Scenario, classes, menu: Menu, v: np.ndarray, aux):
     """Sequential menu sale: at each step every row offers its remaining
     items to its next intermediary, whose purchase comes from the O(k b) DP
     of `agents.menu_purchase_dp` over the block's rows at once (ties to the
@@ -288,7 +314,6 @@ def _menu_block(s: Scenario, layout, menu: Menu, v: np.ndarray, aux):
         orders = np.argsort(aux.random((size, m)), axis=1)
     else:
         orders = np.tile(np.arange(m), (size, 1))
-    _, classes = layout
     width = min(max(pad.shape[1] for _, pad, _ in classes), menu.k)
     sorted_vals = _top_values(v, classes, m, width)
     rows = np.arange(size)
@@ -367,17 +392,17 @@ def _bundle_block(s: Scenario, groups, price: float, v: np.ndarray, aux):
 
 def _batch_fn(s: Scenario):
     groups = s.structure.groups()
-    layout = _group_layout(groups)
+    classes = _group_layout(groups)
     if s.mechanism in ("ipm", "item_price"):
         if s.mechanism == "ipm":
             price = ipm_price(s.d, s.n, s.k)
         else:
             price, _ = optimal_item_price(s.d)
         threshold = agents.purchase_threshold(s.model, s.d, price)
-        return lambda v, aux: _uniform_price_block(s, layout, price, threshold, v, aux), {"price": price}
+        return lambda v, aux: _uniform_price_block(s, classes, price, threshold, v, aux), {"price": price}
     if s.mechanism == "het_ipm":
         menu = build_menu(s.d, s.n, s.etas)
-        return lambda v, aux: _menu_block(s, layout, menu, v, aux), {"menu": menu}
+        return lambda v, aux: _menu_block(s, classes, menu, v, aux), {"menu": menu}
     if s.mechanism == "kplus1":
         reserve, _ = optimal_item_price(s.d)
         return lambda v, aux: _kplus1_block(s, groups, reserve, v, aux), {"reserve": reserve}

@@ -212,6 +212,16 @@ def test_top_k_welfare_weights():
     assert weighted == pytest.approx(expected_rank(d, 1, 4) + 0.5 * expected_rank(d, 2, 4), abs=1e-9)
 
 
+def test_top_k_welfare_of_every_draw_is_n_times_the_mean():
+    # k = n sums every order statistic: n E[v], without a quadrature, and
+    # the same as the rank-by-rank sum to the rule's accuracy.
+    for d in [*builtin_families(), TruncatedEqualRevenue(400)]:
+        for n in (1, 5, 40):
+            assert top_k_welfare(d, n, n) == n * d.mean()
+            ranks = sum(expected_rank(d, j, n) for j in range(1, n + 1))
+            assert top_k_welfare(d, n, n) == pytest.approx(ranks, rel=1e-9), (d.descriptor, n)
+
+
 @given(seed=st.integers(0, 2**31 - 1), t=st.integers(1, 30))
 @settings(max_examples=30, deadline=None)
 def test_samples_sorted_and_deterministic(seed, t):

@@ -210,18 +210,68 @@ def test_rationing_law_is_multivariate_hypergeometric():
             assert counts[(c0, c1, c2)] / trials == pytest.approx(pmf, abs=0.015), (c0, c1, c2)
 
 
+class FixedKeys:
+    """A stand-in for the rationing stream that hands out given keys."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def random(self, shape):
+        assert shape == self.keys.shape
+        return self.keys.copy()
+
+
+@pytest.mark.parametrize("structure", [agents.competition(8), agents.DemandStructure(8, 3, (0, 1, 2, 0, 1, 2, 0, 1))])
+def test_rationing_serves_exactly_k_when_keys_tie(structure):
+    # k = 3 of 8 buyers.  Values are distinct powers of two, so a welfare
+    # spells out the values served.  Keys tie in every row: row 0 only below
+    # the k-th smallest; row 1 at it, after one smaller key; row 2 among its
+    # five qualifiers, while the three non-qualifiers hold the smallest raw
+    # keys; row 3 everywhere.  Each row serves exactly k qualifiers.
+    v = np.tile(2.0 ** (7 - np.arange(8)), (4, 1))
+    qualify = np.ones(v.shape, dtype=bool)
+    qualify[2, 5:] = False
+    keys = np.array([[0.5, 0.2, 0.2, 0.2, 0.9, 0.7, 0.6, 0.3],
+                     [0.5, 0.2, 0.2, 0.2, 0.2, 0.7, 0.6, 0.1],
+                     [0.3, 0.3, 0.3, 0.3, 0.3, 0.0, 0.0, 0.0],
+                     [0.5] * 8])
+    welfare = simulation._rationed_welfare(v, qualify, simulation._group_layout(structure.groups()), 3,
+                                           FixedKeys(keys))
+    for row, w in enumerate(welfare):
+        served = [col for col in range(8) if int(w) >> (7 - col) & 1]
+        assert w == sum(v[row, served])
+        assert len(served) == 3 and qualify[row, served].all(), (row, served)
+    if structure.m == 8:  # one buyer per group: the served buyers themselves
+        assert int(welfare[0]) == 2 ** 6 + 2 ** 5 + 2 ** 4
+        assert int(welfare[1]) & 1  # the one key below the tie
+
+
+def test_rationed_welfare_of_a_lone_row_matches_its_block():
+    # A row's welfare adds member by member however many rows ration beside
+    # it, so a row that rations alone in its block gets the same bits.
+    rng = np.random.default_rng(4)
+    for structure in (agents.competition(32), agents.parse_structure("random:4:7", 32)):
+        classes = simulation._group_layout(structure.groups())
+        v = rng.exponential(size=(200, 32))
+        keys = rng.random(v.shape)
+        whole = simulation._rationed_welfare(v, v >= 0.5, classes, 4, FixedKeys(keys))
+        for r in range(len(v)):
+            row = slice(r, r + 1)
+            lone = simulation._rationed_welfare(v[row], v[row] >= 0.5, classes, 4, FixedKeys(keys[row]))
+            assert lone.tobytes() == whole[row].tobytes(), (structure.descriptor, r)
+
+
 def test_group_layout_pads_fewer_than_twice_n():
     # One group of 129 buyers beside 127 singletons: a single padded view
     # would hold 128 x 129 slots, the size classes fewer than 2n.
     structure = agents.DemandStructure(256, 128, (0,) * 129 + tuple(range(1, 128)))
     groups = structure.groups()
-    group_of, classes = simulation._group_layout(groups)
+    classes = simulation._group_layout(groups)
     assert sum(pad.size for _, pad, _ in classes) < 2 * 256
     assert sorted(np.concatenate([pad[~padding] for _, pad, padding in classes])) == list(range(256))
     for members, pad, padding in classes:
         for ell, cols, void in zip(members, pad, padding):
             assert list(cols[~void]) == groups[ell]
-            assert (group_of[cols[~void]] == ell).all()
 
 
 def test_uniform_price_welfare_matches_ipm_allocate_replay():
@@ -276,18 +326,18 @@ def test_report_identical_across_threads_and_blocks(monkeypatch, mechanism):
     one = report()
     monkeypatch.setenv("IPMLAB_THREADS", "2")
     assert report() == one
-    # Row blocks only bound the engine's memory: valuations, rationing keys
-    # and visit orders come from their streams in row order, so one block
-    # per batch, or 333-row blocks with a partial last one, agree.
+    # Blocks only bound the engine's memory: valuations, rationing keys and
+    # visit orders come from their streams in row order, so one block per
+    # batch, or 333-row blocks with a partial last one, agree.
     for rows in (simulation.BATCH_SIZE, 333):
-        monkeypatch.setattr(simulation, "ROW_BLOCK", rows)
+        monkeypatch.setattr(simulation, "BLOCK_VALUES", rows * s.n)
         assert report() == one, rows
 
 
 @pytest.mark.parametrize("mechanism", ["ipm", "item_price", "het_ipm", "kplus1", "bundle"])
 def test_batch_memory_stays_below_two_valuation_arrays(monkeypatch, mechanism):
-    # Only one ROW_BLOCK of valuations is live at a time, so a full batch of
-    # n = 256 buyers never holds two (BATCH_SIZE, n) float arrays at once.
+    # Only one block of BLOCK_VALUES valuations is live at a time, so a full
+    # batch of n = 256 buyers never holds two (BATCH_SIZE, n) float arrays at once.
     monkeypatch.setenv("IPMLAB_THREADS", "1")
     s = scenario(mechanism=mechanism, n=256, k=16, structure=agents.balanced(256, 16),
                  etas=tuple(1.0 / (j + 1) for j in range(16)) if mechanism == "het_ipm" else None,
@@ -303,7 +353,7 @@ def test_batch_memory_stays_below_two_valuation_arrays(monkeypatch, mechanism):
 
 
 # Each mechanism's traced peak for one n = 256 batch, in valuation blocks
-# (ROW_BLOCK x 256 floats): the peak once block temporaries were computed in
+# (BLOCK_VALUES floats): the peak once block temporaries were computed in
 # place, plus 25 % headroom, so that a new block-sized temporary fails.
 PEAK_BLOCKS = {"ipm": 1.56, "item_price": 4.12, "het_ipm": 4.09, "kplus1": 2.75, "bundle": 1.57}
 
@@ -321,86 +371,117 @@ def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < PEAK_BLOCKS[mechanism] * simulation.ROW_BLOCK * 256 * 8
+    assert peak < PEAK_BLOCKS[mechanism] * simulation.BLOCK_VALUES * 8
 
 
 # csv_row(), the ci95_welfare hex and a digest of every row's revenue and
-# welfare for a small grid, recorded before the engines computed their
-# temporaries in place: the same streams must give the same bits.  Two full
+# welfare for a small grid: the same streams must give the same bits.  The
+# reports were recorded before the engines computed their temporaries in
+# place, the row digests before blocks were sized by values.  Two full
 # batches and a partial one, and rows that ration.  The row digest catches a
 # last-bit change that the report's sums would absorb.
 GOLDEN_GRID = [
     ("ipm-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, ipm, 16484, 5.51221790827, 0.0511014227085, 7.55238695578, 11.9006474484, 0.46318638815, 0.232544157935, True",
-     "0x1.2e217abdd8468p-4", "c0d8af433a491925"),
+     "0x1.2e217abdd8468p-4", "6396d69c0a0f3d91"),
     ("het_ipm-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, het_ipm, 16484, 3.71518117043, 0.0376100414516, 4.93632407818, 8.18790465526, 0.453740160255, 0.106205132686, True",
-     "0x1.be5bdbb1c90a3p-5", "7633fe23beaa0536"),
+     "0x1.be5bdbb1c90a3p-5", "3fdef882eb0256c0"),
     ("kplus1-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, kplus1, 16484, 7.88727448763, 0.0264306802941, 11.8743074777, 11.9006474484, 0.662760116357, , ",
-     "0x1.48871ce3ced80p-5", "ea8bc73efe71926c"),
+     "0x1.48871ce3ced80p-5", "1b5e7ea95283574c"),
     ("bundle-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, bundle, 16484, 1.38614675449, 0.058280558059, 1.56819336938, 11.9006474484, 0.116476583354, , ",
-     "0x1.0fe313eb7f986p-4", "09e68e81733d1879"),
+     "0x1.0fe313eb7f986p-4", "938996b1eb44d764"),
     ("item_price-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, item_price, 16484, 3.9995146809, 0.000375931866146, 10.3556807767, 11.9006474484, 0.336075385666, , ",
-     "0x1.2fcc87ecf1e55p-5", "d181292588a82192"),
+     "0x1.2fcc87ecf1e55p-5", "2139f7e8087cadbb"),
     ("ipm-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, ipm, 16484, 2.0832398083, 0.0358349366433, 3.61285449563, 11.9006474484, 0.1750526446, 0.0855482148687, True",
-     "0x1.0417f8dfa011ep-4", "88c8ba8aedf3a4d9"),
+     "0x1.0417f8dfa011ep-4", "0c0cb906dcebc8a5"),
     ("het_ipm-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, het_ipm, 16484, 3.71518117043, 0.0376100414516, 4.93632407818, 8.18790465526, 0.453740160255, 0.106205132686, True",
-     "0x1.be5bdbb1c90a3p-5", "7633fe23beaa0536"),
+     "0x1.be5bdbb1c90a3p-5", "3fdef882eb0256c0"),
     ("kplus1-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, kplus1, 16484, 7.88727448763, 0.0264306802941, 11.8743074777, 11.9006474484, 0.662760116357, , ",
-     "0x1.48871ce3ced80p-5", "ea8bc73efe71926c"),
+     "0x1.48871ce3ced80p-5", "1b5e7ea95283574c"),
     ("bundle-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, bundle, 16484, 1.38614675449, 0.058280558059, 1.56819336938, 11.9006474484, 0.116476583354, , ",
-     "0x1.0fe313eb7f986p-4", "09e68e81733d1879"),
+     "0x1.0fe313eb7f986p-4", "938996b1eb44d764"),
     ("item_price-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, item_price, 16484, 3.40791070129, 0.0141865038721, 10.5420238295, 11.9006474484, 0.286363470228, , ",
-     "0x1.be395380b58a3p-5", "c372478836f15b37"),
+     "0x1.be395380b58a3p-5", "6254040c0b69c0e1"),
     ("ipm-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, ipm, 16484, 4.13889543416, 0.048010442072, 6.20045942339, 11.7169913126, 0.353238755901, 0.187294980394, True",
-     "0x1.55e2c44c32c87p-4", "0a84834ab038b80b"),
+     "0x1.55e2c44c32c87p-4", "1719aeb705a31254"),
     ("het_ipm-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, het_ipm, 16484, 2.83957109492, 0.0359842913136, 4.25781924247, 8.20189391881, 0.346209195465, 0.0870408790274, True",
-     "0x1.17abbf3fe32a0p-4", "f05ba51664df4411"),
+     "0x1.17abbf3fe32a0p-4", "1ef2d66f7173f1c1"),
     ("kplus1-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, kplus1, 16484, 7.80106443073, 0.0180438239953, 11.6692887135, 11.7169913126, 0.665790749742, , ",
-     "0x1.cdd44fb5a1078p-5", "12519682adf537aa"),
+     "0x1.cdd44fb5a1078p-5", "a40918a9470f1273"),
     ("bundle-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, bundle, 16484, 1.91207878129, 0.066099705011, 2.40119594506, 11.7169913126, 0.163188546469, , ",
-     "0x1.673c19a05d4b5p-4", "4fd8323afb1d7a83"),
+     "0x1.673c19a05d4b5p-4", "c6d1c9d11718c884"),
     ("item_price-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, item_price, 16484, 4, 0, 9.89607097731, 11.7169913126, 0.341384566506, , ",
-     "0x1.918ad563cf7b1p-5", "a30b1055977a1ad3"),
+     "0x1.918ad563cf7b1p-5", "aa2fbaf6d879e23f"),
     ("ipm-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, ipm, 16484, 1.24664923046, 0.0281350863941, 2.78183463491, 11.7169913126, 0.106396701781, 0.0554948090055, True",
-     "0x1.22fdfd918d2e1p-4", "fc87f0345ca270cc"),
+     "0x1.22fdfd918d2e1p-4", "3bcce6007179d1b4"),
     ("het_ipm-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, het_ipm, 16484, 2.83957109492, 0.0359842913136, 4.25781924247, 8.20189391881, 0.346209195465, 0.0870408790274, True",
-     "0x1.17abbf3fe32a0p-4", "f05ba51664df4411"),
+     "0x1.17abbf3fe32a0p-4", "1ef2d66f7173f1c1"),
     ("kplus1-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, kplus1, 16484, 7.80106443073, 0.0180438239953, 11.6692887135, 11.7169913126, 0.665790749742, , ",
-     "0x1.cdd44fb5a1078p-5", "12519682adf537aa"),
+     "0x1.cdd44fb5a1078p-5", "a40918a9470f1273"),
     ("bundle-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, bundle, 16484, 1.91207878129, 0.066099705011, 2.40119594506, 11.7169913126, 0.163188546469, , ",
-     "0x1.673c19a05d4b5p-4", "4fd8323afb1d7a83"),
+     "0x1.673c19a05d4b5p-4", "c6d1c9d11718c884"),
     ("item_price-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, item_price, 16484, 3.99235622422, 0.00160865447968, 10.5759303588, 11.7169913126, 0.340732199735, , ",
-     "0x1.9eed0f3355e95p-5", "906609f65e7ea130"),
+     "0x1.9eed0f3355e95p-5", "be98998414e1e456"),
+    ("ipm-exp:1-n32k4-competition-surplus, exp:1, 0, 32, 4, competition, surplus, ipm, 16484, 5.51221790827, 0.0511014227085, 7.52319168947, 11.9006474484, 0.46318638815, 0.232544157935, True",
+     "0x1.2b23685d5c7b8p-4", "c4f53940086eac0f"),
+    ("item_price-exp:1-n32k4-competition-surplus, exp:1, 0, 32, 4, competition, surplus, item_price, 16484, 3.9995146809, 0.000375931866146, 7.98503926943, 11.9006474484, 0.336075385666, , ",
+     "0x1.f1588b839524cp-6", "a85ff44bd972e7b1"),
+    ("ipm-exp:1-n32k4-random:30:3-surplus, exp:1, 0, 32, 4, random:30:3, surplus, ipm, 16484, 5.51221790827, 0.0511014227085, 7.52370832725, 11.9006474484, 0.46318638815, 0.232544157935, True",
+     "0x1.2b3058f4aed15p-4", "62f53f2b4993fc97"),
+    ("item_price-exp:1-n32k4-random:30:3-surplus, exp:1, 0, 32, 4, random:30:3, surplus, item_price, 16484, 3.9995146809, 0.000375931866146, 8.04434551494, 11.9006474484, 0.336075385666, , ",
+     "0x1.f5486461b9974p-6", "91611f8828015c31"),
+    ("ipm-pareto:3:1-n32k4-competition-surplus, pareto:3:1, 0.333333333333, 32, 4, competition, surplus, ipm, 16484, 4.13889543416, 0.048010442072, 6.188799483, 11.7169913126, 0.353238755901, 0.187294980394, True",
+     "0x1.545001e363a7fp-4", "855ef4588ebfb17c"),
+    ("item_price-pareto:3:1-n32k4-competition-surplus, pareto:3:1, 0.333333333333, 32, 4, competition, surplus, item_price, 16484, 4, 0, 6.01447784951, 11.7169913126, 0.341384566506, , ",
+     "0x1.a865389f5b495p-6", "2014ded7b75384bb"),
+    ("ipm-pareto:3:1-n32k4-random:30:3-surplus, pareto:3:1, 0.333333333333, 32, 4, random:30:3, surplus, ipm, 16484, 4.13889543416, 0.048010442072, 6.18900999861, 11.7169913126, 0.353238755901, 0.187294980394, True",
+     "0x1.5456ab0f902b7p-4", "0d830516f2dc568f"),
+    ("item_price-pareto:3:1-n32k4-random:30:3-surplus, pareto:3:1, 0.333333333333, 32, 4, random:30:3, surplus, item_price, 16484, 4, 0, 6.14254940972, 11.7169913126, 0.341384566506, , ",
+     "0x1.b8da02cb46cd1p-6", "b6c6c3a2ef5051bb"),
 ]
+
+
+def golden_scenarios():
+    for dist in ("exp:1", "pareto:3:1"):
+        for model in ("surplus", "monopolist"):
+            for mechanism in simulation.MECHANISMS:
+                yield dist, "random:4:7", model, mechanism
+    # Singletons, alone or beside wider groups, take the width-1 path.
+    for dist in ("exp:1", "pareto:3:1"):
+        for structure in ("competition", "random:30:3"):
+            for mechanism in ("ipm", "item_price"):
+                yield dist, structure, "surplus", mechanism
 
 
 def test_golden_bits_of_a_small_grid(monkeypatch):
     monkeypatch.setenv("IPMLAB_THREADS", "1")
     batch_fn = simulation._batch_fn
-    digest = None
+    blocks = None
 
-    def hashed(s):
+    def recorded(s):
         block, extra = batch_fn(s)
 
         def run(v, aux):
-            rows = block(v, aux)
-            for x in rows:
-                digest.update(np.asarray(x).tobytes())
-            return rows
+            out = block(v, aux)
+            blocks.append([np.array(x, dtype=float) for x in out])
+            return out
 
         return run, extra
 
-    monkeypatch.setattr(simulation, "_batch_fn", hashed)
+    monkeypatch.setattr(simulation, "_batch_fn", recorded)
     got = []
-    for dist in ("exp:1", "pareto:3:1"):
-        for model in ("surplus", "monopolist"):
-            for mechanism in simulation.MECHANISMS:
-                digest = hashlib.sha256()
-                s = scenario(d=parse_distribution(dist), n=32, k=4, structure=agents.parse_structure("random:4:7", 32),
-                             model=agents.parse_behavior(model), mechanism=mechanism,
-                             etas=(1.0, 0.75, 0.5, 0.25) if mechanism == "het_ipm" else None,
-                             reps=2 * simulation.BATCH_SIZE + 100, master_seed=11)
-                rep = simulation.run_scenario(s)
-                got.append((rep.csv_row(), rep.ci95_welfare.hex(), digest.hexdigest()[:16]))
+    for dist, structure, model, mechanism in golden_scenarios():
+        blocks = []
+        s = scenario(d=parse_distribution(dist), n=32, k=4, structure=agents.parse_structure(structure, 32),
+                     model=agents.parse_behavior(model), mechanism=mechanism,
+                     etas=(1.0, 0.75, 0.5, 0.25) if mechanism == "het_ipm" else None,
+                     reps=2 * simulation.BATCH_SIZE + 100, master_seed=11)
+        rep = simulation.run_scenario(s)
+        # Every row's revenue, then every row's welfare, in row order: the
+        # digest does not depend on how the rows were cut into blocks.
+        digest = hashlib.sha256()
+        for series in zip(*blocks):
+            digest.update(np.concatenate(series).tobytes())
+        got.append((rep.csv_row(), rep.ci95_welfare.hex(), digest.hexdigest()[:16]))
     assert got == GOLDEN_GRID
 
 
