@@ -1,5 +1,6 @@
 """Experiments the scripts and the tests share.  Each one is a plain
-`Scenario` run through `run_scenario`, the engine `ipmlab simulate` runs."""
+`Scenario` run through `run_scenario`, which is `run_scenarios`, the engine
+`ipmlab simulate` runs, of the one scenario."""
 
 from ipmlab import agents
 from ipmlab.distributions import TruncatedEqualRevenue

@@ -25,23 +25,18 @@ def main():
     for n in (16, 64, 256):
         common = dict(structure=agents.monopsony(n), model=agents.parse_behavior("surplus"),
                       reps=args.reps, master_seed=args.seed)
-        auction = simulation.run_scenario(
-            simulation.Scenario(d=Exponential(1.0), n=n, k=1, mechanism="kplus1", **common))
-        posted = simulation.run_scenario(
-            simulation.Scenario(d=Exponential(1.0), n=n, k=1, mechanism="ipm", **common))
+        # One seed, family and n: the pair is one group, drawn once.
+        auction, posted = simulation.run_scenarios(
+            [simulation.Scenario(d=Exponential(1.0), n=n, k=1, mechanism=m, **common) for m in ("kplus1", "ipm")])
         print(f"{n}, {auction.mean_revenue:.6g}, {posted.mean_revenue:.6g}")
 
     print()
     print("# bundle price tuned for monopsony, run under competition, Uniform[0,1], k=n=32")
     n = 32
-    bundle = simulation.run_scenario(simulation.Scenario(
-        d=Uniform(0.0, 1.0), n=n, k=n, structure=agents.competition(n),
-        model=agents.parse_behavior("surplus"), mechanism="bundle", epsilon=0.05,
-        reps=args.reps, master_seed=args.seed))
-    posted = simulation.run_scenario(simulation.Scenario(
-        d=Uniform(0.0, 1.0), n=n, k=n, structure=agents.competition(n),
-        model=agents.parse_behavior("surplus"), mechanism="ipm",
-        reps=args.reps, master_seed=args.seed))
+    common = dict(d=Uniform(0.0, 1.0), n=n, k=n, structure=agents.competition(n),
+                  model=agents.parse_behavior("surplus"), reps=args.reps, master_seed=args.seed)
+    bundle, posted = simulation.run_scenarios([simulation.Scenario(mechanism="bundle", epsilon=0.05, **common),
+                                               simulation.Scenario(mechanism="ipm", **common)])
     print(f"bundle revenue {bundle.mean_revenue:.6g} (price {bundle.extra['price']:.6g}) "
           f"vs posted-price revenue {posted.mean_revenue:.6g}")
 

@@ -36,9 +36,11 @@ def main():
         master_seed=args.seed,
     )
     print(simulation.CSV_HEADER)
-    # One master seed for every structure: common random numbers.
-    for structure in canonical_structures(args.n):
-        print(simulation.run_scenario(replace(base, structure=structure)).csv_row())
+    # One master seed for every structure: common random numbers, so the
+    # sweep is one group and its valuations are drawn once.
+    scenarios = [replace(base, structure=structure) for structure in canonical_structures(args.n)]
+    for rep in simulation.run_scenarios(scenarios):
+        print(rep.csv_row())
 
 
 if __name__ == "__main__":

@@ -127,8 +127,8 @@ def cmd_simulate(args) -> int:
         cfg = parse_config(fh.read())
     rows = [simulation.CSV_HEADER]
     all_passed = True
-    for s in cfg.scenarios:
-        rep = simulation.run_scenario(s)
+    for rep in simulation.run_scenarios(cfg.scenarios):
+        s = rep.scenario
         rows.append(rep.csv_row())
         if rep.passed is None:  # no bound, or too few replicates for a verdict
             verdict = "----"

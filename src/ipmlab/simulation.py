@@ -2,8 +2,10 @@
 
 Replicates are processed in fixed-size batches; each batch derives its RNG
 from (master_seed, batch_index), so results are bit-identical no matter how
-many worker threads run the batches.  One driver, `_run_batch`, draws,
-allocates and reduces every batch; batch sums and M2s merge in batch order.
+many worker threads run the batches.  Scenarios with the same master seed,
+family and n draw the same valuations, so they run as one group whose
+batches are drawn once.  One driver, `_run_batch`, draws, allocates and
+reduces every batch; batch sums and M2s merge in batch order.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -25,6 +28,10 @@ BATCH_SIZE = 8192
 # a block's arrays stay in cache and only one block of valuations is live per
 # batch, while a batch of narrow rows is one block, not many small ones.
 BLOCK_VALUES = 1 << 18
+
+# Rows per slice of the sequential menu sale, whose per-step temporaries
+# grow with the rows it runs at once.
+MENU_ROWS = 1024
 
 MECHANISMS = ("ipm", "het_ipm", "kplus1", "bundle", "item_price")
 
@@ -141,22 +148,46 @@ def _batches(reps: int):
         start += size
 
 
-def _run_batch(s: Scenario, block, batch_idx: int, size: int):
-    """Draw, allocate and reduce one batch.  Stream 0 of the batch's seed is
-    drawn BLOCK_VALUES // n rows at a time into one reused buffer
-    (bit-identical to a whole-batch draw: `random` fills rows in order) and
-    mapped to values in place, ``block(v, aux)`` gives each block's per-row
-    revenue and welfare, with ``aux`` the generator on stream 1, and the
-    batch reduces to its partial sums."""
-    draw, aux = (np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, stream)))
-                 for stream in (0, 1))
+def _run_batch(members, blocks, batch_idx: int):
+    """Draw, allocate and reduce one batch of a group: scenarios with one
+    master seed, family and n.  Stream 0 of the batch's seed is drawn
+    BLOCK_VALUES // n rows at a time into one reused buffer (bit-identical
+    to a whole-batch draw: `random` fills rows in order) and mapped to
+    values in place, once for the group.  Each member's ``block(v, aux)``
+    reads a read-only view of that block, a prefix of its rows when the
+    member has fewer rows in this batch, with ``aux`` the member's own
+    generator on stream 1, and gives each row's revenue and welfare.  Per
+    member, the batch reduces to its partial sums and the seconds spent in
+    ``block``."""
+    s = members[0]
+    sizes = [min(BATCH_SIZE, m.reps - batch_idx * BATCH_SIZE) for m in members]
+    size = max(sizes)
+    draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 0)))
+    auxs = [np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 1))) for _ in members]
     rows = max(1, BLOCK_VALUES // s.n)
     u = np.empty((min(rows, size), s.n))
-    revenue, welfare = np.empty((2, size))
+    shared = u.view()
+    shared.flags.writeable = False
+    out = [None] * len(members)
+    sums = [None] * len(members)
+    engine_s = [0.0] * len(members)
     for lo in range(0, size, rows):
         ub = draw.random(out=u[: size - lo])
-        revenue[lo : lo + rows], welfare[lo : lo + rows] = block(s.d.quantile(ub, out=ub), aux)
-    return _sums(revenue, welfare)
+        s.d.quantile(ub, out=ub)
+        for j, (block, aux, sz) in enumerate(zip(blocks, auxs, sizes)):
+            if lo >= sz:
+                continue
+            if lo == 0:
+                out[j] = np.empty((2, sz))
+            t0 = perf_counter()
+            out[j][0, lo : lo + rows], out[j][1, lo : lo + rows] = block(shared[: sz - lo], aux)
+            engine_s[j] += perf_counter() - t0
+            # After the member's last block, reduce and free its rows at once, so
+            # that a one-block batch holds one member's rows at a time.
+            if lo + rows >= sz:
+                sums[j] = _sums(*out[j])
+                out[j] = None
+    return [(*p, t) for p, t in zip(sums, engine_s)]
 
 
 def _sums(revenue: np.ndarray, welfare: np.ndarray):
@@ -303,12 +334,23 @@ def _top_values(v: np.ndarray, classes, m: int, width: int):
 
 
 def _menu_block(s: Scenario, classes, menu: Menu, v: np.ndarray, aux):
+    """`_menu_rows` over slices of at most MENU_ROWS rows: visit orders come
+    from ``aux`` in row order, so the slices change no bit, while the sale's
+    per-step temporaries stay small for a whole-batch block of narrow rows."""
+    revenue, welfare = np.empty((2, len(v)))
+    for lo in range(0, len(v), MENU_ROWS):
+        revenue[lo : lo + MENU_ROWS], welfare[lo : lo + MENU_ROWS] = _menu_rows(
+            s, classes, menu, v[lo : lo + MENU_ROWS], aux)
+    return revenue, welfare
+
+
+def _menu_rows(s: Scenario, classes, menu: Menu, v: np.ndarray, aux):
     """Sequential menu sale: at each step every row offers its remaining
     items to its next intermediary, whose purchase comes from the O(k b) DP
-    of `agents.menu_purchase_dp` over the block's rows at once (ties to the
-    larger set, then the lexicographically smallest).  Random visit orders
-    come from ``aux`` in row order.  Revenue and welfare accumulate per step
-    in ascending item order."""
+    of `agents.menu_purchase_dp` over the rows at once (ties to the larger
+    set, then the lexicographically smallest).  Random visit orders come
+    from ``aux`` in row order.  Revenue and welfare accumulate per step in
+    ascending item order."""
     size, m = len(v), s.structure.m
     if s.order_policy == "random":
         orders = np.argsort(aux.random((size, m)), axis=1)
@@ -415,19 +457,54 @@ def _batch_fn(s: Scenario):
     raise AssertionError(s.mechanism)
 
 
-def run_scenario(s: Scenario) -> SimulationReport:
-    """Simulate the scenario and compare mean revenue to the analytic
-    welfare benchmark and the matching theoretical bound."""
-    block, extra = _batch_fn(s)
-    jobs = list(_batches(s.reps))
+def run_scenarios(scenarios) -> list[SimulationReport]:
+    """Simulate the scenarios and compare each one's mean revenue to the
+    analytic welfare benchmark and the matching theoretical bound; the
+    reports come back in the scenarios' order.  Scenarios with the same
+    master seed, family and n share their stream-0 blocks: each batch of
+    such a group is drawn once, and threads split the work by (group,
+    batch)."""
+    scenarios = list(scenarios)
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(scenarios):
+        groups.setdefault((s.master_seed, s.d.descriptor, s.n), []).append(i)
+    fns = [_batch_fn(s) for s in scenarios]
+    jobs = []
+    for members in groups.values():
+        for b, _ in _batches(max(scenarios[i].reps for i in members)):
+            jobs.append((b, [i for i in members if scenarios[i].reps > b * BATCH_SIZE]))
+
+    def run(job):
+        b, members = job
+        return _run_batch([scenarios[i] for i in members], [fns[i][0] for i in members], b)
+
     threads = worker_count()
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda j: _run_batch(s, block, *j), jobs))
+            results = list(pool.map(run, jobs))
     else:
-        parts = [_run_batch(s, block, b, sz) for b, sz in jobs]
-    # Combine in batch order so the result is independent of scheduling.
-    sizes = [size for _, size in jobs]
+        results = [run(job) for job in jobs]
+    # Jobs run group by group in batch order, so each member's parts do too.
+    parts: list[list] = [[] for _ in scenarios]
+    for (_, members), result in zip(jobs, results):
+        for i, part in zip(members, result):
+            parts[i].append(part)
+    reports = [None] * len(scenarios)
+    for members in groups.values():
+        drawn = max(scenarios[i].reps for i in members) * scenarios[members[0]].n
+        for i in members:
+            reports[i] = _report(scenarios[i], fns[i][1], parts[i], drawn)
+    return reports
+
+
+def run_scenario(s: Scenario) -> SimulationReport:
+    """`run_scenarios` of the one scenario."""
+    return run_scenarios([s])[0]
+
+
+def _report(s: Scenario, extra: dict, parts, draw_values: int) -> SimulationReport:
+    """A member's report from its batches' partial sums, in batch order."""
+    sizes = [size for _, size in _batches(s.reps)]
     mean_rev, ci_rev = _merge(parts, sizes, 0)
     mean_wel, ci_wel = _merge(parts, sizes, 2)
     violations = sum(p[4] for p in parts)
@@ -443,6 +520,9 @@ def run_scenario(s: Scenario) -> SimulationReport:
         passed = ratio >= bound - 2.0 * ci_ratio
     extra = dict(extra)
     extra["pointwise_rev_gt_wel"] = violations
+    # Seconds in the member's block function, and the values its group drew.
+    extra["engine_s"] = sum(p[5] for p in parts)
+    extra["draw_values"] = draw_values
     return SimulationReport(
         scenario=s,
         mean_revenue=mean_rev,
@@ -455,4 +535,3 @@ def run_scenario(s: Scenario) -> SimulationReport:
         passed=passed,
         extra=extra,
     )
-

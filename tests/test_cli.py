@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -281,3 +282,145 @@ def test_cli_runs_with_scipy_blocked(argv, tmp_path):
     # An import of scipy anywhere, also inside a function, fails the run.
     (tmp_path / "no_scipy.cfg").write_text(NO_SCIPY_CONFIG)
     assert _python(BLOCK_SCIPY, *argv, cwd=tmp_path).returncode == 0
+
+
+# A reduced-reps copy of configs/theorem1.cfg with a market_wide-style group
+# of four n = 256 scenarios, one of them among the theorem1 ones, whose reps
+# differ.  The CSV digest and the summary were recorded before scenarios
+# sharing a stream ran together.
+GROUPED_CONFIG = """\
+seed = 20240817
+reps = 20000
+output = pin.csv
+
+[scenario]
+id = exp-competition
+dist = exp:1
+n = 6
+k = 3
+structure = competition
+model = surplus
+mechanism = ipm
+
+[scenario]
+id = exp-monopsony
+dist = exp:1
+n = 6
+k = 3
+structure = monopsony
+model = surplus
+mechanism = ipm
+
+[scenario]
+id = wide-ipm
+dist = exp:1
+n = 256
+k = 16
+structure = competition
+model = surplus
+mechanism = ipm
+reps = 2000
+
+[scenario]
+id = exp-balanced
+dist = exp:1
+n = 6
+k = 3
+structure = balanced:2
+model = surplus
+mechanism = ipm
+
+[scenario]
+id = exp-random-split
+dist = exp:1
+n = 6
+k = 3
+structure = random:3:7
+model = surplus
+mechanism = ipm
+
+[scenario]
+id = exp-monopolist
+dist = exp:1
+n = 6
+k = 3
+structure = balanced:2
+model = monopolist
+mechanism = ipm
+
+[scenario]
+id = pareto-half-regular
+dist = pareto:2:1
+n = 8
+k = 4
+structure = competition
+model = surplus
+mechanism = ipm
+
+[scenario]
+id = exp-heterogeneous
+dist = exp:1
+n = 6
+etas = 1,0.5,0.25
+structure = balanced:2
+model = surplus
+mechanism = het_ipm
+reps = 5000
+
+[scenario]
+id = wide-item
+dist = exp:1
+n = 256
+k = 16
+structure = competition
+model = surplus
+mechanism = item_price
+reps = 1500
+
+[scenario]
+id = wide-kplus1
+dist = exp:1
+n = 256
+k = 16
+structure = balanced:16
+model = surplus
+mechanism = kplus1
+reps = 2000
+
+[scenario]
+id = wide-bundle
+dist = exp:1
+n = 256
+k = 16
+structure = monopsony
+model = surplus
+mechanism = bundle
+reps = 700
+"""
+
+GROUPED_CSV_SHA256 = "2f5e5b65b16df4660f5cfddcbe2438b0a80597bab879d2d0c9e87df0331263f7"
+GROUPED_SUMMARY = """\
+PASS exp-competition: ratio 0.406253 vs bound 0.232544 (rev 1.97033 +- 0.0198884)
+PASS exp-monopsony: ratio 0.406253 vs bound 0.232544 (rev 1.97033 +- 0.0198884)
+---- wide-ipm: ratio 0.49107 vs bound 0.232544 (rev 29.414 +- 0.414359)
+PASS exp-balanced: ratio 0.406253 vs bound 0.232544 (rev 1.97033 +- 0.0198884)
+PASS exp-random-split: ratio 0.406253 vs bound 0.232544 (rev 1.97033 +- 0.0198884)
+PASS exp-monopolist: ratio 0.151856 vs bound 0.0855482 (rev 0.7365 +- 0.0139289)
+PASS pareto-half-regular: ratio 0.270567 vs bound 0.15803 (rev 3.01387 +- 0.0359492)
+---- exp-heterogeneous: ratio 0.414122 vs bound 0.106205 (rev 1.41319 +- 0.0322499)
+---- wide-item: ratio 0.267121 vs bound n/a (rev 16 +- 1.79792e-16)
+---- wide-kplus1: ratio 0.731264 vs bound n/a (rev 43.8012 +- 0.164969)
+---- wide-bundle: ratio 0.512857 vs bound n/a (rev 30.719 +- 2.21791)
+wrote pin.csv (11 scenarios)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_grouped_config_is_pinned(threads, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("IPMLAB_THREADS", threads)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pin.cfg").write_text(GROUPED_CONFIG)
+    code, out, _ = run(["simulate", "pin.cfg"], capsys)
+    assert code == 0
+    assert out == GROUPED_SUMMARY
+    assert hashlib.sha256((tmp_path / "pin.csv").read_bytes()).hexdigest() == GROUPED_CSV_SHA256

@@ -452,37 +452,142 @@ def golden_scenarios():
                 yield dist, structure, "surplus", mechanism
 
 
-def test_golden_bits_of_a_small_grid(monkeypatch):
-    monkeypatch.setenv("IPMLAB_THREADS", "1")
+def golden_scenario(dist, structure, model, mechanism):
+    return scenario(d=parse_distribution(dist), n=32, k=4, structure=agents.parse_structure(structure, 32),
+                    model=agents.parse_behavior(model), mechanism=mechanism,
+                    etas=(1.0, 0.75, 0.5, 0.25) if mechanism == "het_ipm" else None,
+                    reps=2 * simulation.BATCH_SIZE + 100, master_seed=11)
+
+
+def record_blocks(monkeypatch):
+    """Wrap every block function so that it keeps a copy of each output it
+    gives, listed by scenario label in the order of the calls."""
     batch_fn = simulation._batch_fn
-    blocks = None
+    blocks = {}
 
     def recorded(s):
         block, extra = batch_fn(s)
+        kept = blocks.setdefault(s.label, [])
 
         def run(v, aux):
             out = block(v, aux)
-            blocks.append([np.array(x, dtype=float) for x in out])
+            kept.append([np.array(x, dtype=float) for x in out])
             return out
 
         return run, extra
 
     monkeypatch.setattr(simulation, "_batch_fn", recorded)
+    return blocks
+
+
+def row_digest(blocks):
+    """Every row's revenue, then every row's welfare, in row order: the
+    digest does not depend on how the rows were cut into blocks."""
+    digest = hashlib.sha256()
+    for series in zip(*blocks):
+        digest.update(np.concatenate(series).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_golden_bits_of_a_small_grid(monkeypatch):
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    blocks = record_blocks(monkeypatch)
     got = []
-    for dist, structure, model, mechanism in golden_scenarios():
-        blocks = []
-        s = scenario(d=parse_distribution(dist), n=32, k=4, structure=agents.parse_structure(structure, 32),
-                     model=agents.parse_behavior(model), mechanism=mechanism,
-                     etas=(1.0, 0.75, 0.5, 0.25) if mechanism == "het_ipm" else None,
-                     reps=2 * simulation.BATCH_SIZE + 100, master_seed=11)
-        rep = simulation.run_scenario(s)
-        # Every row's revenue, then every row's welfare, in row order: the
-        # digest does not depend on how the rows were cut into blocks.
-        digest = hashlib.sha256()
-        for series in zip(*blocks):
-            digest.update(np.concatenate(series).tobytes())
-        got.append((rep.csv_row(), rep.ci95_welfare.hex(), digest.hexdigest()[:16]))
+    for grid_point in golden_scenarios():
+        rep = simulation.run_scenario(golden_scenario(*grid_point))
+        got.append((rep.csv_row(), rep.ci95_welfare.hex(), row_digest(blocks[rep.scenario.label])))
     assert got == GOLDEN_GRID
+
+
+def test_golden_grid_in_one_run(monkeypatch):
+    # All 28 scenarios in one call form two groups, exp:1 and pareto:3:1 at
+    # n = 32 and seed 11, each mixing mechanisms, het_ipm included.  Each
+    # batch of a group is drawn once, and every member gets the bits it
+    # gets alone.
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    blocks = record_blocks(monkeypatch)
+    run_batch = simulation._run_batch
+    batches = []
+
+    def counted(members, fns, batch_idx):
+        batches.append((members[0].d.descriptor, batch_idx, len(members)))
+        return run_batch(members, fns, batch_idx)
+
+    monkeypatch.setattr(simulation, "_run_batch", counted)
+    scenarios = [golden_scenario(*grid_point) for grid_point in golden_scenarios()]
+    reports = simulation.run_scenarios(scenarios)
+    assert [rep.scenario for rep in reports] == scenarios
+    got = [(rep.csv_row(), rep.ci95_welfare.hex(), row_digest(blocks[rep.scenario.label])) for rep in reports]
+    assert got == GOLDEN_GRID
+    assert batches == [(dist, b, 14) for dist in ("exp:1", "pareto:3:1") for b in range(3)]
+    assert {rep.extra["draw_values"] for rep in reports} == {scenarios[0].reps * 32}
+
+
+def report_bits(rep):
+    return (rep.csv_row(), rep.mean_revenue.hex(), rep.ci95_revenue.hex(),
+            rep.mean_welfare.hex(), rep.ci95_welfare.hex(), rep.extra["pointwise_rev_gt_wel"])
+
+
+@pytest.mark.parametrize("threads, block_rows", [("1", None), ("2", None), ("1", 333)])
+def test_group_members_match_their_own_runs(monkeypatch, threads, block_rows):
+    # One group whose members end in different batches and blocks: a member
+    # with fewer reps reads a prefix of the group's rows, and its own stream
+    # 1, so it gets the bits of its own run.
+    monkeypatch.setenv("IPMLAB_THREADS", threads)
+    if block_rows is not None:
+        monkeypatch.setattr(simulation, "BLOCK_VALUES", block_rows * 6)
+    big, mid = 2 * simulation.BATCH_SIZE + 100, simulation.BATCH_SIZE + 1
+    members = [scenario(mechanism=mechanism, k=2, reps=reps, structure=agents.random_partition(6, 3, 7),
+                        etas=(1.0, 0.5) if mechanism == "het_ipm" else None, scenario_id=f"{mechanism}-{reps}")
+               for mechanism, reps in (("ipm", big), ("het_ipm", mid), ("item_price", 50),
+                                       ("kplus1", big), ("bundle", mid), ("het_ipm", 50))]
+    blocks = record_blocks(monkeypatch)
+    alone = []
+    for s in members:
+        alone.append(report_bits(simulation.run_scenario(s)))
+    alone_rows = {label: row_digest(b) for label, b in blocks.items()}
+    blocks.clear()
+    reports = simulation.run_scenarios(members)
+    assert [report_bits(rep) for rep in reports] == alone
+    if threads == "1":  # blocks of other batches interleave at two threads
+        assert {label: row_digest(b) for label, b in blocks.items()} == alone_rows
+    for rep in reports:
+        assert rep.extra["draw_values"] == big * 6
+        assert rep.extra["engine_s"] > 0
+
+
+def test_scenarios_differing_in_seed_family_or_n_do_not_share_a_draw():
+    base = scenario(reps=3000)
+    for other in (replace(base, master_seed=8), replace(base, d=Exponential(2.0)),
+                  replace(base, n=7, structure=agents.competition(7))):
+        other = replace(other, reps=5000)
+        together = simulation.run_scenarios([base, other])
+        assert [report_bits(rep) for rep in together] == [report_bits(simulation.run_scenario(s))
+                                                          for s in (base, other)]
+        assert [rep.extra["draw_values"] for rep in together] == [3000 * 6, 5000 * other.n]
+    # Another structure alone does share the draw.
+    together = simulation.run_scenarios([base, replace(base, structure=agents.monopsony(6), reps=5000)])
+    assert [rep.extra["draw_values"] for rep in together] == [5000 * 6] * 2
+
+
+def test_engines_get_a_read_only_block(monkeypatch):
+    # The block is shared by a group's members, so a block function that
+    # writes into its values fails instead of changing another member's.
+    batch_fn = simulation._batch_fn
+    for write in (lambda v: v.__setitem__((0, 0), 0.0), lambda v: np.negative(v, out=v)):
+
+        def writing(s, write=write):
+            block, extra = batch_fn(s)
+
+            def run(v, aux):
+                write(v)
+                return block(v, aux)
+
+            return run, extra
+
+        monkeypatch.setattr(simulation, "_batch_fn", writing)
+        with pytest.raises(ValueError, match="read-only"):
+            simulation.run_scenario(scenario(reps=100))
 
 
 def test_ci95_exact_on_a_shifted_family():
