@@ -293,7 +293,7 @@ def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, classes, k: int, aux):
     for _, pad, padding in classes:
         if pad.shape[1] == 1:
             vals = _member_major(v, pad)
-            vals[~_member_major(served, pad)] = 0.0
+            vals *= _member_major(served, pad)
         else:
             vals = _sorted_groups(v, pad, padding)
             hits = _member_major(served, pad)
@@ -379,11 +379,12 @@ def _menu_rows(s: Scenario, classes, menu: Menu, v: np.ndarray, aux):
 
 
 def _group_tops(v: np.ndarray, groups, k: int):
-    """Each group's top min(k, |group|) values, unordered; a group that fits
-    whole comes back as its own columns.  The others are negated and
-    partitioned in their own copy, and come back as a view of it."""
+    """Each group's top min(k, |group|) values, unordered, in a row-major
+    copy: a group that fits whole comes back as its own columns.  The others
+    are negated and partitioned in place, along contiguous rows, and come
+    back as a view of the copy."""
     for idxs in groups:
-        g = v[:, idxs]
+        g = np.take(v, idxs, axis=1)
         take = min(k, len(idxs))
         if take < len(idxs):
             np.negative(g, out=g)
@@ -395,17 +396,21 @@ def _group_tops(v: np.ndarray, groups, k: int):
 
 def _kplus1_block(s: Scenario, groups, reserve: float, v: np.ndarray, aux):
     # Each intermediary bids its top min(k, |group|) buyer values; only the
-    # top k + 1 bids set the winners and the price.
-    # Filled one group at a time, so only one group's copy is live at once.
-    nb = sum(min(s.k, len(idxs)) for idxs in groups)
+    # top k + 1 bids set the winners and the price.  The groups that fit
+    # whole are gathered in one take (``mode="clip"`` writes straight into
+    # ``bids`` when they fill it, where the default mode would buffer a
+    # copy); the others are cut one group at a time, so only one group's
+    # copy is live at once.
+    fit = [i for idxs in groups if len(idxs) <= s.k for i in idxs]
+    cut = [idxs for idxs in groups if len(idxs) > s.k]
+    nb = len(fit) + s.k * len(cut)
     bids = np.empty((len(v), nb))
-    hi = 0
-    for top in _group_tops(v, groups, s.k):
-        hi += top.shape[1]
-        bids[:, hi - top.shape[1] : hi] = top
-    cut = max(nb - s.k - 1, 0)
-    bids.partition(cut, axis=1)
-    bids = np.sort(bids[:, cut:], axis=1)[:, ::-1]
+    np.take(v, fit, axis=1, out=bids[:, : len(fit)], mode="clip")
+    for lo, top in zip(range(len(fit), nb, s.k), _group_tops(v, cut, s.k)):
+        bids[:, lo : lo + s.k] = top
+    # One in-place sort: its top k + 1 do not depend on the order of the bids.
+    bids.sort(axis=1)
+    bids = bids[:, max(nb - s.k - 1, 0) :][:, ::-1]
     winners = np.minimum((bids >= reserve).sum(axis=1), s.k)
     floor = bids[:, s.k] if nb > s.k else np.zeros(len(v))
     pay = np.maximum(floor, reserve)
@@ -416,10 +421,12 @@ def _kplus1_block(s: Scenario, groups, reserve: float, v: np.ndarray, aux):
 
 
 def _bundle_block(s: Scenario, groups, price: float, v: np.ndarray, aux):
-    # Each intermediary values the bundle at its top min(k, |group|) buyers.
+    # Each intermediary values the bundle at its top min(k, |group|) buyers,
+    # added left to right: a row sum adds pairwise past 8 columns, and a lone
+    # row would do so in any layout.
     value = np.empty((len(v), len(groups)))
     for ell, top in enumerate(_group_tops(v, groups, s.k)):
-        value[:, ell] = top.sum(axis=1)
+        value[:, ell] = np.cumsum(top, axis=1)[:, -1]
     accept = value >= price
     any_accept = accept.any(axis=1)
     first = np.argmax(accept, axis=1)

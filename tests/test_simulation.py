@@ -186,6 +186,49 @@ def test_kplus1_engine_matches_reference_auction():
     assert rep.mean_welfare == pytest.approx(sum(wel for _, _, _, wel in sales) / 512, rel=1e-12)
 
 
+@pytest.mark.parametrize("structure, n, k", [("random:5:4", 64, 9), ("monopsony", 12, 4), ("balanced:3", 12, 12)])
+def test_kplus1_engine_matches_reference_auction_on_group_bids(structure, n, k):
+    # Each intermediary bids its group's top min(k, |g|) values.  random:5:4
+    # holds 8, 10, 11, 16 and 19 buyers, so one group bids whole and four are
+    # cut to k; under monopsony there are only k bids and the floor is 0, as
+    # at k = n.  Replay one batch row by row on those bids.
+    s = scenario(mechanism="kplus1", n=n, k=k, structure=agents.parse_structure(structure, n), reps=512)
+    rep = simulation.run_scenario(s)
+    reserve = rep.extra["reserve"]
+    rng = np.random.default_rng(np.random.SeedSequence((s.master_seed, 0, 0)))
+    v = np.asarray(s.d.quantile(rng.random((512, n))), dtype=float)
+    groups = s.structure.groups()
+    sales = [kplus1_auction(np.concatenate([np.sort(v[r, idxs])[::-1][:k] for idxs in groups]), k, reserve)
+             for r in range(512)]
+    assert rep.mean_revenue == pytest.approx(sum(rev for _, _, rev, _ in sales) / 512, rel=1e-12)
+    assert rep.mean_welfare == pytest.approx(sum(wel for _, _, _, wel in sales) / 512, rel=1e-12)
+
+
+@pytest.mark.parametrize("structure", ["monopsony", "balanced:4"])
+def test_group_tops_are_row_major(structure):
+    # A gather that feeds a row-wise partition or sum must be row-major: on a
+    # column-major copy each row's partition walks strided memory.
+    v = np.random.default_rng(0).random((100, 64))
+    for top in simulation._group_tops(v, agents.parse_structure(structure, 64).groups(), 16):
+        assert top.strides[1] == top.itemsize
+
+
+def test_bundle_welfare_of_a_lone_row_matches_its_block(monkeypatch):
+    # Row BATCH_SIZE is alone in its block in a run of BATCH_SIZE + 1
+    # replicates and first of two in a run of BATCH_SIZE + 2.  The group's
+    # top 16 values add left to right in both, so the row gets the same bits.
+    # A pairwise sum of the lone row differs in the last bit at these seeds.
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    blocks = record_blocks(monkeypatch)
+    for seed in (1, 2, 4):
+        simulation.run_scenarios(
+            scenario(n=64, k=16, structure=agents.monopsony(64), mechanism="bundle", epsilon=0.9, master_seed=seed,
+                     reps=simulation.BATCH_SIZE + extra, scenario_id=f"bundle-{extra}") for extra in (1, 2))
+        (_, lone), (_, pair) = blocks["bundle-1"][-1], blocks["bundle-2"][-1]
+        assert len(lone) == 1 and len(pair) == 2 and lone[0] > 0
+        assert lone.tobytes() == pair[:1].tobytes(), seed
+
+
 def test_rationing_law_is_multivariate_hypergeometric():
     # Groups interleaved over the columns ask for q = (3, 3, 2) units, one
     # buyer per group below the threshold, and k = 3.  Qualifying values
@@ -521,6 +564,52 @@ def test_golden_grid_in_one_run(monkeypatch):
     assert got == GOLDEN_GRID
     assert batches == [(dist, b, 14) for dist in ("exp:1", "pareto:3:1") for b in range(3)]
     assert {rep.extra["draw_values"] for rep in reports} == {scenarios[0].reps * 32}
+
+
+# The same pins at n = 64, k = 16, where a group's top is wider than 8
+# columns, so that a sum's order shows in its bits (numpy adds rows of up to
+# 8 values left to right in any layout).  `kplus1` and `bundle` with groups
+# cut to k (monopsony), whole (balanced:4) and both (random:5:4: 8, 10, 11,
+# 16 and 19 buyers), and width-1 rationing.  The bundle price is
+# 64 (E[v] - 0.75) = 16, the mean value of 16 buyers, so that most rows sell.
+# Recorded before the gathers became row-major.
+GOLDEN_WIDE = [
+    ("kplus1-exp:1-n64k16-monopsony-surplus, exp:1, 0, 64, 16, monopsony, surplus, kplus1, 16484, 15.9731861199, 0.00404296732487, 37.784025569, 37.8105905676, 0.422452701216, , ",
+     "0x1.491efcefbafefp-4", "a5717c61bb60a40e"),
+    ("bundle-exp:1-n64k16-monopsony-surplus, exp:1, 0, 64, 16, monopsony, surplus, bundle, 16484, 16, 0, 37.8094251106, 37.8105905676, 0.423161864435, , ",
+     "0x1.46180573829e2p-4", "bb07387f22c4441f"),
+    ("kplus1-exp:1-n64k16-balanced:4-surplus, exp:1, 0, 64, 16, balanced:4, surplus, kplus1, 16484, 21.7994037905, 0.0513751991696, 37.784025569, 37.8105905676, 0.576542271972, , ",
+     "0x1.491efcefbafefp-4", "bb8eddc0179a4f28"),
+    ("bundle-exp:1-n64k16-balanced:4-surplus, exp:1, 0, 64, 16, balanced:4, surplus, bundle, 16484, 14.7760252366, 0.064921689347, 17.9160979765, 37.8105905676, 0.390790649254, , ",
+     "0x1.6bad4bdce3ea5p-4", "175f6f6d8cd6073a"),
+    ("kplus1-exp:1-n64k16-random:5:4-surplus, exp:1, 0, 64, 16, random:5:4, surplus, kplus1, 16484, 21.7994037905, 0.0513751991696, 37.784025569, 37.8105905676, 0.576542271972, , ",
+     "0x1.491efcefbafefp-4", "bb8eddc0179a4f28"),
+    ("bundle-exp:1-n64k16-random:5:4-surplus, exp:1, 0, 64, 16, random:5:4, surplus, bundle, 16484, 13.880126183, 0.0828087980453, 17.088872486, 37.8105905676, 0.367096254636, , ",
+     "0x1.c6ef254aeae72p-4", "4c17e17796d512f4"),
+    ("item_price-exp:1-n64k16-competition-surplus, exp:1, 0, 64, 16, competition, surplus, item_price, 16484, 15.9731861199, 0.00404296732487, 31.933948008, 37.8105905676, 0.422452701216, , ",
+     "0x1.f5aee1cb380d0p-5", "37c6f9cfb8d80e2e"),
+]
+
+
+def wide_golden_scenarios():
+    for structure in ("monopsony", "balanced:4", "random:5:4"):
+        for mechanism in ("kplus1", "bundle"):
+            yield structure, mechanism
+    yield "competition", "item_price"
+
+
+def wide_golden_scenario(structure, mechanism):
+    return scenario(n=64, k=16, structure=agents.parse_structure(structure, 64), mechanism=mechanism,
+                    epsilon=0.75 if mechanism == "bundle" else None,
+                    reps=2 * simulation.BATCH_SIZE + 100, master_seed=11)
+
+
+def test_golden_bits_of_groups_wider_than_eight(monkeypatch):
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    blocks = record_blocks(monkeypatch)
+    reports = simulation.run_scenarios(wide_golden_scenario(*point) for point in wide_golden_scenarios())
+    got = [(rep.csv_row(), rep.ci95_welfare.hex(), row_digest(blocks[rep.scenario.label])) for rep in reports]
+    assert got == GOLDEN_WIDE
 
 
 def report_bits(rep):
