@@ -274,6 +274,18 @@ def _uniform_price_block(s: Scenario, classes, price: float, threshold: float, v
 
 
 def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, classes, k: int, aux):
+    """`_rationed_rows` over slices of half a block of values: keys come
+    from ``aux`` in row order and each row's sum does not depend on the rows
+    beside it, so the slices change no bit, while a slice's keys, their
+    sorted copy and its served mask stay small."""
+    rows = max(1, BLOCK_VALUES // 2 // v.shape[1])
+    welfare = np.empty(len(v))
+    for lo in range(0, len(v), rows):
+        welfare[lo : lo + rows] = _rationed_rows(v[lo : lo + rows], qualify[lo : lo + rows], classes, k, aux)
+    return welfare
+
+
+def _rationed_rows(v: np.ndarray, qualify: np.ndarray, classes, k: int, aux):
     """Welfare of rows where more than k buyers qualify.  Every buyer draws
     one uniform key from ``aux`` and qualifiers' keys move down by 1, so the
     buyers whose keys are at most the row's k-th smallest are k qualifiers
@@ -288,8 +300,16 @@ def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, classes, k: int, aux):
     for r in np.flatnonzero(kth[:, 0] == kth[:, 1]):
         tied = np.flatnonzero(keys[r] == kth[r, 0])
         served[r, tied[k - np.count_nonzero(keys[r] < kth[r, 0]) :]] = False
-    del keys  # free the block-sized keys before the sorts below
+    del keys  # free the keys before the sorts below
     welfare = np.zeros(len(v))
+    (_, pad, _), *others = classes
+    if not others and pad.shape[1] == 1 and (pad[:, 0] == np.arange(len(pad))).all():
+        # Every buyer is their own group, in column order (`competition`), and
+        # each row serves exactly k: add a row's k served values left to
+        # right.  The member-by-member sum of `_class_sum` gives the same
+        # bits, since it adds only exact zeros between them.
+        welfare += np.cumsum(np.take(v, np.flatnonzero(served)).reshape(-1, k), axis=1)[:, -1]
+        return welfare
     for _, pad, padding in classes:
         if pad.shape[1] == 1:
             vals = _member_major(v, pad)

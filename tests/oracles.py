@@ -65,6 +65,20 @@ def kplus1_auction(valuations, k: int, reserve: float):
     return {i: 1 for i in winners}, {i: pay for i in winners}, pay * len(winners), welfare
 
 
+def competition_welfare(d: Distribution, n: int, k: int, threshold: float) -> float:
+    """Exact expected welfare of a uniform price under `competition`: each
+    buyer valued at or above the threshold asks for a unit and a uniform
+    lottery serves k of the asks.  A buyer who asks is served with
+    probability min(1, k / (1 + B)), B ~ Bin(n - 1, q) the other asks and
+    q = 1 - F(threshold), whatever its value, so
+    E[W] = n E[v 1{v >= threshold}] E[min(1, k / (1 + B))]."""
+    lo = max(threshold, d.support.lo)
+    head = integrate.quad(lambda v: v * float(d.pdf(v)), lo, d.support.hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+    others = np.arange(n)
+    served = np.minimum(1.0, k / (1.0 + others))
+    return n * head * float(stats.binom.pmf(others, n - 1, 1.0 - float(d.cdf(threshold))) @ served)
+
+
 def sequential_menu_sale(menu: Menu, groups, valuations, order):
     """Offer the menu to each intermediary in turn; sold items disappear.
 

@@ -16,7 +16,7 @@ from ipmlab.mechanisms import build_menu
 from ipmlab.order_statistics import expected_rank
 
 from _experiments import canonical_structures, ln_gap_experiment
-from oracles import ipm_allocate, kplus1_auction, sequential_menu_sale
+from oracles import competition_welfare, ipm_allocate, kplus1_auction, sequential_menu_sale
 
 
 def scenario(**overrides):
@@ -254,14 +254,18 @@ def test_rationing_law_is_multivariate_hypergeometric():
 
 
 class FixedKeys:
-    """A stand-in for the rationing stream that hands out given keys."""
+    """A stand-in for the rationing stream that hands out given keys in row
+    order, and keeps the shapes asked for."""
 
     def __init__(self, keys):
         self.keys = keys
+        self.shapes = []
 
     def random(self, shape):
-        assert shape == self.keys.shape
-        return self.keys.copy()
+        rows = sum(r for r, _ in self.shapes)
+        self.shapes.append(shape)
+        assert shape[1:] == self.keys.shape[1:] and rows + shape[0] <= len(self.keys)
+        return self.keys[rows : rows + shape[0]].copy()
 
 
 @pytest.mark.parametrize("structure", [agents.competition(8), agents.DemandStructure(8, 3, (0, 1, 2, 0, 1, 2, 0, 1))])
@@ -304,6 +308,33 @@ def test_rationed_welfare_of_a_lone_row_matches_its_block():
             assert lone.tobytes() == whole[row].tobytes(), (structure.descriptor, r)
 
 
+# Welfare digests of 513 rows at n = 256 that ration in a slice of 512 rows
+# and a lone row, recorded before rationing ran in slices.
+TIED_SLICE = {"competition": "df01c9f3f5d3659d", "random:200:1": "6062f6761d01cb46"}
+
+
+@pytest.mark.parametrize("structure", list(TIED_SLICE))
+def test_rationing_slices_keep_a_tie_in_the_last_row_of_a_slice(structure):
+    # Row 511, the last of the first slice, has its k-th and (k+1)-th
+    # smallest qualifier keys tied.  Competition takes the direct sum;
+    # random:200:1 mixes singletons with wider groups.
+    rng = np.random.default_rng(21)
+    n, k = 256, 16
+    v = rng.exponential(size=(513, n))
+    keys = rng.random(v.shape)
+    qualify = v >= 0.5
+    asks = np.flatnonzero(qualify[511])
+    order = asks[np.argsort(keys[511, asks])]
+    keys[511, order[k]] = keys[511, order[k - 1]]
+    classes = simulation._group_layout(agents.parse_structure(structure, n).groups())
+    aux = FixedKeys(keys)
+    welfare = simulation._rationed_welfare(v, qualify, classes, k, aux)
+    assert aux.shapes == [(512, n), (1, n)]
+    assert hashlib.sha256(welfare.tobytes()).hexdigest()[:16] == TIED_SLICE[structure]
+    lone = simulation._rationed_welfare(v[511:512], qualify[511:512], classes, k, FixedKeys(keys[511:512]))
+    assert lone.tobytes() == welfare[511:512].tobytes()
+
+
 def test_group_layout_pads_fewer_than_twice_n():
     # One group of 129 buyers beside 127 singletons: a single padded view
     # would hold 128 x 129 slots, the size classes fewer than 2n.
@@ -337,6 +368,19 @@ def test_uniform_price_welfare_matches_ipm_allocate_replay():
     welfare = np.array(welfare)
     ci = 1.96 * welfare.std() / math.sqrt(len(welfare))
     assert rep.mean_welfare == pytest.approx(welfare.mean(), abs=3 * math.hypot(ci, rep.ci95_welfare))
+
+
+@pytest.mark.parametrize("mechanism", ["ipm", "item_price"])
+@pytest.mark.parametrize("n, k", [(256, 16), (6, 3)])
+def test_competition_welfare_matches_exact_oracle(mechanism, n, k):
+    # Under competition each buyer who asks is served with a probability
+    # that does not depend on its value, so the expected welfare has a
+    # closed form, independent of the key stream and the engine's sums.
+    s = scenario(mechanism=mechanism, n=n, k=k, structure=agents.competition(n), reps=4 * simulation.BATCH_SIZE,
+                 master_seed=5)
+    rep = simulation.run_scenario(s)
+    exact = competition_welfare(s.d, n, k, agents.purchase_threshold(s.model, s.d, rep.extra["price"]))
+    assert abs(rep.mean_welfare - exact) <= 4 * rep.ci95_welfare / 1.96
 
 
 def test_block_where_every_row_rations_matches_a_mixed_block():
@@ -397,14 +441,18 @@ def test_batch_memory_stays_below_two_valuation_arrays(monkeypatch, mechanism):
 
 # Each mechanism's traced peak for one n = 256 batch, in valuation blocks
 # (BLOCK_VALUES floats): the peak once block temporaries were computed in
-# place, plus 25 % headroom, so that a new block-sized temporary fails.
-PEAK_BLOCKS = {"ipm": 1.56, "item_price": 4.12, "het_ipm": 4.09, "kplus1": 2.75, "bundle": 1.57}
+# place (for `item_price`, once rationing ran in half-block slices), plus
+# 25 % headroom, so that a new block-sized temporary fails.
+PEAK_BLOCKS = {"ipm": 1.56, "item_price": 2.76, "het_ipm": 4.09, "kplus1": 2.75, "bundle": 1.57}
 
 
-@pytest.mark.parametrize("mechanism", list(PEAK_BLOCKS))
-def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism):
+# Under competition every row of `item_price` rations, through the direct
+# sum of the served values; the other engines are checked on balanced:16.
+@pytest.mark.parametrize("mechanism, structure", [pytest.param(m, "balanced:16", id=m) for m in PEAK_BLOCKS]
+                         + [pytest.param(m, "competition", id=f"{m}-competition") for m in ("ipm", "item_price")])
+def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism, structure):
     monkeypatch.setenv("IPMLAB_THREADS", "1")
-    s = scenario(mechanism=mechanism, n=256, k=16, structure=agents.balanced(256, 16),
+    s = scenario(mechanism=mechanism, n=256, k=16, structure=agents.parse_structure(structure, 256),
                  etas=tuple(1.0 / (j + 1) for j in range(16)) if mechanism == "het_ipm" else None,
                  reps=simulation.BATCH_SIZE)
     simulation.run_scenario(replace(s, reps=1))  # warm the analytic cache
@@ -610,6 +658,52 @@ def test_golden_bits_of_groups_wider_than_eight(monkeypatch):
     reports = simulation.run_scenarios(wide_golden_scenario(*point) for point in wide_golden_scenarios())
     got = [(rep.csv_row(), rep.ci95_welfare.hex(), row_digest(blocks[rep.scenario.label])) for rep in reports]
     assert got == GOLDEN_WIDE
+
+
+# Row digests of rationing cut into slices, recorded before rationing ran in
+# slices.  At n = 256 (slices of 512 rows) `item_price` under competition,
+# where every row rations, takes a block of 513 rows as a slice and a lone
+# row; a one-replicate run is a lone row.  random:30:3 at n = 32 holds 28
+# singletons and two pairs, random:5:4 at n = 64 groups of 8 to 19: classes
+# of mixed widths.  On uniform:-1:1 the products of unserved buyers below
+# zero are -0.0.
+SLICED = [
+    ("exp:1", 256, 16, "competition", "ipm", 513, "14c6e595b37b6928"),
+    ("exp:1", 256, 16, "competition", "ipm", 1, "f091dcf88b7549e5"),
+    ("exp:1", 32, 4, "random:30:3", "ipm", 4097, "9bafa1c58f38efc9"),
+    ("exp:1", 64, 16, "random:5:4", "ipm", 2049, "9069f41b2f68cae6"),
+    ("exp:1", 256, 16, "competition", "item_price", 513, "783f1d2a50cd56e5"),
+    ("exp:1", 256, 16, "competition", "item_price", 1, "0997888138dc8e5d"),
+    ("exp:1", 32, 4, "random:30:3", "item_price", 4097, "5131d78f5f7600c1"),
+    ("exp:1", 64, 16, "random:5:4", "item_price", 2049, "ca74cbdabef687c4"),
+    ("uniform:-1:1", 256, 16, "competition", "ipm", 513, "f1d943e3035ddcde"),
+    ("uniform:-1:1", 256, 16, "competition", "ipm", 1, "80da6a57d95b109d"),
+    ("uniform:-1:1", 32, 4, "random:30:3", "ipm", 4097, "d752c928dac13941"),
+    ("uniform:-1:1", 64, 16, "random:5:4", "ipm", 2049, "9592f8641641e8a3"),
+    ("uniform:-1:1", 256, 16, "competition", "item_price", 513, "3cc2e61eaf3214b8"),
+    ("uniform:-1:1", 256, 16, "competition", "item_price", 1, "1ab59f695c36895f"),
+    ("uniform:-1:1", 32, 4, "random:30:3", "item_price", 4097, "ba2e4bd61dd0c8e9"),
+    ("uniform:-1:1", 64, 16, "random:5:4", "item_price", 2049, "a11ba9d3f4c8b322"),
+]
+
+
+@pytest.mark.parametrize("slice_rows", [None, 1, 7])
+def test_sliced_rationing_keeps_the_bits(monkeypatch, slice_rows):
+    # Blocks only cut rows, so the digests hold for any BLOCK_VALUES.  With
+    # BLOCK_VALUES = 2 * slice_rows * n, rationing runs in slices of
+    # slice_rows rows at every n, classes of mixed widths included: at 1 row
+    # each rationing row is a slice of its own.
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    blocks = record_blocks(monkeypatch)
+    got = []
+    for dist, n, k, structure, mechanism, reps, _ in SLICED:
+        if slice_rows is not None:
+            monkeypatch.setattr(simulation, "BLOCK_VALUES", 2 * slice_rows * n)
+        rep = simulation.run_scenario(scenario(d=parse_distribution(dist), n=n, k=k, mechanism=mechanism,
+                                               structure=agents.parse_structure(structure, n), reps=reps,
+                                               master_seed=13, scenario_id=f"{mechanism}-{dist}-n{n}-{reps}"))
+        got.append(row_digest(blocks[rep.scenario.label]))
+    assert got == [case[-1] for case in SLICED]
 
 
 def report_bits(rep):
