@@ -55,6 +55,12 @@ class Distribution:
         """Q(1 - e^-s): the quantile at survival e^-s, with no rounding of u to 1."""
         return self.quantile(-np.expm1(-np.asarray(s, dtype=float)))
 
+    def log_tail_quantile(self, s):
+        """log Q(1 - e^-s): inf where Q overflows, unless the family
+        computes it in log space (a heavy tail)."""
+        with np.errstate(over="ignore"):
+            return np.log(self.tail_quantile(s))
+
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -213,6 +219,9 @@ class Pareto(Distribution):
 
     def tail_quantile(self, s):
         return self.scale * np.exp(np.asarray(s, dtype=float) / self.shape)
+
+    def log_tail_quantile(self, s):
+        return math.log(self.scale) + np.asarray(s, dtype=float) / self.shape
 
     def mean(self) -> float:
         return self.shape * self.scale / (self.shape - 1.0)

@@ -57,20 +57,26 @@ def expected_order_stat(d: Distribution, j: int, t: int) -> float:
     # log of s g(s): g times the Jacobian of s = e^y.
     log_sg = log_c + (t - j) * np.log(-np.expm1(-s)) - j * s + y
     w = np.exp(log_sg) * rule
-    # Q is evaluated only where the weight did not underflow to 0, and nodes
-    # where Q overflows, deep in a heavy tail, are dropped too (inf * 0 would
-    # be NaN); the e^(tail_growth s) moment shows whether they mattered.
-    keep = np.flatnonzero(w > 0.0)
+    # A node where Q is finite adds w Q, or nothing where its weight
+    # underflowed to 0 (inf * 0 would be NaN).  Where Q overflows, deep in a
+    # heavy tail, the node adds e^(log_sg + log Q) instead, which need not be
+    # small even where w underflowed; those nodes also count in the
+    # e^(tail_growth s) moment, which shows whether the tail was integrated.
     with np.errstate(over="ignore"):
-        q = np.asarray(d.tail_quantile(s[keep]), dtype=float)
+        q = np.asarray(d.tail_quantile(s), dtype=float)
     finite = q != np.inf
-    keep, q = keep[finite], q[finite]
+    keep = np.flatnonzero(finite & (w > 0.0))
+    result = float(w[keep] @ q[keep])
+    tilted = float(np.exp(log_sg[keep] + growth * s[keep]) @ rule[keep])
+    if not finite.all():
+        tail = np.flatnonzero(~finite)
+        result += float(np.exp(log_sg[tail] + d.log_tail_quantile(s[tail])) @ rule[tail])
+        tilted += float(np.exp(log_sg[tail] + growth * s[tail]) @ rule[tail])
     s, w = s[keep], w[keep]
-    result = float(w @ q)
     checks = (
         (float(w.sum()), 1.0),
         (float(w @ s), mean),
-        (float(np.exp(log_sg[keep] + growth * s) @ rule[keep]), tilted_exact),
+        (tilted, tilted_exact),
     )
     if not math.isfinite(result) or any(abs(got - want) > SELF_CHECK_RTOL * want for got, want in checks):
         raise QuadratureFailure(f"order-statistic expectation failed its self-check for {d.descriptor}")

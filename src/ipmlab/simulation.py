@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -153,12 +154,17 @@ def _run_batch(members, blocks, batch_idx: int):
     master seed, family and n.  Stream 0 of the batch's seed is drawn
     BLOCK_VALUES // n rows at a time into one reused buffer (bit-identical
     to a whole-batch draw: `random` fills rows in order) and mapped to
-    values in place, once for the group.  Each member's ``block(v, aux)``
-    reads a read-only view of that block, a prefix of its rows when the
+    values in place, once for the group.  Each member's
+    ``block(v, aux, passes)`` reads a read-only view of that block, a prefix of its rows when the
     member has fewer rows in this batch, with ``aux`` the member's own
-    generator on stream 1, and gives each row's revenue and welfare.  Per
-    member, the batch reduces to its partial sums and the seconds spent in
-    ``block``."""
+    generator on stream 1, and gives each row's revenue and welfare.  The
+    members with the same rows in this batch get one ``passes`` dict per
+    block, in which a block function memoizes work that does not depend on
+    the member (`_uniform_price_pass`): the first member to run it draws
+    from its own stream 1, which equals every other member's, and the
+    others then leave theirs untouched for the whole batch.  Per member,
+    the batch reduces to its partial sums and the seconds spent in
+    ``block``, a shared pass charged to the member that ran it."""
     s = members[0]
     sizes = [min(BATCH_SIZE, m.reps - batch_idx * BATCH_SIZE) for m in members]
     size = max(sizes)
@@ -174,13 +180,14 @@ def _run_batch(members, blocks, batch_idx: int):
     for lo in range(0, size, rows):
         ub = draw.random(out=u[: size - lo])
         s.d.quantile(ub, out=ub)
+        passes = {sz: {} for sz in sizes}
         for j, (block, aux, sz) in enumerate(zip(blocks, auxs, sizes)):
             if lo >= sz:
                 continue
             if lo == 0:
                 out[j] = np.empty((2, sz))
             t0 = perf_counter()
-            out[j][0, lo : lo + rows], out[j][1, lo : lo + rows] = block(shared[: sz - lo], aux)
+            out[j][0, lo : lo + rows], out[j][1, lo : lo + rows] = block(shared[: sz - lo], aux, passes[sz])
             engine_s[j] += perf_counter() - t0
             # After the member's last block, reduce and free its rows at once, so
             # that a one-block batch holds one member's rows at a time.
@@ -258,49 +265,89 @@ def _sorted_groups(v: np.ndarray, pad: np.ndarray, padding: np.ndarray):
     return vals
 
 
-def _uniform_price_block(s: Scenario, classes, price: float, threshold: float, v: np.ndarray, aux):
+def _uniform_price_block(s: Scenario, classes, price: float, threshold: float, v: np.ndarray, aux, passes: dict):
     """Each buyer valued at or above the threshold asks for a unit; past k
-    asks, a lottery rations them (`_rationed_welfare`)."""
+    asks, a lottery rations them.  Who asks, the revenue and who is served
+    do not depend on the demand structure, so the pass that finds them
+    (`_uniform_price_pass`) is memoized in ``passes`` by (price, threshold,
+    k); only each group's sum of its served values is the member's own."""
+    key = (price, threshold, s.k)
+    if key not in passes:
+        passes[key] = _uniform_price_pass(price, threshold, s.k, v, aux)
+    revenue, welfare, rations, served = passes[key]
+    if served is None:  # no row rations
+        return revenue, welfare
+    if rations is None:  # every row rations: no row copies
+        return revenue, _served_welfare(v, served, classes, s.k)
+    welfare = welfare.copy()
+    welfare[rations] = _served_welfare(v, served, classes, s.k, rations)
+    return revenue, welfare
+
+
+def _uniform_price_pass(price: float, threshold: float, k: int, v: np.ndarray, aux):
+    """Each row's revenue; the welfare of rows that do not ration and the
+    rows that do, both None when every row rations; and who is served in
+    the rows that ration, None when none does.  Keys come from ``aux``, so
+    members that share a pass have equal stream-1 generators and the same
+    rows in the batch: then the pass draws exactly the keys each would draw
+    alone."""
     qualify = v >= threshold
-    total = np.count_nonzero(qualify, axis=1)
-    over = total > s.k
-    if over.all():  # every row rations: no row copies
-        welfare = _rationed_welfare(v, qualify, classes, s.k, aux)
-    else:
-        welfare = np.einsum("ij,ij->i", v, qualify)
-        if over.any():
-            welfare[over] = _rationed_welfare(v[over], qualify[over], classes, s.k, aux)
-    return price * np.minimum(total, s.k), welfare
+    # One exact integer reduction: intp does not wrap for any n.
+    total = np.einsum("ij->i", qualify.view(np.uint8), dtype=np.intp)
+    over = total > k
+    revenue = price * np.minimum(total, k)
+    if over.all():
+        return revenue, None, None, _served(qualify, k, aux)
+    rations = np.flatnonzero(over)
+    served = _served(qualify[rations], k, aux) if len(rations) else None
+    return revenue, np.einsum("ij,ij->i", v, qualify), rations, served
 
 
-def _rationed_welfare(v: np.ndarray, qualify: np.ndarray, classes, k: int, aux):
-    """`_rationed_rows` over slices of half a block of values: keys come
-    from ``aux`` in row order and each row's sum does not depend on the rows
-    beside it, so the slices change no bit, while a slice's keys, their
-    sorted copy and its served mask stay small."""
-    rows = max(1, BLOCK_VALUES // 2 // v.shape[1])
-    welfare = np.empty(len(v))
-    for lo in range(0, len(v), rows):
-        welfare[lo : lo + rows] = _rationed_rows(v[lo : lo + rows], qualify[lo : lo + rows], classes, k, aux)
+def _slice_rows(n: int) -> int:
+    """Rows in half a block of values, the slice rationing runs in."""
+    return max(1, BLOCK_VALUES // 2 // n)
+
+
+def _served(qualify: np.ndarray, k: int, aux):
+    """Who is served in rows where more than k buyers qualify, over slices
+    of half a block of values: keys come from ``aux`` in row order, so the
+    slices change no bit, while a slice's keys and their sorted copy stay
+    small.  Every buyer draws one uniform key and qualifiers' keys move down
+    by 1, so the buyers whose keys are at most the row's k-th smallest are k
+    qualifiers drawn uniformly without replacement (group counts are
+    multivariate hypergeometric)."""
+    rows = _slice_rows(qualify.shape[1])
+    served = np.empty(qualify.shape, dtype=bool)
+    for lo in range(0, len(qualify), rows):
+        keys = aux.random(qualify[lo : lo + rows].shape)
+        keys -= qualify[lo : lo + rows]
+        kth = np.sort(keys, axis=1)[:, k - 1 : k + 1].copy()  # the k-th and (k+1)-th smallest
+        part = served[lo : lo + rows]
+        np.less_equal(keys, kth[:, :1], out=part)
+        # Where the k-th key ties the next one, the tied buyers first in
+        # column order are served, so that every row serves exactly k.
+        for r in np.flatnonzero(kth[:, 0] == kth[:, 1]):
+            tied = np.flatnonzero(keys[r] == kth[r, 0])
+            part[r, tied[k - np.count_nonzero(keys[r] < kth[r, 0]) :]] = False
+    return served
+
+
+def _served_welfare(v: np.ndarray, served: np.ndarray, classes, k: int, rows=None):
+    """Each rationing row's sum of its served values, each group serving
+    its top values: the rows ``rows`` of ``v`` (every row when None) with
+    ``served`` their served mask.  It runs over slices of half a block of
+    values, so that a slice's copies stay small; each row's sum does not
+    depend on the rows beside it."""
+    step = _slice_rows(v.shape[1])
+    welfare = np.empty(len(served))
+    for lo in range(0, len(served), step):
+        vs = v[lo : lo + step] if rows is None else v[rows[lo : lo + step]]
+        welfare[lo : lo + step] = _served_rows(vs, served[lo : lo + step], classes, k)
     return welfare
 
 
-def _rationed_rows(v: np.ndarray, qualify: np.ndarray, classes, k: int, aux):
-    """Welfare of rows where more than k buyers qualify.  Every buyer draws
-    one uniform key from ``aux`` and qualifiers' keys move down by 1, so the
-    buyers whose keys are at most the row's k-th smallest are k qualifiers
-    drawn uniformly without replacement (group counts are multivariate
-    hypergeometric); each group serves its top values."""
-    keys = aux.random(v.shape)
-    keys -= qualify
-    kth = np.sort(keys, axis=1)[:, k - 1 : k + 1].copy()  # the k-th and (k+1)-th smallest
-    served = keys <= kth[:, :1]
-    # Where the k-th key ties the next one, the tied buyers first in column
-    # order are served, so that every row serves exactly k.
-    for r in np.flatnonzero(kth[:, 0] == kth[:, 1]):
-        tied = np.flatnonzero(keys[r] == kth[r, 0])
-        served[r, tied[k - np.count_nonzero(keys[r] < kth[r, 0]) :]] = False
-    del keys  # free the keys before the sorts below
+def _served_rows(v: np.ndarray, served: np.ndarray, classes, k: int):
+    """Each row's sum of its served values, class by class."""
     welfare = np.zeros(len(v))
     (_, pad, _), *others = classes
     if not others and pad.shape[1] == 1 and (pad[:, 0] == np.arange(len(pad))).all():
@@ -370,7 +417,13 @@ def _menu_rows(s: Scenario, classes, menu: Menu, v: np.ndarray, aux):
     of `agents.menu_purchase_dp` over the rows at once (ties to the larger
     set, then the lexicographically smallest).  Random visit orders come
     from ``aux`` in row order.  Revenue and welfare accumulate per step in
-    ascending item order."""
+    ascending item order.
+
+    The DP runs only over the rows whose intermediary can buy: some item
+    left has eta_j max(top value, 0) - r_j >= -1e-12.  That bounds the
+    surplus of the item with any buyer or none, and the DP takes an item
+    only at a surplus of -1e-12 or more, so a skipped row, one with no item
+    left among them, would buy nothing and add only +0.0."""
     size, m = len(v), s.structure.m
     if s.order_policy == "random":
         orders = np.argsort(aux.random((size, m)), axis=1)
@@ -379,19 +432,28 @@ def _menu_rows(s: Scenario, classes, menu: Menu, v: np.ndarray, aux):
     width = min(max(pad.shape[1] for _, pad, _ in classes), menu.k)
     sorted_vals = _top_values(v, classes, m, width)
     rows = np.arange(size)
-    available = np.ones((size, menu.k), dtype=bool)
-    revenue = np.zeros(size)
-    welfare = np.zeros(size)
+    # Item-major, so that whether a row can buy is a fast reduction across items.
+    available = np.ones((menu.k, size), dtype=bool)
+    out = np.zeros((2, size))
     for step in range(m):
-        if not available.any():
-            break
-        w = sorted_vals[rows, orders[:, step]]
-        taken, slot = agents.menu_purchase_dp(menu.etas, menu.rs, available, w[:, :width])
+        group = orders[:, step]
+        can = np.multiply.outer(menu.etas, np.maximum(sorted_vals[rows, group, 0], 0.0))
+        can -= menu.rs[:, None]
+        can = can >= -1e-12
+        can &= available
+        buys = np.flatnonzero(np.logical_or.reduce(can, axis=0))
+        if not len(buys):
+            continue
+        w = sorted_vals[buys, group[buys]]
+        taken, slot = agents.menu_purchase_dp(menu.etas, menu.rs, available[:, buys].T, w[:, :width])
+        acc = out[:, buys]
+        sub = np.arange(len(buys))
         for j in range(menu.k):
-            revenue += np.where(taken[:, j], menu.rs[j], 0.0)
-            welfare += np.where(taken[:, j], menu.etas[j] * w[rows, slot[:, j]], 0.0)
-        available &= ~taken
-    return revenue, welfare
+            acc[0] += np.where(taken[:, j], menu.rs[j], 0.0)
+            acc[1] += np.where(taken[:, j], menu.etas[j] * w[sub, slot[:, j]], 0.0)
+        out[:, buys] = acc
+        available[:, buys] &= ~taken.T
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +479,20 @@ def _group_tops(v: np.ndarray, groups, k: int):
 def _kplus1_block(s: Scenario, groups, reserve: float, v: np.ndarray, aux):
     # Each intermediary bids its top min(k, |group|) buyer values; only the
     # top k + 1 bids set the winners and the price.  The groups that fit
-    # whole are gathered in one take (``mode="clip"`` writes straight into
-    # ``bids`` when they fill it, where the default mode would buffer a
-    # copy); the others are cut one group at a time, so only one group's
-    # copy is live at once.
+    # whole are gathered in one take that fills ``bids`` whole, so that it
+    # writes straight into it (``mode="clip"``; the default mode, or an
+    # ``out`` that is a column slice, would buffer a copy): each cut group's
+    # k slots take its first k columns, which its top then overwrites.  The
+    # cut groups are cut one group at a time, and each group's copy is freed
+    # once written, so at most one is live, and none past the loop.
     fit = [i for idxs in groups if len(idxs) <= s.k for i in idxs]
     cut = [idxs for idxs in groups if len(idxs) > s.k]
     nb = len(fit) + s.k * len(cut)
     bids = np.empty((len(v), nb))
-    np.take(v, fit, axis=1, out=bids[:, : len(fit)], mode="clip")
+    np.take(v, fit + [i for idxs in cut for i in idxs[: s.k]], axis=1, out=bids, mode="clip")
     for lo, top in zip(range(len(fit), nb, s.k), _group_tops(v, cut, s.k)):
         bids[:, lo : lo + s.k] = top
+        del top
     # One in-place sort: its top k + 1 do not depend on the order of the bids.
     bids.sort(axis=1)
     bids = bids[:, max(nb - s.k - 1, 0) :][:, ::-1]
@@ -468,19 +533,19 @@ def _batch_fn(s: Scenario):
         else:
             price, _ = optimal_item_price(s.d)
         threshold = agents.purchase_threshold(s.model, s.d, price)
-        return lambda v, aux: _uniform_price_block(s, classes, price, threshold, v, aux), {"price": price}
+        return partial(_uniform_price_block, s, classes, price, threshold), {"price": price}
     if s.mechanism == "het_ipm":
         menu = build_menu(s.d, s.n, s.etas)
-        return lambda v, aux: _menu_block(s, classes, menu, v, aux), {"menu": menu}
+        return lambda v, aux, passes: _menu_block(s, classes, menu, v, aux), {"menu": menu}
     if s.mechanism == "kplus1":
         reserve, _ = optimal_item_price(s.d)
-        return lambda v, aux: _kplus1_block(s, groups, reserve, v, aux), {"reserve": reserve}
+        return lambda v, aux, passes: _kplus1_block(s, groups, reserve, v, aux), {"reserve": reserve}
     if s.mechanism == "bundle":
         if s.epsilon is not None:
             price = s.n * (s.d.mean() - s.epsilon)
         else:
             price = top_k_welfare(s.d, s.n, s.k)
-        return lambda v, aux: _bundle_block(s, groups, price, v, aux), {"price": price}
+        return lambda v, aux, passes: _bundle_block(s, groups, price, v, aux), {"price": price}
     raise AssertionError(s.mechanism)
 
 

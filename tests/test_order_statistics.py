@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipmlab.distributions import (
+    Distribution,
     Exponential,
     Pareto,
     TruncatedEqualRevenue,
@@ -91,14 +92,30 @@ def test_non_finite_tail_quantile_raises():
         expected_order_stat(_NanTail(1.0), 2, 16)
 
 
+class _NoLogTail(Pareto):
+    """Pareto without its log-space quantile: log Q overflows with Q."""
+
+    log_tail_quantile = Distribution.log_tail_quantile
+
+
 def test_tail_beyond_float_range_raises():
-    # E[max of 16 pareto:1.01:1] is finite, but its integrand still carries
-    # weight where the quantile exceeds the largest float.
+    # E[max of 16 pareto:1.01:1] is finite, but its integrand carries weight
+    # where the quantile exceeds the largest float; with no finite log Q
+    # there, the expectation fails its self-check.
     with pytest.raises(QuadratureFailure):
-        expected_order_stat(Pareto(1.01, 1.0), 1, 16)
+        expected_order_stat(_NoLogTail(1.01, 1.0), 1, 16)
     assert expected_order_stat(Pareto(1.01, 1.0), 2, 16) == pytest.approx(
         closed_form_order_stat("pareto:1.01:1", 2, 16), rel=1e-9
     )
+
+
+@pytest.mark.parametrize("shape", [1.01, 1.03])
+def test_tail_beyond_float_range_evaluates_in_log_space(shape):
+    # Pareto's log Q = log scale + s / shape is finite where Q overflows, so
+    # the max of 16 evaluates: x_m Gamma(t+1) Gamma(1-1/a) / Gamma(t+1-1/a).
+    t = 16
+    want = 1.5 * math.exp(math.lgamma(t + 1) + math.lgamma(1 - 1 / shape) - math.lgamma(t + 1 - 1 / shape))
+    assert expected_order_stat(Pareto(shape, 1.5), 1, t) == pytest.approx(want, rel=1e-9)
 
 
 class _ExpTail(Exponential):

@@ -2,6 +2,8 @@ import runpy
 import sys
 from pathlib import Path
 
+from ipmlab import simulation
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 SWEEP_ROW = "exp:1, 0, 6, 3, {s}, surplus, ipm, 2000, 1.97025, 0.0627198459178, {wel}, 4.85, 0.406237113402, 0.232544157935, "
@@ -46,3 +48,30 @@ def test_scripts_run_at_small_sizes(monkeypatch, capsys, tmp_path):
         assert code in (0, None), name
         assert capsys.readouterr().out == "\n".join(lines) + "\n", name
     assert not any(tmp_path.iterdir())
+
+
+# `row_digests.py` on configs/theorem1.cfg at 9000 replicates (two batches)
+# and 1000 for het_ipm: label, csv_row sha256, row digest.
+ROW_DIGESTS = [
+    "exp-competition, 595b35970fe02015, 5f64d30c6233ad53",
+    "exp-monopsony, 578109bfefbda41f, 93dce46ba3dfc7bb",
+    "exp-balanced, ff31505b407608b1, a8ca0412a27ed07d",
+    "exp-random-split, 450abb9ae402182c, 1e9fa812a76b22c7",
+    "exp-monopolist, de29d9cc92fd6687, 78597f67dc9bd85f",
+    "pareto-half-regular, 32c121bc8d030cdb, 15fa796bfd7e8592",
+    "exp-heterogeneous, 5fe5ff5d297c105c, 03479fec3b349e12",
+]
+
+
+def test_row_digests_prints_each_scenarios_bits(monkeypatch, capsys, tmp_path):
+    text = (SCRIPTS.parent / "configs" / "theorem1.cfg").read_text()
+    config = tmp_path / "small.cfg"
+    config.write_text(text.replace("reps = 200000", "reps = 9000").replace("reps = 50000", "reps = 1000"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("IPMLAB_THREADS", "2")  # the script runs at one thread whatever is set
+    path = SCRIPTS / "row_digests.py"
+    monkeypatch.setattr(sys, "argv", [str(path), str(config)])
+    monkeypatch.setattr(simulation, "_batch_fn", simulation._batch_fn)  # the script wraps it; restored after
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out == "\n".join(ROW_DIGESTS) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]

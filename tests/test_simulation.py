@@ -17,6 +17,7 @@ from ipmlab.order_statistics import expected_rank
 
 from _experiments import canonical_structures, ln_gap_experiment
 from oracles import competition_welfare, ipm_allocate, kplus1_auction, sequential_menu_sale
+from row_digests import record_blocks, row_digest
 
 
 def scenario(**overrides):
@@ -172,6 +173,33 @@ def test_heterogeneous_engine_matches_reference_sale_past_k_buyers():
     assert rep.mean_welfare == pytest.approx(sum(wel for _, _, wel in sales) / 400, rel=1e-12)
 
 
+# csv_row(), the ci95_welfare hex and the row digest of `het_ipm` under
+# competition at n = 32, recorded before the sale skipped rows that cannot buy.
+HET_COMPETITION = (
+    "het_ipm-exp:1-n32k4-competition-surplus, exp:1, 0, 32, 4, competition, surplus, het_ipm, 16484, 3.71495811142, 0.0376691900963, 4.91986531582, 8.18790465526, 0.453712917753, 0.106205132686, True",
+    "0x1.bb53d6891c2c0p-5", "93d494c493f96844")
+
+
+def test_menu_sale_runs_only_rows_that_can_buy(monkeypatch):
+    # 32 intermediaries of one buyer each: at most steps a buyer can afford no
+    # item left, and a row whose items are gone has nothing to buy.  The DP
+    # never sees such a row, and the skipped rows change no bit.
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    dp = agents.menu_purchase_dp
+    rows = []
+
+    def checked(etas, rs, available, vals):
+        assert np.asarray(available).any(axis=1).all()
+        rows.append(len(vals))
+        return dp(etas, rs, available, vals)
+
+    monkeypatch.setattr(agents, "menu_purchase_dp", checked)
+    blocks = record_blocks(monkeypatch.setattr)
+    rep = simulation.run_scenario(golden_scenario("exp:1", "competition", "surplus", "het_ipm"))
+    assert (rep.csv_row(), rep.ci95_welfare.hex(), row_digest(blocks[rep.scenario.label])) == HET_COMPETITION
+    assert sum(rows) < rep.scenario.reps * 32 / 4
+
+
 def test_kplus1_engine_matches_reference_auction():
     # Under competition every buyer bids alone, so the batched auction and
     # the scalar one see the same bids; replay one batch row by row.
@@ -219,7 +247,7 @@ def test_bundle_welfare_of_a_lone_row_matches_its_block(monkeypatch):
     # top 16 values add left to right in both, so the row gets the same bits.
     # A pairwise sum of the lone row differs in the last bit at these seeds.
     monkeypatch.setenv("IPMLAB_THREADS", "1")
-    blocks = record_blocks(monkeypatch)
+    blocks = record_blocks(monkeypatch.setattr)
     for seed in (1, 2, 4):
         simulation.run_scenarios(
             scenario(n=64, k=16, structure=agents.monopsony(64), mechanism="bundle", epsilon=0.9, master_seed=seed,
@@ -227,6 +255,12 @@ def test_bundle_welfare_of_a_lone_row_matches_its_block(monkeypatch):
         (_, lone), (_, pair) = blocks["bundle-1"][-1], blocks["bundle-2"][-1]
         assert len(lone) == 1 and len(pair) == 2 and lone[0] > 0
         assert lone.tobytes() == pair[:1].tobytes(), seed
+
+
+def rationed_welfare(v, qualify, classes, k, aux):
+    """Welfare of rows where more than k buyers qualify: who is served,
+    from the keys of ``aux``, then each row's sum of its served values."""
+    return simulation._served_welfare(v, simulation._served(qualify, k, aux), classes, k)
 
 
 def test_rationing_law_is_multivariate_hypergeometric():
@@ -242,8 +276,7 @@ def test_rationing_law_is_multivariate_hypergeometric():
         row[groups[ell][-1]] = 0.0
     trials = 40_000
     v = np.tile(row, (trials, 1))
-    welfare = simulation._rationed_welfare(v, v >= 0.5, simulation._group_layout(groups), 3,
-                                           np.random.default_rng(5))
+    welfare = rationed_welfare(v, v >= 0.5, simulation._group_layout(groups), 3, np.random.default_rng(5))
     counts = Counter((int(w) % 10, int(w) // 10 % 10, int(w) // 100) for w in welfare)
     assert all(sum(served) == 3 for served in counts)
     for c0 in range(4):
@@ -282,8 +315,7 @@ def test_rationing_serves_exactly_k_when_keys_tie(structure):
                      [0.5, 0.2, 0.2, 0.2, 0.2, 0.7, 0.6, 0.1],
                      [0.3, 0.3, 0.3, 0.3, 0.3, 0.0, 0.0, 0.0],
                      [0.5] * 8])
-    welfare = simulation._rationed_welfare(v, qualify, simulation._group_layout(structure.groups()), 3,
-                                           FixedKeys(keys))
+    welfare = rationed_welfare(v, qualify, simulation._group_layout(structure.groups()), 3, FixedKeys(keys))
     for row, w in enumerate(welfare):
         served = [col for col in range(8) if int(w) >> (7 - col) & 1]
         assert w == sum(v[row, served])
@@ -301,10 +333,10 @@ def test_rationed_welfare_of_a_lone_row_matches_its_block():
         classes = simulation._group_layout(structure.groups())
         v = rng.exponential(size=(200, 32))
         keys = rng.random(v.shape)
-        whole = simulation._rationed_welfare(v, v >= 0.5, classes, 4, FixedKeys(keys))
+        whole = rationed_welfare(v, v >= 0.5, classes, 4, FixedKeys(keys))
         for r in range(len(v)):
             row = slice(r, r + 1)
-            lone = simulation._rationed_welfare(v[row], v[row] >= 0.5, classes, 4, FixedKeys(keys[row]))
+            lone = rationed_welfare(v[row], v[row] >= 0.5, classes, 4, FixedKeys(keys[row]))
             assert lone.tobytes() == whole[row].tobytes(), (structure.descriptor, r)
 
 
@@ -328,10 +360,10 @@ def test_rationing_slices_keep_a_tie_in_the_last_row_of_a_slice(structure):
     keys[511, order[k]] = keys[511, order[k - 1]]
     classes = simulation._group_layout(agents.parse_structure(structure, n).groups())
     aux = FixedKeys(keys)
-    welfare = simulation._rationed_welfare(v, qualify, classes, k, aux)
+    welfare = rationed_welfare(v, qualify, classes, k, aux)
     assert aux.shapes == [(512, n), (1, n)]
     assert hashlib.sha256(welfare.tobytes()).hexdigest()[:16] == TIED_SLICE[structure]
-    lone = simulation._rationed_welfare(v[511:512], qualify[511:512], classes, k, FixedKeys(keys[511:512]))
+    lone = rationed_welfare(v[511:512], qualify[511:512], classes, k, FixedKeys(keys[511:512]))
     assert lone.tobytes() == welfare[511:512].tobytes()
 
 
@@ -393,7 +425,7 @@ def test_block_where_every_row_rations_matches_a_mixed_block():
     mixed = np.insert(v, 20, 0.0, axis=0)
 
     def block(x):
-        return simulation._uniform_price_block(s, layout, 1.0, 1.0, x, np.random.default_rng(9))
+        return simulation._uniform_price_block(s, layout, 1.0, 1.0, x, np.random.default_rng(9), {})
 
     rest = np.arange(51) != 20
     for whole, part in zip(block(v), block(mixed)):
@@ -441,18 +473,22 @@ def test_batch_memory_stays_below_two_valuation_arrays(monkeypatch, mechanism):
 
 # Each mechanism's traced peak for one n = 256 batch, in valuation blocks
 # (BLOCK_VALUES floats): the peak once block temporaries were computed in
-# place (for `item_price`, once rationing ran in half-block slices), plus
-# 25 % headroom, so that a new block-sized temporary fails.
-PEAK_BLOCKS = {"ipm": 1.56, "item_price": 2.76, "het_ipm": 4.09, "kplus1": 2.75, "bundle": 1.57}
+# place (for `item_price`, once rationing ran in half-block slices; for
+# `kplus1`, once its gather wrote straight into the bids), plus 25 %
+# headroom, so that a new block-sized temporary fails.
+PEAK_BLOCKS = {"ipm": 1.56, "item_price": 2.76, "het_ipm": 4.09, "kplus1": 2.70, "bundle": 1.57}
 
 
 # Under competition every row of `item_price` rations, through the direct
 # sum of the served values; the other engines are checked on balanced:16.
-@pytest.mark.parametrize("mechanism, structure", [pytest.param(m, "balanced:16", id=m) for m in PEAK_BLOCKS]
-                         + [pytest.param(m, "competition", id=f"{m}-competition") for m in ("ipm", "item_price")])
-def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism, structure):
+# At n = 64, random:5:4 holds groups of 8, 10, 11, 16 and 19 buyers, so
+# `kplus1` gathers the whole groups beside a cut one.
+@pytest.mark.parametrize("mechanism, structure, n", [pytest.param(m, "balanced:16", 256, id=m) for m in PEAK_BLOCKS]
+                         + [pytest.param(m, "competition", 256, id=f"{m}-competition") for m in ("ipm", "item_price")]
+                         + [pytest.param("kplus1", "random:5:4", 64, id="kplus1-mixed")])
+def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism, structure, n):
     monkeypatch.setenv("IPMLAB_THREADS", "1")
-    s = scenario(mechanism=mechanism, n=256, k=16, structure=agents.parse_structure(structure, 256),
+    s = scenario(mechanism=mechanism, n=n, k=16, structure=agents.parse_structure(structure, n),
                  etas=tuple(1.0 / (j + 1) for j in range(16)) if mechanism == "het_ipm" else None,
                  reps=simulation.BATCH_SIZE)
     simulation.run_scenario(replace(s, reps=1))  # warm the analytic cache
@@ -550,39 +586,9 @@ def golden_scenario(dist, structure, model, mechanism):
                     reps=2 * simulation.BATCH_SIZE + 100, master_seed=11)
 
 
-def record_blocks(monkeypatch):
-    """Wrap every block function so that it keeps a copy of each output it
-    gives, listed by scenario label in the order of the calls."""
-    batch_fn = simulation._batch_fn
-    blocks = {}
-
-    def recorded(s):
-        block, extra = batch_fn(s)
-        kept = blocks.setdefault(s.label, [])
-
-        def run(v, aux):
-            out = block(v, aux)
-            kept.append([np.array(x, dtype=float) for x in out])
-            return out
-
-        return run, extra
-
-    monkeypatch.setattr(simulation, "_batch_fn", recorded)
-    return blocks
-
-
-def row_digest(blocks):
-    """Every row's revenue, then every row's welfare, in row order: the
-    digest does not depend on how the rows were cut into blocks."""
-    digest = hashlib.sha256()
-    for series in zip(*blocks):
-        digest.update(np.concatenate(series).tobytes())
-    return digest.hexdigest()[:16]
-
-
 def test_golden_bits_of_a_small_grid(monkeypatch):
     monkeypatch.setenv("IPMLAB_THREADS", "1")
-    blocks = record_blocks(monkeypatch)
+    blocks = record_blocks(monkeypatch.setattr)
     got = []
     for grid_point in golden_scenarios():
         rep = simulation.run_scenario(golden_scenario(*grid_point))
@@ -596,7 +602,7 @@ def test_golden_grid_in_one_run(monkeypatch):
     # batch of a group is drawn once, and every member gets the bits it
     # gets alone.
     monkeypatch.setenv("IPMLAB_THREADS", "1")
-    blocks = record_blocks(monkeypatch)
+    blocks = record_blocks(monkeypatch.setattr)
     run_batch = simulation._run_batch
     batches = []
 
@@ -654,7 +660,7 @@ def wide_golden_scenario(structure, mechanism):
 
 def test_golden_bits_of_groups_wider_than_eight(monkeypatch):
     monkeypatch.setenv("IPMLAB_THREADS", "1")
-    blocks = record_blocks(monkeypatch)
+    blocks = record_blocks(monkeypatch.setattr)
     reports = simulation.run_scenarios(wide_golden_scenario(*point) for point in wide_golden_scenarios())
     got = [(rep.csv_row(), rep.ci95_welfare.hex(), row_digest(blocks[rep.scenario.label])) for rep in reports]
     assert got == GOLDEN_WIDE
@@ -694,7 +700,7 @@ def test_sliced_rationing_keeps_the_bits(monkeypatch, slice_rows):
     # slice_rows rows at every n, classes of mixed widths included: at 1 row
     # each rationing row is a slice of its own.
     monkeypatch.setenv("IPMLAB_THREADS", "1")
-    blocks = record_blocks(monkeypatch)
+    blocks = record_blocks(monkeypatch.setattr)
     got = []
     for dist, n, k, structure, mechanism, reps, _ in SLICED:
         if slice_rows is not None:
@@ -724,7 +730,7 @@ def test_group_members_match_their_own_runs(monkeypatch, threads, block_rows):
                         etas=(1.0, 0.5) if mechanism == "het_ipm" else None, scenario_id=f"{mechanism}-{reps}")
                for mechanism, reps in (("ipm", big), ("het_ipm", mid), ("item_price", 50),
                                        ("kplus1", big), ("bundle", mid), ("het_ipm", 50))]
-    blocks = record_blocks(monkeypatch)
+    blocks = record_blocks(monkeypatch.setattr)
     alone = []
     for s in members:
         alone.append(report_bits(simulation.run_scenario(s)))
@@ -737,6 +743,44 @@ def test_group_members_match_their_own_runs(monkeypatch, threads, block_rows):
     for rep in reports:
         assert rep.extra["draw_values"] == big * 6
         assert rep.extra["engine_s"] > 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_members_sharing_a_uniform_price_pass_match_their_own_runs(monkeypatch, threads):
+    # Two ipm structures post one price at one threshold: in batch 0 both
+    # hold BATCH_SIZE rows and share each block's pass; in batch 1 the
+    # balanced one holds 1500 rows over two blocks, so each runs its own.
+    # Beside them, a monopolist ipm (same price, another threshold) with the
+    # rows of the first and an item_price (another price) with the rows of
+    # the second never share.  Each member gets the bits of its own run.
+    monkeypatch.setenv("IPMLAB_THREADS", threads)
+    big, mid = 2 * simulation.BATCH_SIZE + 100, simulation.BATCH_SIZE + 1500
+    members = [scenario(n=256, k=16, structure=agents.parse_structure(structure, 256), mechanism=mechanism,
+                        model=agents.parse_behavior(model), reps=reps, scenario_id=f"{mechanism}-{structure}-{model}")
+               for mechanism, structure, model, reps in (("ipm", "competition", "surplus", big),
+                                                         ("ipm", "balanced:16", "surplus", mid),
+                                                         ("ipm", "random:8:7", "monopolist", big),
+                                                         ("item_price", "competition", "surplus", mid))]
+    blocks = record_blocks(monkeypatch.setattr)
+    alone = [report_bits(simulation.run_scenario(s)) for s in members]
+    alone_rows = {label: row_digest(b) for label, b in blocks.items()}
+    blocks.clear()
+    run_pass = simulation._uniform_price_pass
+    passes = []
+
+    def counted(price, threshold, k, v, aux):
+        passes.append(len(v))
+        return run_pass(price, threshold, k, v, aux)
+
+    monkeypatch.setattr(simulation, "_uniform_price_pass", counted)
+    reports = simulation.run_scenarios(members)
+    assert [report_bits(rep) for rep in reports] == alone
+    assert {rep.extra["draw_values"] for rep in reports} == {big * 256}
+    # 1024-row blocks: batch 0 runs 3 passes a block over 8 blocks, batch 1
+    # runs 8 + 2 + 8 + 2, batch 2 two of 100 rows.
+    assert sorted(Counter(passes).items()) == [(100, 2), (476, 2), (1024, 24 + 18)]
+    if threads == "1":  # blocks of other batches interleave at two threads
+        assert {label: row_digest(b) for label, b in blocks.items()} == alone_rows
 
 
 def test_scenarios_differing_in_seed_family_or_n_do_not_share_a_draw():
@@ -762,9 +806,9 @@ def test_engines_get_a_read_only_block(monkeypatch):
         def writing(s, write=write):
             block, extra = batch_fn(s)
 
-            def run(v, aux):
+            def run(v, aux, passes):
                 write(v)
-                return block(v, aux)
+                return block(v, aux, passes)
 
             return run, extra
 
