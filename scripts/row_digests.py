@@ -21,11 +21,11 @@ from ipmlab import simulation
 from ipmlab.cli import parse_config
 
 
-def record_blocks(setattr=setattr):
+def record_blocks(patch=setattr):
     """Wrap every block function so that it keeps a copy of each output it
-    gives, listed by scenario label in the order of the calls.  ``setattr``
+    gives, listed by scenario label in the order of the calls.  ``patch``
     installs the wrapped `simulation._batch_fn` (a test passes its
-    monkeypatch's, which undoes it)."""
+    monkeypatch's `setattr`, which undoes it)."""
     batch_fn = simulation._batch_fn
     blocks = {}
 
@@ -33,6 +33,8 @@ def record_blocks(setattr=setattr):
         block, extra = batch_fn(s)
         kept = blocks.setdefault(s.label, [])
 
+        # Forwards whatever the batch driver passes, so that the script runs
+        # on checkouts whose block functions take other arguments too.
         def run(*args):
             out = block(*args)
             kept.append([np.array(x, dtype=float) for x in out])
@@ -40,7 +42,7 @@ def record_blocks(setattr=setattr):
 
         return run, extra
 
-    setattr(simulation, "_batch_fn", recorded)
+    patch(simulation, "_batch_fn", recorded)
     return blocks
 
 
