@@ -158,8 +158,10 @@ def menu_purchase_dp(etas, rs, available, vals_desc):
     """
     available = np.asarray(available, dtype=bool)
     rows, k = available.shape
-    w = np.pad(np.asarray(vals_desc, dtype=float), ((0, 0), (0, 1)))
-    width = w.shape[1] - 1
+    vals_desc = np.asarray(vals_desc, dtype=float)
+    width = vals_desc.shape[1]
+    w = np.zeros((rows, width + 1))
+    w[:, :width] = vals_desc
     after = np.minimum(np.arange(width + 1) + 1, width)  # state after a take
     value = np.zeros((rows, width + 1))
     size = np.zeros((rows, width + 1), dtype=np.int64)

@@ -397,6 +397,7 @@ class RegularityCertificate:
     min_slope: float = 0.0
     passed: bool = False
     truncated_tail_mass: float = 0.0
+    scale: float = 1.0  # the pass tolerance is -1e-7 * scale
 
 
 def generalized_virtual_margin(d: Distribution, lam: float, v):
@@ -431,6 +432,7 @@ def check_lambda_regularity(d: Distribution, lam: float, grid_size: int = 400) -
         min_slope=min_slope,
         passed=min_slope >= -tol,
         truncated_tail_mass=d.truncated_tail_mass(),
+        scale=scale,
     )
 
 

@@ -7,6 +7,7 @@ numerically on grids, not universally.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,7 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from .agents import monopolist_tau_analytic
-from .distributions import Distribution, Pareto, builtin_families, c_of_lambda, g_lambda
+from .distributions import (
+    Distribution,
+    Pareto,
+    builtin_families,
+    c_of_lambda,
+    check_lambda_regularity,
+    g_lambda,
+)
 from .errors import InfeasibleClaim
 from .order_statistics import expected_rank, tail_probability_vs_mean
 
@@ -271,17 +279,54 @@ def exact_no_large_elements(n: int, k: int) -> Fraction:
     return Fraction(math.comb(n - k, s), math.comb(n, s))
 
 
+@functools.lru_cache(maxsize=1)
+def _ranked_uniforms(reps: int, ns: tuple[int, ...], rng_seed: int) -> tuple[np.ndarray, ...]:
+    """For each n in ``ns`` (ascending), the first n columns of the
+    (reps, max ns) draw of ``default_rng(rng_seed)`` sorted along each row,
+    stored rank-major and read-only: row i holds every replicate's (i+1)-th
+    smallest.  One entry is kept, so every family's cross-check maps the same
+    ranked draw."""
+    draws = np.random.default_rng(rng_seed).random((reps, ns[-1]))
+    ranked = [np.sort(draws[:, :n], axis=1).T.copy() for n in ns[:-1]]
+    draws.sort(axis=1)  # the largest n ranks every column
+    ranked.append(draws.T.copy())
+    for r in ranked:
+        r.flags.writeable = False
+    return tuple(ranked)
+
+
+def _lemma_main_mc(d: Distribution, cases, reps: int, rng_seed: int) -> dict:
+    """{(n, k): (mean, se)} of the sum of each replicate's k largest of n
+    draws from ``d``: the ranked uniforms mapped through the quantile, with
+    the ranks added from the largest down."""
+    ns = tuple(sorted({n for n, _ in cases}))
+    out = {}
+    for n, u in zip(ns, _ranked_uniforms(reps, ns, rng_seed)):
+        x = d.quantile(u)
+        ks = {k for m, k in cases if m == n}
+        acc = np.zeros(reps)
+        for k in range(1, max(ks) + 1):
+            acc += x[n - k]
+            if k in ks:
+                out[n, k] = (float(acc.mean()), float(acc.std(ddof=1)) / math.sqrt(reps))
+    return out
+
+
 def check_lemma_main(d: Distribution, cases, reps: int = 200_000, rng_seed: int = 0) -> CheckResult:
     """k E[v^(1,ceil(n/k))] >= (1-1/e) sum_{j<=k} E[v^(j,n)], with the exact
     combinatorial core C(n-k,s)/C(n,s) <= 1/e checked in rational arithmetic
-    and an MC cross-check of the right-hand side.  The cross-check draws one
-    (reps, max n) sample: case n sorts its first n columns once, and each
-    top-k sum is a prefix sum of that sort.  The detail reports the largest
-    cross-check |z| = |mc - sum_j E[v^(j,n)]| / se."""
+    and an MC cross-check of the right-hand side.
+
+    The cross-check draws one (reps, max n) sample of uniforms from
+    ``default_rng(rng_seed)``; case n ranks its first n columns along each
+    row.  The ranked rows are drawn once and shared by every family
+    (``_ranked_uniforms``), and each family maps them through its quantile.
+    A quantile is nondecreasing, so quantile(sort(u)) = sort(quantile(u)):
+    the same values in the same order as ranking the mapped draw.  A case
+    fails when |mc - sum_j E[v^(j,n)]| exceeds 5 se (+ 1e-4 relative); the
+    detail reports the largest cross-check |z|."""
     cases = list(cases)
-    draws = np.random.default_rng(rng_seed).random((reps, max(n for n, _ in cases)))
-    d.quantile(draws, out=draws)
-    top_sums = {}
+    mc_moments = _lemma_main_mc(d, cases, reps, rng_seed)
     worst = math.inf
     worst_at = ""
     z_max = 0.0
@@ -291,11 +336,7 @@ def check_lemma_main(d: Distribution, cases, reps: int = 200_000, rng_seed: int 
         lhs = k * expected_rank(d, 1, math.ceil(n / k))
         rhs_terms = [expected_rank(d, j, n) for j in range(1, k + 1)]
         rhs = (1.0 - 1.0 / math.e) * sum(rhs_terms)
-        if n not in top_sums:
-            top_sums[n] = np.cumsum(np.sort(draws[:, :n], axis=1)[:, ::-1], axis=1)
-        sums = top_sums[n][:, k - 1]
-        mc = float(sums.mean())
-        mc_se = float(sums.std(ddof=1)) / math.sqrt(reps)
+        mc, mc_se = mc_moments[n, k]
         if abs(mc - sum(rhs_terms)) > 5.0 * mc_se + 1e-4 * max(1.0, mc):
             return CheckResult("lemma_main", mc - sum(rhs_terms), False, f"MC cross-check n={n} k={k}")
         z_max = max(z_max, abs(mc - sum(rhs_terms)) / mc_se)
@@ -351,6 +392,14 @@ def check_claim1(d: Distribution, ns=(4, 8, 16)) -> CheckResult:
     return CheckResult("claim1", worst, worst >= -1e-4, detail)
 
 
+def check_regularity(d: Distribution, lam: float) -> CheckResult:
+    """lam-regularity of ``d`` by `distributions.check_lambda_regularity`:
+    the margin is the certificate's smallest slope of lam*v - (1-F)/f over
+    its scale, so it passes at >= -1e-7."""
+    cert = check_lambda_regularity(d, lam)
+    return CheckResult("regularity", cert.min_slope / cert.scale, cert.passed, f"lam={lam:g}")
+
+
 # ---------------------------------------------------------------------------
 # Registry
 
@@ -384,6 +433,15 @@ def _negcontrol_fact1():
     return [r]
 
 
+def _negcontrol_regularity():
+    # Pareto(2) is 1/2-regular and no more: tested at lam = 0.25 it must fail.
+    r = check_regularity(Pareto(2.0, 1.0), 0.25)
+    r.name = "negcontrol_regularity"
+    r.detail = f"pareto:2:1 {r.detail}"
+    r.passed = not r.passed
+    return [r]
+
+
 def _negcontrol_optprog():
     # Flat weights: a vertex zeroing the last coordinate beats the uniform
     # point, so the checker must report failure.
@@ -393,18 +451,20 @@ def _negcontrol_optprog():
     return [r]
 
 
+LEMMA_MAIN_CASES = [(n, k) for n in (4, 6, 12) for k in (1, 2, 3, n)]
+
 REGISTRY = {
     "fact1": _per_family(lambda d: check_fact1_convexity(d, d.lambda_claimed, n_max=8)),
     "lamb_aux": lambda: [check_lamb_aux(12)],
     "optprog": lambda: [check_optprog((3.0, 2.0, 1.0), 10, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)],
-    "lemma_main": _per_family(
-        lambda d: check_lemma_main(d, [(n, k) for n in (4, 6, 12) for k in (1, 2, 3, n)], reps=50_000)
-    ),
+    "lemma_main": _per_family(lambda d: check_lemma_main(d, LEMMA_MAIN_CASES, reps=50_000)),
     "facts23": _per_family(lambda d: check_facts_2_3(d, 32)),
     "tau": _per_family(_tau_on_quantiles),
     "claim1": _per_family(check_claim1),
+    "regularity": _per_family(lambda d: check_regularity(d, d.lambda_claimed)),
     "negcontrol_fact1": _negcontrol_fact1,
     "negcontrol_optprog": _negcontrol_optprog,
+    "negcontrol_regularity": _negcontrol_regularity,
 }
 
 

@@ -172,6 +172,18 @@ def test_check_negative_controls_reported_separately(capsys):
     assert "negative controls behaving as designed: 1/1" in out
 
 
+# The report of the nine checks that predate `regularity`, recorded before
+# lemma_main's cross-check shared one ranked draw across the families.
+CHECK_REPORT_ONLY = "fact1,lamb_aux,optprog,lemma_main,facts23,tau,claim1,negcontrol_fact1,negcontrol_optprog"
+CHECK_REPORT_SHA256 = "bc4d2bae44c24b92d50867b97e643debafaa199fe72d5b74b0fdec95d46856d8"
+
+
+def test_check_report_is_pinned(capsys):
+    code, out, _ = run(["check", "--only", CHECK_REPORT_ONLY], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_REPORT_SHA256
+
+
 def test_program_subcommand(capsys):
     code, out, _ = run(["program", "--r", "3,2,1", "--n", "10", "--lam", "0"], capsys)
     assert code == 0

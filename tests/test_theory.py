@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 
 from ipmlab import theory
-from ipmlab.distributions import Exponential, Pareto, Uniform, builtin_families, c_of_lambda
+from ipmlab.distributions import (
+    Exponential,
+    Pareto,
+    Uniform,
+    builtin_families,
+    c_of_lambda,
+    check_lambda_regularity,
+)
 from ipmlab.errors import InfeasibleClaim
+
+import oracles
 
 
 def test_convexity_check_passes_for_builtins():
@@ -120,6 +129,47 @@ def test_order_stat_bound_check():
         at, z = res.detail.split(" max|z|=")
         assert at in {"n=6 k=3", "n=4 k=1", "n=12 k=4"}
         assert 0.0 < float(z) < 5.0
+
+
+@pytest.mark.parametrize(
+    "cases, reps",
+    [(theory.LEMMA_MAIN_CASES, 50_000), ([(6, 3), (4, 1), (12, 4)], 30_000)],
+    ids=["registry", "bound-check"],
+)
+def test_lemma_main_mc_matches_per_family_oracle(cases, reps):
+    # One ranked draw shared by the families keeps every case's mean and se
+    # to the bit of drawing, mapping and sorting per family.
+    for d in builtin_families():
+        assert theory._lemma_main_mc(d, cases, reps, 0) == oracles.lemma_main_mc(d, cases, reps, 0), d.descriptor
+
+
+def test_quantiles_commute_with_row_sort():
+    # The bit identity above rests on this: each builtin quantile maps the
+    # ranked rows to the ranked mapped rows.
+    ns = (4, 6, 12)
+    raw = np.random.default_rng(0).random((50_000, 12))
+    for d in builtin_families():
+        mapped = d.quantile(raw)
+        for n, u in zip(ns, theory._ranked_uniforms(50_000, ns, 0)):
+            assert np.array_equal(d.quantile(u).T, np.sort(mapped[:, :n], axis=1)), (d.descriptor, n)
+
+
+def test_ranked_uniforms_are_read_only():
+    for u in theory._ranked_uniforms(1_000, (2, 5), 0):
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.5
+
+
+def test_regularity_check_passes_and_its_control_fails():
+    for r in theory.REGISTRY["regularity"]():
+        assert r.passed, (r.detail, r.worst_margin)
+    [control] = theory.REGISTRY["negcontrol_regularity"]()
+    assert control.passed and control.worst_margin < -0.1
+    # The certificate's raw slope for pareto:2:1 at lam = 0.25.
+    cert = check_lambda_regularity(Pareto(2.0, 1.0), 0.25)
+    assert cert.min_slope == pytest.approx(-245.0, abs=0.1)
+    assert control.worst_margin == cert.min_slope / cert.scale
 
 
 def test_tail_fact_checks():
