@@ -29,9 +29,5 @@ class NonIntegrable(IpmLabError):
     """Requested expectation diverges."""
 
 
-class InfeasibleClaim(IpmLabError):
-    """Analytic optimum violates the program's box constraints."""
-
-
 class ParseError(IpmLabError):
     """Malformed descriptor string or config file."""

@@ -8,7 +8,6 @@ numerically on grids, not universally.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,6 @@ from .distributions import (
     check_lambda_regularity,
     g_lambda,
 )
-from .errors import InfeasibleClaim
 from .order_statistics import expected_rank, tail_probability_vs_mean
 
 # Certified rational bounds: 2.718281828459045 < e < 2.718281828459046.
@@ -117,146 +115,87 @@ def program_objective(rs, ps, n: int) -> float:
     return float(sum(r * math.exp(-p * n) for r, p in zip(rs, ps)))
 
 
-def program_vertex_optimum(rs, n: int, lam: float):
-    """Exact maximizer of sum r_j exp(-n p_j) over the feasible polytope.
+def program_optimum(rs, n: int, lam: float):
+    """Exact maximizer of sum r_j exp(-n p_j) subject to
+    n (p_1 + ... + p_s) >= s c(lam)/2 for every s and 0 <= p_j <= 1.
 
-    The objective is convex, so the max sits at a vertex; with k <= 5 and 3k
-    constraint rows, enumerating all C(3k, k) candidate tight sets is cheap
-    and gives a certified global optimum.
+    The objective is convex and the polytope bounded, so the max sits at a
+    vertex.  There k independent constraints are tight, each reading
+    P_t = P_{t-1}, P_t = P_{t-1} + 1 or P_s = s a for the prefix sums P_t,
+    with a = c/(2n) and P_0 = 0; chained, they put every P_t on the lattice
+    s a + m, 0 <= s <= k, m an integer.  A DP over t on the lattice points
+    in [0, k] is therefore exact.  The points are sorted, so each one's
+    predecessors (steps in [0, 1]) lie in one searchsorted window: about
+    k^2 points times a window of about 2k, over k steps, O(k^4) in all.
+    Steps come from the lattice indices, so the uniform step is exactly a.
+    Returns (value, p) with the value summed by `program_objective`.
     """
     k = len(rs)
-    c = c_of_lambda(lam)
-    rows = []
-    for s in range(1, k + 1):
-        a = np.zeros(k)
-        a[:s] = n
-        rows.append((a, s * c / 2.0))
-    for j in range(k):
-        lo = np.zeros(k)
-        lo[j] = 1.0
-        rows.append((lo, 0.0))
-        hi = np.zeros(k)
-        hi[j] = -1.0
-        rows.append((hi, -1.0))
-    best_val = -math.inf
-    best_p = None
-    for comb in itertools.combinations(range(len(rows)), k):
-        A = np.array([rows[i][0] for i in comb])
-        b = np.array([rows[i][1] for i in comb])
-        try:
-            p = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            continue
-        if any(a @ p < bb - 1e-9 for a, bb in rows):
-            continue
-        val = program_objective(rs, p, n)
-        if val > best_val:
-            best_val, best_p = val, p
-    return best_val, np.asarray(best_p)
-
-
-def _program_descent_oracle(rs, n: int, lam: float, starts: int = 20, seed: int = 0):
-    """Secondary oracle: projected coordinate descent from random starts.
-
-    Each coordinate is pushed to its minimal feasible value (the objective is
-    decreasing coordinate-wise), so fixed points are coordinate-wise minimal
-    feasible vectors; we keep the best fixed point seen.
-    """
-    k = len(rs)
-    c = c_of_lambda(lam)
-    need = c / (2.0 * n)
-    rng = np.random.default_rng(seed)
-    best_val = -math.inf
-    best_p = None
-    for _ in range(starts):
-        p = rng.uniform(0.0, min(1.0, k * need), size=k)
-        for _ in range(200):
-            moved = False
-            for j in range(k):
-                req = 0.0
-                for s in range(j + 1, k + 1):
-                    req = max(req, s * need - (p[:s].sum() - p[j]))
-                req = min(max(req, 0.0), 1.0)
-                if abs(req - p[j]) > 1e-14:
-                    p[j] = req
-                    moved = True
-            if not moved:
-                break
-        val = program_objective(rs, p, n)
-        if val > best_val:
-            best_val, best_p = val, p.copy()
-    return best_val, best_p
-
-
-def _program_grid_oracle(rs, n: int, lam: float, step: float = 1e-3):
-    """Exhaustive grid for k <= 3 over p_j in [0, k c/(2n)] (larger p only
-    hurts the objective beyond the last prefix constraint)."""
-    k = len(rs)
-    if k > 3:
-        raise ValueError("grid oracle is for k <= 3")
-    c = c_of_lambda(lam)
-    cap = min(1.0, k * c / (2.0 * n))
-    axis = np.arange(0.0, cap + step, step)
-    # r_j exp(-n p) per axis point, the floats program_objective sums; one
-    # slab over the last two coordinates per value of the first (k = 3), in
-    # itertools.product order, so argmax keeps the first maximum.
-    terms = [np.array([r * math.exp(-p * n) for p in axis]) for r in rs]
-    tail = np.meshgrid(*[np.arange(len(axis))] * min(k, 2), indexing="ij")
-    best_val = -math.inf
-    best_p = None
-    for head in itertools.product(range(len(axis)), repeat=k - len(tail)):
-        prefix = val = 0.0
-        ok = True
-        for s, (i, term) in enumerate(zip([*head, *tail], terms), start=1):
-            prefix = prefix + axis[i]
-            ok = ok & (n * prefix >= s * c / 2.0 - 1e-12)
-            val = val + term[i]
-        val = np.where(ok, val, -math.inf)
-        pos = np.unravel_index(int(np.argmax(val)), val.shape)
-        if val[pos] > best_val:
-            best_val = float(val[pos])
-            best_p = axis[[*head, *pos]]
-    return best_val, best_p
+    a = c_of_lambda(lam) / (2.0 * n)
+    s, m = (g.ravel() for g in np.meshgrid(np.arange(k + 1), np.arange(-k, k + 1), indexing="ij"))
+    P = s * a + m
+    keep = (P >= -1e-12) & (P <= k + 1e-12)
+    order = np.argsort(P[keep], kind="stable")
+    s, m, P = s[keep][order], m[keep][order], P[keep][order]
+    lo = np.searchsorted(P, P - 1.0 - 1e-9, "left")
+    hi = np.searchsorted(P, P + 1e-9, "right")
+    pred = lo[:, None] + np.arange(int((hi - lo).max()))
+    pred = np.minimum(pred, hi[:, None] - 1)
+    step = (s[:, None] - s[pred]) * a + (m[:, None] - m[pred])
+    gain = np.exp(-n * np.clip(step, 0.0, 1.0))
+    # Slot len(P) holds -inf: steps outside [0, 1] are routed there.
+    pred[(step < -1e-12) | (step > 1.0 + 1e-12)] = len(P)
+    value = np.full(len(P) + 1, -np.inf)
+    value[np.flatnonzero((s == 0) & (m == 0))] = 0.0
+    rows = np.arange(len(P))
+    back = []
+    for t, r in enumerate(rs, start=1):
+        cand = value[pred] + r * gain
+        best = cand.argmax(axis=1)
+        value[:-1] = cand[rows, best]
+        value[:-1][(s - t) * a + m < -1e-12] = -np.inf  # P_t >= t a
+        back.append(pred[rows, best])
+    path = [int(np.argmax(value[:-1]))]
+    for b in reversed(back):
+        path.append(int(b[path[-1]]))
+    path = np.array(path[::-1])
+    p = np.diff(s[path]) * a + np.diff(m[path])
+    return program_objective(rs, p, n), p
 
 
 def check_optprog(rs, n: int, lam: float) -> CheckResult:
     """Does the uniform vector p_j = c(lam)/(2n) solve the program?
 
-    Compares the analytic value against a certified vertex-enumeration
-    optimum (plus a coordinate-descent oracle, and a grid for k <= 3) and
-    verifies the shadow prices S_j = r_j e^{-c/2}/n are a feasible,
-    value-matching dual certificate.
+    Compares the analytic value sum(r) e^{-c/2} against the exact optimum of
+    `program_optimum` and verifies the shadow prices S_j = r_j e^{-c/2}/n
+    are a feasible, value-matching dual certificate.  Raises ValueError
+    unless n >= 1 and the weights are finite, nonnegative and nonincreasing;
+    since c(lam)/2 <= 1/(2e) < 1 <= n, the uniform point then lies in the box.
 
     Note: the uniform point is the true optimum only when successive ratios
     r_j/r_{j+1} are large enough; for near-flat weights a vertex that zeroes
     a later coordinate wins and this check reports failure.
     """
     rs = [float(r) for r in rs]
+    if not n >= 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    if not all(math.isfinite(r) for r in rs):
+        raise ValueError("weights must be finite")
     if any(b > a + 1e-12 for a, b in zip(rs, rs[1:])) or any(r < 0 for r in rs):
         raise ValueError("weights must be nonincreasing and nonnegative")
     c = c_of_lambda(lam)
-    if c / 2.0 > n:
-        raise InfeasibleClaim(f"claimed optimum c/2n = {c / (2 * n):.4g} exceeds 1")
     k = len(rs)
     scale = max(1.0, sum(rs))
     analytic = sum(rs) * math.exp(-c / 2.0)
     if c == 0.0:
         # Constraints are vacuous; optimum is p = 0 with objective sum(rs).
         return CheckResult("optprog", 0.0, True, "lam=1 degenerate")
-    oracle_val, oracle_p = program_vertex_optimum(rs, n, lam)
-    cd_val, _ = _program_descent_oracle(rs, n, lam)
-    oracle_val = max(oracle_val, cd_val)
-    if k <= 3:
-        grid_val, _ = _program_grid_oracle(rs, n, lam)
-        # The grid undershoots by at most its resolution; it must never beat
-        # the certified optimum materially.
-        if grid_val > oracle_val + 1e-6 * scale:
-            return CheckResult("optprog", (oracle_val - grid_val) / scale, False, "grid beat vertex oracle")
+    oracle_val, _ = program_optimum(rs, n, lam)
     margin = (analytic - oracle_val) / scale  # 0 iff the uniform point is optimal
     # Dual certificate for the uniform point.
     S = [r * math.exp(-c / 2.0) / n for r in rs]
     dual_ok = all(S[j] >= S[j + 1] - 1e-12 for j in range(k - 1))
-    dual_ok &= all(r / (n * math.exp(n)) - 1e-12 <= s <= r / n + 1e-12 for r, s in zip(rs, S))
+    dual_ok &= all(r * math.exp(-n) / n - 1e-12 <= s <= r / n + 1e-12 for r, s in zip(rs, S))
     dual_val = sum(
         s * (n - c / 2.0) - s * math.log(n * s / r) if r > 0 else 0.0 for r, s in zip(rs, S)
     )

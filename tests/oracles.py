@@ -1,9 +1,10 @@
 """Scalar reference implementations the tests check the production code
 against: one market or one intermediary at a time, in plain loops.
 
-The batched engines in `ipmlab.simulation` and the closed forms in
-`ipmlab.agents` and `ipmlab.order_statistics` are the production paths;
-nothing outside the tests calls these.  The hazard apparatus (h, r_lambda,
+The batched engines in `ipmlab.simulation`, the closed forms in
+`ipmlab.agents` and `ipmlab.order_statistics` and the lattice DP
+`ipmlab.theory.program_optimum` are the production paths; nothing outside
+the tests calls these.  The hazard apparatus (h, r_lambda,
 Gamma_lambda) is here too: the regularity tests use it, the package does not.
 """
 
@@ -16,10 +17,11 @@ import numpy as np
 from scipy import integrate, stats
 
 from ipmlab.agents import BehaviorModel, Kind, menu_purchase_dp
-from ipmlab.distributions import Distribution, virtual_value
+from ipmlab.distributions import Distribution, c_of_lambda, virtual_value
 from ipmlab.errors import OutOfSupport, QuadratureFailure
 from ipmlab.mechanisms import Menu
 from ipmlab.order_statistics import top_k_welfare
+from ipmlab.theory import program_objective
 
 
 def _rng(rng_seed) -> np.random.Generator:
@@ -312,3 +314,105 @@ def lemma_main_mc(d: Distribution, cases, reps: int, rng_seed: int = 0) -> dict:
         sums = top_sums[n][:, k - 1]
         out[n, k] = (float(sums.mean()), float(sums.std(ddof=1)) / math.sqrt(reps))
     return out
+
+
+def program_vertex_optimum(rs, n: int, lam: float):
+    """Exact maximizer of sum r_j exp(-n p_j) over the feasible polytope.
+
+    The objective is convex, so the max sits at a vertex; with k <= 5 and 3k
+    constraint rows, enumerating all C(3k, k) candidate tight sets is cheap
+    and gives a certified global optimum.
+    """
+    k = len(rs)
+    c = c_of_lambda(lam)
+    rows = []
+    for s in range(1, k + 1):
+        a = np.zeros(k)
+        a[:s] = n
+        rows.append((a, s * c / 2.0))
+    for j in range(k):
+        lo = np.zeros(k)
+        lo[j] = 1.0
+        rows.append((lo, 0.0))
+        hi = np.zeros(k)
+        hi[j] = -1.0
+        rows.append((hi, -1.0))
+    best_val = -math.inf
+    best_p = None
+    for comb in itertools.combinations(range(len(rows)), k):
+        A = np.array([rows[i][0] for i in comb])
+        b = np.array([rows[i][1] for i in comb])
+        try:
+            p = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            continue
+        if any(a @ p < bb - 1e-9 for a, bb in rows):
+            continue
+        val = program_objective(rs, p, n)
+        if val > best_val:
+            best_val, best_p = val, p
+    return best_val, np.asarray(best_p)
+
+
+def _program_descent_oracle(rs, n: int, lam: float, starts: int = 20, seed: int = 0):
+    """Secondary oracle: projected coordinate descent from random starts.
+
+    Each coordinate is pushed to its minimal feasible value (the objective is
+    decreasing coordinate-wise), so fixed points are coordinate-wise minimal
+    feasible vectors; we keep the best fixed point seen.
+    """
+    k = len(rs)
+    c = c_of_lambda(lam)
+    need = c / (2.0 * n)
+    rng = np.random.default_rng(seed)
+    best_val = -math.inf
+    best_p = None
+    for _ in range(starts):
+        p = rng.uniform(0.0, min(1.0, k * need), size=k)
+        for _ in range(200):
+            moved = False
+            for j in range(k):
+                req = 0.0
+                for s in range(j + 1, k + 1):
+                    req = max(req, s * need - (p[:s].sum() - p[j]))
+                req = min(max(req, 0.0), 1.0)
+                if abs(req - p[j]) > 1e-14:
+                    p[j] = req
+                    moved = True
+            if not moved:
+                break
+        val = program_objective(rs, p, n)
+        if val > best_val:
+            best_val, best_p = val, p.copy()
+    return best_val, best_p
+
+
+def _program_grid_oracle(rs, n: int, lam: float, step: float = 1e-3):
+    """Exhaustive grid for k <= 3 over p_j in [0, k c/(2n)] (larger p only
+    hurts the objective beyond the last prefix constraint)."""
+    k = len(rs)
+    if k > 3:
+        raise ValueError("grid oracle is for k <= 3")
+    c = c_of_lambda(lam)
+    cap = min(1.0, k * c / (2.0 * n))
+    axis = np.arange(0.0, cap + step, step)
+    # r_j exp(-n p) per axis point, the floats program_objective sums; one
+    # slab over the last two coordinates per value of the first (k = 3), in
+    # itertools.product order, so argmax keeps the first maximum.
+    terms = [np.array([r * math.exp(-p * n) for p in axis]) for r in rs]
+    tail = np.meshgrid(*[np.arange(len(axis))] * min(k, 2), indexing="ij")
+    best_val = -math.inf
+    best_p = None
+    for head in itertools.product(range(len(axis)), repeat=k - len(tail)):
+        prefix = val = 0.0
+        ok = True
+        for s, (i, term) in enumerate(zip([*head, *tail], terms), start=1):
+            prefix = prefix + axis[i]
+            ok = ok & (n * prefix >= s * c / 2.0 - 1e-12)
+            val = val + term[i]
+        val = np.where(ok, val, -math.inf)
+        pos = np.unravel_index(int(np.argmax(val)), val.shape)
+        if val[pos] > best_val:
+            best_val = float(val[pos])
+            best_p = axis[[*head, *pos]]
+    return best_val, best_p

@@ -114,7 +114,7 @@ def test_pricing_program_uniform_solution_on_random_instances():
             r.insert(0, r[0] * q)
         c = c_of_lambda(lam)
         analytic_obj = sum(r) * math.exp(-c / 2)
-        oracle_obj, oracle_p = theory.program_vertex_optimum(r, n, lam)
+        oracle_obj, oracle_p = theory.program_optimum(r, n, lam)
         assert abs(oracle_obj - analytic_obj) <= 1e-4 * max(1.0, sum(r))
         assert np.max(np.abs(oracle_p - c / (2 * n))) <= 1e-3
         res = theory.check_optprog(r, n, lam)

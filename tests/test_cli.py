@@ -190,6 +190,15 @@ def test_program_subcommand(capsys):
     assert "optprog" in out
     code2, _, _ = run(["program", "--r", "1,1", "--n", "10", "--lam", "0"], capsys)
     assert code2 == 4
+    # e^n overflows a float beyond n = 709; the dual bound must not need it.
+    code3, out3, _ = run(["program", "--r", "3,2,1", "--n", "800"], capsys)
+    assert code3 == 0 and out3.splitlines()[1].endswith("k=3 n=800 lam=0, True")
+    # The exact solver is polynomial in the number of weights.
+    geometric = ",".join(str(2.0**-j) for j in range(64))
+    code4, out4, _ = run(["program", "--r", geometric, "--n", "10", "--lam", "0.25"], capsys)
+    assert code4 == 0 and "k=64" in out4
+    code5, _, _ = run(["program", "--r", ",".join(["1"] * 64), "--n", "10", "--lam", "0.25"], capsys)
+    assert code5 == 4
 
 
 def _python(code: str, *args, cwd=None):

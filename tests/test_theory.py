@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ipmlab import theory
+from ipmlab import cli, theory
 from ipmlab.distributions import (
     Exponential,
     Pareto,
@@ -13,7 +15,6 @@ from ipmlab.distributions import (
     c_of_lambda,
     check_lambda_regularity,
 )
-from ipmlab.errors import InfeasibleClaim
 
 import oracles
 
@@ -56,7 +57,7 @@ def test_program_example_instance():
     assert res.passed
     analytic = 6 * math.exp(-1 / (2 * math.e))
     assert analytic == pytest.approx(4.9919, abs=1e-4)
-    val, p = theory.program_vertex_optimum((3.0, 2.0, 1.0), 10, 0.0)
+    val, p = theory.program_optimum((3.0, 2.0, 1.0), 10, 0.0)
     assert val == pytest.approx(analytic, abs=1e-9)
     assert np.allclose(p, 1 / (20 * math.e), atol=1e-9)
 
@@ -64,7 +65,7 @@ def test_program_example_instance():
 def test_program_single_item_binds():
     res = theory.check_optprog((5.0,), 4, 0.5)
     assert res.passed
-    _, p = theory.program_vertex_optimum((5.0,), 4, 0.5)
+    _, p = theory.program_optimum((5.0,), 4, 0.5)
     assert p[0] == pytest.approx(0.25 / 8, abs=1e-12)
 
 
@@ -73,16 +74,23 @@ def test_program_degenerate_lambda_one():
     assert res.passed and "degenerate" in res.detail
 
 
-def test_program_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        theory.check_optprog((1.0, 2.0), 5, 0.0)
+def test_program_rejects_bad_weights(capsys):
+    for rs in [(1.0, 2.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -1.0)]:
+        with pytest.raises(ValueError):
+            theory.check_optprog(rs, 5, 0.0)
+    for r in ("nan,1", "inf,1", "1,nan"):
+        assert cli.main(["program", "--r", r, "--n", "5"]) == cli.EXIT_PARSE
+    assert "finite" in capsys.readouterr().err
 
 
-def test_program_infeasible_claim():
-    # c(0)/2 > n requires n < 1/(2e): impossible for integer n >= 1, so force
-    # it with a fractional n stand-in.
-    with pytest.raises(InfeasibleClaim):
-        theory.check_optprog((1.0,), 0.1, 0.0)
+def test_program_infeasible_claim(capsys):
+    # c(lam)/2 <= 1/(2e) < 1, so for every legal n >= 1 the uniform point
+    # lies in the box; smaller n are rejected up front.
+    for n in (0, -2, 0.1):
+        with pytest.raises(ValueError):
+            theory.check_optprog((1.0,), n, 0.0)
+    assert cli.main(["program", "--r", "3,2,1", "--n", "0"]) == cli.EXIT_PARSE
+    assert "n >= 1" in capsys.readouterr().err
 
 
 def test_program_flat_weights_defeat_uniform_point():
@@ -91,7 +99,7 @@ def test_program_flat_weights_defeat_uniform_point():
     res = theory.check_optprog((1.0, 1.0), 10, 0.0)
     assert not res.passed
     assert res.worst_margin < -1e-3
-    val, p = theory.program_vertex_optimum((1.0, 1.0), 10, 0.0)
+    val, p = theory.program_optimum((1.0, 1.0), 10, 0.0)
     c = 1 / math.e
     assert val == pytest.approx(math.exp(-c) + 1.0, abs=1e-9)
     assert p[1] == pytest.approx(0.0, abs=1e-12)
@@ -104,12 +112,42 @@ def test_program_oracles_agree():
         n = int(rng.integers(2, 30))
         lam = float(rng.choice([0.0, 0.25, 0.5, 0.75]))
         r = np.flip(np.sort(rng.uniform(0.5, 5.0, size=k)))
-        vertex_val, _ = theory.program_vertex_optimum(r, n, lam)
-        cd_val, _ = theory._program_descent_oracle(r, n, lam)
+        vertex_val, _ = oracles.program_vertex_optimum(r, n, lam)
+        cd_val, _ = oracles._program_descent_oracle(r, n, lam)
         assert cd_val <= vertex_val + 1e-9
         if k <= 3:
-            grid_val, _ = theory._program_grid_oracle(r, n, lam)
+            grid_val, _ = oracles._program_grid_oracle(r, n, lam)
             assert grid_val <= vertex_val + 1e-9
+            assert theory.program_optimum(r, n, lam)[0] >= grid_val
+
+
+@given(
+    k=st.integers(1, 5),
+    n=st.integers(1, 800),
+    lam=st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9, 0.99]),
+    kind=st.sampled_from(["flat", "integer", "geometric", "zeros", "random"]),
+    draws=st.lists(st.floats(0.0, 10.0), min_size=5, max_size=5),
+)
+@example(k=6, n=10, lam=0.25, kind="geometric", draws=[0.0] * 5)
+@example(k=6, n=3, lam=0.0, kind="flat", draws=[0.0] * 5)
+@example(k=6, n=1, lam=0.9, kind="integer", draws=[0.0] * 5)
+@example(k=6, n=40, lam=0.5, kind="zeros", draws=[5.0, 4.0, 4.0, 1.0, 0.0])
+@settings(max_examples=100, deadline=None)
+def test_program_optimum_matches_vertex_enumeration(k, n, lam, kind, draws):
+    r = {
+        "flat": [1.0] * k,
+        "integer": [float(k - j) for j in range(k)],
+        "geometric": [2.0**-j for j in range(k)],
+        "zeros": sorted(draws[: k // 2], reverse=True) + [0.0] * (k - k // 2),
+        "random": sorted(draws[:k], reverse=True),
+    }[kind]
+    val, p = theory.program_optimum(r, n, lam)
+    vertex_val, _ = oracles.program_vertex_optimum(r, n, lam)
+    assert val == pytest.approx(vertex_val, rel=1e-12)
+    # p is feasible: in the box, and every prefix meets n P_s >= s c/2.
+    assert p.shape == (k,)
+    assert np.all(p >= -1e-12) and np.all(p <= 1.0 + 1e-12)
+    assert np.all(n * np.cumsum(p) >= c_of_lambda(lam) / 2.0 * np.arange(1, k + 1) - 1e-9)
 
 
 def test_exact_subset_avoidance_probability():
