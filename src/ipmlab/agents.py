@@ -139,47 +139,78 @@ def monopolist_tau_analytic(d: Distribution, price: float) -> float:
 # ---------------------------------------------------------------------------
 # Menu purchasing (weighted items)
 
-def menu_purchase_dp(etas, rs, available, vals_desc):
+def menu_purchase_dp(etas, rs, available, w):
     """Exact surplus-maximizing menu purchase for many rows at once.
 
-    ``available`` is an (R, k) mask over the items (index order =
-    nonincreasing eta); ``vals_desc`` is (R, B), each row's buyer values
-    sorted descending and zero-padded.  Both orders are nonincreasing, so the
-    best purchase gives its i-th item to the i-th highest buyer and a DP over
-    items x buyers served solves each row in O(k B): an item taken with t
-    buyers served adds vals[t] eta_j - r_j, or -r_j once all B are served.
+    State-major: ``w`` is (B + 1, R), column r holding row r's buyer values
+    sorted descending and zero-padded, and a last row of zeros, the value
+    of an item bought unassigned; ``available`` is a (k, R) mask over the
+    items (index order = nonincreasing eta).  Both orders are
+    nonincreasing, so the best purchase gives its i-th item to the i-th
+    highest buyer and a DP over items x buyers served solves each row in
+    O(k B): an item taken with t buyers served adds w[t] eta_j - r_j, or
+    -r_j once all B are served.
 
     Ties within 1e-12 go to the larger set, then the lexicographically
     smallest item tuple: the DP runs backward over items on (surplus, set
     size), and the forward walk takes an item whenever taking is no worse.
 
-    Returns (taken, slot), both (R, k): slot[r, j] is the rank of the buyer
-    who gets a taken item j, or B when it is bought unassigned.
+    Returns (taken, pick), both (k, R): pick[j, r] = t R + r indexes
+    ``w.ravel()`` at w[t, r], where t is the rank of the buyer who gets a
+    taken item j, or B when it is bought unassigned.
     """
     available = np.asarray(available, dtype=bool)
-    rows, k = available.shape
-    vals_desc = np.asarray(vals_desc, dtype=float)
-    width = vals_desc.shape[1]
-    w = np.zeros((rows, width + 1))
-    w[:, :width] = vals_desc
-    after = np.minimum(np.arange(width + 1) + 1, width)  # state after a take
-    value = np.zeros((rows, width + 1))
-    size = np.zeros((rows, width + 1), dtype=np.int64)
-    prefer_take = [None] * k
+    k, rows = available.shape
+    w = np.ascontiguousarray(w, dtype=float)
+    width = len(w) - 1
+    # Per state t (rows of the tables), the best (surplus, size) of items
+    # j.. with t buyers served; a take moves t to min(t + 1, B).  The walk
+    # reaches item j with at most j buyers served, so item j's step fills
+    # states 0..min(j, B) alone: each reads only states the step of item
+    # j + 1 filled.
+    value = np.zeros(w.shape)
+    size = np.zeros(w.shape, dtype=np.min_scalar_type(k))
+    take_value = np.empty(w.shape)
+    take_size = np.empty_like(size)
+    gain = np.empty(w.shape)
+    near = np.empty(w.shape, dtype=bool)
+    prefer = np.zeros((k, *w.shape), dtype=bool)
+    value_bits, take_bits, gain_bits = (x.view(np.int64) for x in (value, take_value, gain))
     for j in range(k - 1, -1, -1):
-        take_value = (w * etas[j] - rs[j]) + value[:, after]
-        take_size = size[:, after] + 1
-        gain = take_value - value
-        take = ((gain > 1e-12) | ((gain >= -1e-12) & (take_size >= size))) & available[:, j, None]
-        value = np.where(take, take_value, value)
-        size = np.where(take, take_size, size)
-        prefer_take[j] = take
-    r = np.arange(rows)
-    t = np.zeros(rows, dtype=np.int64)
-    taken = np.empty((rows, k), dtype=bool)
-    slot = np.empty((rows, k), dtype=np.int64)
+        if not available[j].any():
+            continue
+        n = min(j, width) + 1
+        up = min(n, width)  # states below `up` move up a row; state B stays
+        tv, ts, g, take = take_value[:n], take_size[:n], gain[:n], prefer[j, :n]
+        np.multiply(w[:n], etas[j], out=tv)
+        tv -= rs[j]
+        tv[:up] += value[1 : up + 1]
+        np.add(size[1 : up + 1], 1, out=ts[:up])
+        if up < n:
+            tv[width] += value[width]
+            np.add(size[width], 1, out=ts[width])
+        np.subtract(tv, value[:n], out=g)
+        np.greater_equal(ts, size[:n], out=take)
+        take &= np.greater_equal(g, -1e-12, out=near[:n])
+        take |= np.greater(g, 1e-12, out=near[:n])
+        take &= available[j]
+        # value, size = take ? (tv, ts) : (value, size), selected on the bit
+        # patterns: x ^ ((x ^ y) * take).  numpy's masked copies branch per
+        # entry and run several times slower on mixed masks.
+        diff, bits = gain_bits[:n], value_bits[:n]
+        np.bitwise_xor(bits, take_bits[:n], out=diff)
+        diff *= take
+        bits ^= diff
+        ts ^= size[:n]
+        ts *= take
+        size[:n] ^= ts
+    # Forward walk on flat indices t R + r into each item's table.
+    flat = prefer.reshape(k, -1)
+    taken = np.empty((k, rows), dtype=bool)
+    pick = np.empty((k, rows), dtype=np.intp)
+    pick[0] = np.arange(rows)
     for j in range(k):
-        taken[:, j] = prefer_take[j][r, t]
-        slot[:, j] = t
-        t = np.where(taken[:, j], after[t], t)
-    return taken, slot
+        np.take(flat[j], pick[j], out=taken[j])
+        if j + 1 < k:
+            pick[j + 1] = pick[j] + rows * (taken[j] & (pick[j] < width * rows))
+    return taken, pick

@@ -30,10 +30,6 @@ BATCH_SIZE = 8192
 # batch, while a batch of narrow rows is one block, not many small ones.
 BLOCK_VALUES = 1 << 18
 
-# Rows per slice of the sequential menu sale, whose per-step temporaries
-# grow with the rows it runs at once.
-MENU_ROWS = 1024
-
 MECHANISMS = ("ipm", "het_ipm", "kplus1", "bundle", "item_price")
 
 
@@ -388,71 +384,125 @@ def _class_sum(vals: np.ndarray):
 
 
 def _top_values(v: np.ndarray, classes, m: int, width: int):
-    """Each group's top `width` values (a purchase has at most k items) as
-    (rows, m, width + 1), descending and zero-padded; the extra zero column
-    is the value of an item bought unassigned (slot == width).  The sorted
-    copies die on return, before the sale runs."""
-    out = np.zeros((len(v), m, width + 1))
+    """Each group's top `width` values (a purchase has at most k items),
+    descending and zero-padded, as (width + 1, m, rows): state-major, as
+    `agents.menu_purchase_dp` reads them, so that one row's column of one
+    group is column g rows + r of the (width + 1, m rows) table.  The extra
+    zero row is the value of an item bought unassigned.  The sorted copies
+    die on return, before the sale runs."""
+    out = np.zeros((width + 1, m, len(v)))
     for members, pad, padding in classes:
         desc = _sorted_groups(v, pad, padding)[:, :, ::-1][:, :, :width]
         desc[:, padding[:, :width]] = 0.0
-        out[:, members, : desc.shape[2]] = desc
+        out[: desc.shape[2], members] = desc.transpose(2, 1, 0)
     return out
 
 
-def _menu_block(s: Scenario, classes, menu: Menu, v: np.ndarray, aux):
-    """`_menu_rows` over slices of at most MENU_ROWS rows: visit orders come
-    from ``aux`` in row order, so the slices change no bit, while the sale's
-    per-step temporaries stay small for a whole-batch block of narrow rows."""
+def _item_floors(menu: Menu) -> np.ndarray:
+    """Per item j, the least top value t at which a group passes the
+    can-buy test eta_j max(t, 0) - r_j >= -1e-12, in the test's own float
+    arithmetic: -inf when t = 0 passes, inf when no t does.  The left side
+    is nondecreasing in t (eta_j >= 0, and rounding keeps order), so the
+    test passes exactly when t >= the floor.  Found by bisection over the
+    bit patterns of the nonnegative floats, which they order."""
+
+    def passes(eta, r, bits):
+        return eta * float(np.int64(bits).view(np.float64)) - r >= -1e-12
+
+    floors = np.empty(menu.k)
+    top = int(np.float64(np.finfo(float).max).view(np.int64))
+    for j, (eta, r) in enumerate(zip(menu.etas.tolist(), menu.rs.tolist())):
+        if passes(eta, r, 0):
+            floors[j] = -math.inf
+        elif not passes(eta, r, top):
+            floors[j] = math.inf
+        else:
+            lo, hi = 0, top
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if passes(eta, r, mid) else (mid, hi)
+            floors[j] = float(np.int64(hi).view(np.float64))
+    return floors
+
+
+def _menu_block(s: Scenario, classes, menu: Menu, floors: np.ndarray, v: np.ndarray, aux):
+    """`_menu_rows` over slices whose largest table holds BLOCK_VALUES
+    values: per row, the top values take m (width + 1), and a DP call's
+    three value tables and its k take-or-not masks (width + 1) (3 + k / 8).
+    Visit orders come from ``aux`` in row order, so the slices change no
+    bit, while a slice's tables stay within a block however narrow the
+    rows."""
+    m = s.structure.m
+    width = min(max(pad.shape[1] for _, pad, _ in classes), menu.k)
+    rows = max(1, BLOCK_VALUES // ((width + 1) * max(m, 3 + menu.k // 8)))
     revenue, welfare = np.empty((2, len(v)))
-    for lo in range(0, len(v), MENU_ROWS):
-        revenue[lo : lo + MENU_ROWS], welfare[lo : lo + MENU_ROWS] = _menu_rows(
-            s, classes, menu, v[lo : lo + MENU_ROWS], aux)
+    for lo in range(0, len(v), rows):
+        revenue[lo : lo + rows], welfare[lo : lo + rows] = _menu_rows(
+            s, classes, menu, floors, width, v[lo : lo + rows], aux)
     return revenue, welfare
 
 
-def _menu_rows(s: Scenario, classes, menu: Menu, v: np.ndarray, aux):
-    """Sequential menu sale: at each step every row offers its remaining
-    items to its next intermediary, whose purchase comes from the O(k b) DP
-    of `agents.menu_purchase_dp` over the rows at once (ties to the larger
-    set, then the lexicographically smallest).  Random visit orders come
-    from ``aux`` in row order.  Revenue and welfare accumulate per step in
-    ascending item order.
+def _menu_rows(s: Scenario, classes, menu: Menu, floors: np.ndarray, width: int, v: np.ndarray, aux):
+    """Sequential menu sale: each row offers its remaining items to its
+    intermediaries in its visit order (random ones from ``aux`` in row
+    order), and each buys the optimum of `agents.menu_purchase_dp` (ties to
+    the larger set, then the lexicographically smallest).
 
-    The DP runs only over the rows whose intermediary can buy: some item
-    left has eta_j max(top value, 0) - r_j >= -1e-12.  That bounds the
-    surplus of the item with any buyer or none, and the DP takes an item
-    only at a surplus of -1e-12 or more, so a skipped row, one with no item
-    left among them, would buy nothing and add only +0.0."""
+    The can-buy test of a group whose top value is t, some item left with
+    eta_j max(t, 0) - r_j >= -1e-12, that is t >= `_item_floors`[j], bounds
+    the surplus of the item with any buyer or none, and the DP takes an
+    item only at a surplus of -1e-12 or more, so a group that fails it
+    would buy nothing.  Availability only shrinks, so each row lists the
+    steps whose group passes with every item left, in visit order, and
+    round i runs every row's i-th listed step in one DP call, over the rows
+    whose group passes with the items it has left.  A row sees its steps in
+    the order the sale visits them, and revenue and welfare add each step's
+    taken items in item order, so no bit depends on the rounds or on the
+    other rows."""
     size, m = len(v), s.structure.m
     if s.order_policy == "random":
         orders = np.argsort(aux.random((size, m)), axis=1)
     else:
-        orders = np.tile(np.arange(m), (size, 1))
-    width = min(max(pad.shape[1] for _, pad, _ in classes), menu.k)
-    sorted_vals = _top_values(v, classes, m, width)
-    rows = np.arange(size)
-    # Item-major, so that whether a row can buy is a fast reduction across items.
+        orders = np.arange(m)
+    tops = _top_values(v, classes, m, width).reshape(width + 1, m * size)
+    # Row r's s-th step visits the group whose values are column
+    # orders[r, s] rows + r of `tops`.
+    column = orders * size + np.arange(size)[:, None]
+    listed = np.flatnonzero(np.take(tops[0] >= floors.min(), column))
+    # Entry e of row r's list sits at first[r] + e of `column` (row-major).
+    column = column.reshape(-1)[listed]
+    count = np.bincount(listed // m, minlength=size)
+    first = np.cumsum(count) - count
+    rows = np.flatnonzero(count)
     available = np.ones((menu.k, size), dtype=bool)
     out = np.zeros((2, size))
-    for step in range(m):
-        group = orders[:, step]
-        can = np.multiply.outer(menu.etas, np.maximum(sorted_vals[rows, group, 0], 0.0))
-        can -= menu.rs[:, None]
-        can = can >= -1e-12
-        can &= available
-        buys = np.flatnonzero(np.logical_or.reduce(can, axis=0))
-        if not len(buys):
+    for i in range(int(count.max(initial=0))):
+        rows = rows[count[rows] > i]
+        w = np.take(tops, column[first[rows] + i], axis=1)
+        left = available[:, rows]
+        can = floors[:, None] <= w[0]
+        can &= left
+        buys = np.logical_or.reduce(can, axis=0)
+        buyers = rows
+        if not buys.all():
+            buyers, w, left = rows[buys], w[:, buys], left[:, buys]
+        if not len(buyers):
             continue
-        w = sorted_vals[buys, group[buys]]
-        taken, slot = agents.menu_purchase_dp(menu.etas, menu.rs, available[:, buys].T, w[:, :width])
-        acc = out[:, buys]
-        sub = np.arange(len(buys))
+        taken, pick = agents.menu_purchase_dp(menu.etas, menu.rs, left, w)
+        # Each item's price and eta_j times its buyer's value, or +-0.0 where
+        # it is not taken: adding a zero leaves a sum that starts at +0.0 as
+        # it is.
+        got = np.take(w, pick)
+        got *= menu.etas[:, None]
+        got *= taken
+        paid = taken * menu.rs[:, None]
+        acc = out[:, buyers]
         for j in range(menu.k):
-            acc[0] += np.where(taken[:, j], menu.rs[j], 0.0)
-            acc[1] += np.where(taken[:, j], menu.etas[j] * w[sub, slot[:, j]], 0.0)
-        out[:, buys] = acc
-        available[:, buys] &= ~taken.T
+            acc[0] += paid[j]
+            acc[1] += got[j]
+        out[:, buyers] = acc
+        left &= ~taken
+        available[:, buyers] = left
     return out[0], out[1]
 
 
@@ -536,7 +586,8 @@ def _batch_fn(s: Scenario):
         return partial(_uniform_price_block, s, classes, price, threshold), {"price": price}
     if s.mechanism == "het_ipm":
         menu = build_menu(s.d, s.n, s.etas)
-        return lambda v, aux, passes: _menu_block(s, classes, menu, v, aux), {"menu": menu}
+        floors = _item_floors(menu)
+        return lambda v, aux, passes: _menu_block(s, classes, menu, floors, v, aux), {"menu": menu}
     if s.mechanism == "kplus1":
         reserve, _ = optimal_item_price(s.d)
         return lambda v, aux, passes: _kplus1_block(s, groups, reserve, v, aux), {"reserve": reserve}

@@ -7,6 +7,7 @@ numerically on grids, not universally.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -132,32 +133,55 @@ def program_optimum(rs, n: int, lam: float):
     """
     k = len(rs)
     a = c_of_lambda(lam) / (2.0 * n)
-    s, m = (g.ravel() for g in np.meshgrid(np.arange(k + 1), np.arange(-k, k + 1), indexing="ij"))
+    s, m = np.divmod(np.arange((k + 1) * (2 * k + 1)), 2 * k + 1)
+    m -= k
     P = s * a + m
     keep = (P >= -1e-12) & (P <= k + 1e-12)
     order = np.argsort(P[keep], kind="stable")
     s, m, P = s[keep][order], m[keep][order], P[keep][order]
     lo = np.searchsorted(P, P - 1.0 - 1e-9, "left")
     hi = np.searchsorted(P, P + 1e-9, "right")
-    pred = lo[:, None] + np.arange(int((hi - lo).max()))
-    pred = np.minimum(pred, hi[:, None] - 1)
-    step = (s[:, None] - s[pred]) * a + (m[:, None] - m[pred])
-    gain = np.exp(-n * np.clip(step, 0.0, 1.0))
-    # Slot len(P) holds -inf: steps outside [0, 1] are routed there.
-    pred[(step < -1e-12) | (step > 1.0 + 1e-12)] = len(P)
+    window = int((hi - lo).max())
+    # The (points x window) tables hold about 2k^3 entries, so they are
+    # built, and each step's candidates formed, a block of points at a time;
+    # every point's entries depend on that point alone.
+    block = max(1, (1 << 16) // window)
+    pred = np.empty((len(P), window), dtype=np.int32)
+    gain = np.empty((len(P), window))
+    offsets = np.arange(window)
+    for b in range(0, len(P), block):
+        pb = lo[b : b + block, None] + offsets
+        pb = np.minimum(pb, hi[b : b + block, None] - 1)
+        step = (s[b : b + block, None] - s[pb]) * a + (m[b : b + block, None] - m[pb])
+        gain[b : b + block] = np.exp(-n * np.clip(step, 0.0, 1.0))
+        # Slot len(P) holds -inf: steps outside [0, 1] are routed there.
+        pb[(step < -1e-12) | (step > 1.0 + 1e-12)] = len(P)
+        pred[b : b + block] = pb
     value = np.full(len(P) + 1, -np.inf)
     value[np.flatnonzero((s == 0) & (m == 0))] = 0.0
-    rows = np.arange(len(P))
+    rows = np.arange(min(block, len(P)))
+    points = P.tolist()
     back = []
     for t, r in enumerate(rs, start=1):
-        cand = value[pred] + r * gain
-        best = cand.argmax(axis=1)
-        value[:-1] = cand[rows, best]
+        # Only points with t a <= P <= t can be reached in t steps (up to
+        # rounding, which these bounds cover): every other value stays -inf.
+        lo_t = bisect.bisect_left(points, t * a - 1e-9)
+        hi_t = bisect.bisect_right(points, t + 1e-9 * (t + 1))
+        reached = np.empty(len(P) + 1)
+        reached.fill(-np.inf)
+        best_pred = np.empty(hi_t - lo_t, dtype=np.int32)
+        for b in range(lo_t, hi_t, block):
+            e = min(b + block, hi_t)
+            cand = value[pred[b:e]] + r * gain[b:e]
+            best = cand.argmax(axis=1)
+            reached[b:e] = cand[rows[: e - b], best]
+            best_pred[b - lo_t : e - lo_t] = pred[b:e][rows[: e - b], best]
+        value = reached
         value[:-1][(s - t) * a + m < -1e-12] = -np.inf  # P_t >= t a
-        back.append(pred[rows, best])
+        back.append((lo_t, best_pred))
     path = [int(np.argmax(value[:-1]))]
-    for b in reversed(back):
-        path.append(int(b[path[-1]]))
+    for lo_t, b in reversed(back):
+        path.append(int(b[path[-1] - lo_t]))
     path = np.array(path[::-1])
     p = np.diff(s[path]) * a + np.diff(m[path])
     return program_objective(rs, p, n), p
@@ -169,8 +193,9 @@ def check_optprog(rs, n: int, lam: float) -> CheckResult:
     Compares the analytic value sum(r) e^{-c/2} against the exact optimum of
     `program_optimum` and verifies the shadow prices S_j = r_j e^{-c/2}/n
     are a feasible, value-matching dual certificate.  Raises ValueError
-    unless n >= 1 and the weights are finite, nonnegative and nonincreasing;
-    since c(lam)/2 <= 1/(2e) < 1 <= n, the uniform point then lies in the box.
+    unless n >= 1, lam lies in [0, 1] and the weights are finite,
+    nonnegative and nonincreasing; since c(lam)/2 <= 1/(2e) < 1 <= n, the
+    uniform point then lies in the box.
 
     Note: the uniform point is the true optimum only when successive ratios
     r_j/r_{j+1} are large enough; for near-flat weights a vertex that zeroes
@@ -179,6 +204,8 @@ def check_optprog(rs, n: int, lam: float) -> CheckResult:
     rs = [float(r) for r in rs]
     if not n >= 1:
         raise ValueError(f"need n >= 1, got n={n}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if not all(math.isfinite(r) for r in rs):
         raise ValueError("weights must be finite")
     if any(b > a + 1e-12 for a, b in zip(rs, rs[1:])) or any(r < 0 for r in rs):

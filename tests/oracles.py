@@ -171,11 +171,12 @@ def surplus_max_menu_purchase(menu: Menu, available, valuations):
     """
     vals = np.asarray(valuations, dtype=float)
     order = np.argsort(-vals, kind="stable")
-    mask = np.zeros((1, menu.k), dtype=bool)
-    mask[0, list(available)] = True
-    taken, slot = menu_purchase_dp(menu.etas, menu.rs, mask, vals[order][None, :])
-    items = [int(j) for j in np.flatnonzero(taken[0])]
-    assignment = {int(order[slot[0, j]]): j for j in items if slot[0, j] < len(vals)}
+    mask = np.zeros((menu.k, 1), dtype=bool)
+    mask[list(available), 0] = True
+    taken, pick = menu_purchase_dp(menu.etas, menu.rs, mask, np.append(vals[order], 0.0)[:, None])
+    items = [int(j) for j in np.flatnonzero(taken[:, 0])]
+    # With one row, pick[j, 0] is the rank of item j's buyer (len(vals): none).
+    assignment = {int(order[pick[j, 0]]): j for j in items if pick[j, 0] < len(vals)}
     gross = sum(vals[b] * menu.etas[j] for b, j in assignment.items())
     return set(items), assignment, float(gross - sum(menu.rs[j] for j in items))
 

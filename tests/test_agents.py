@@ -226,14 +226,14 @@ def test_menu_purchase_tie_break_matches_exhaustive():
         avail = rng.random((rows, k)) < 0.7
         groups = [sorted(rng.choice(grid, size=int(rng.integers(1, 4))).tolist(), reverse=True)
                   for _ in range(rows)]
-        padded = np.zeros((rows, 3))
+        padded = np.zeros((4, rows))  # state-major, with the zero row of an unassigned item
         for r, g in enumerate(groups):
-            padded[r, : len(g)] = g
-        taken, _ = agents.menu_purchase_dp(menu.etas, menu.rs, avail, padded)
+            padded[: len(g), r] = g
+        taken, _ = agents.menu_purchase_dp(menu.etas, menu.rs, avail.T, padded)
         for r, g in enumerate(groups):
             available = np.flatnonzero(avail[r]).tolist()
             items, optima = _exhaustive_purchase(menu.etas, menu.rs, available, g)
-            assert tuple(np.flatnonzero(taken[r])) == items
+            assert tuple(np.flatnonzero(taken[:, r])) == items
             assert oracles.surplus_max_menu_purchase(menu, available, g[::-1])[0] == set(items)
             tied += optima > 1
     assert tied > 500  # most instances exercise the tie-break, not just the optimum

@@ -75,3 +75,24 @@ def test_row_digests_prints_each_scenarios_bits(monkeypatch, capsys, tmp_path):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out == "\n".join(ROW_DIGESTS) + "\n"
     assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]
+
+
+# `row_digests.py` on configs/menu_sale.cfg, recorded before the menu sale ran
+# in rounds of listed steps: `het_ipm` at m = 2 to 256 intermediaries.
+MENU_SALE_DIGESTS = [
+    "m2-fixed, acd274217f75a53c, 1f60af23a08f27a6",
+    "m9-zero-weight, ad0a5e204b2ae2d5, 621514b4d9546f15",
+    "m16-wide, 8df2fd976022b153, 82cabc6f4c12fc5b",
+    "m32-signed, 4029d88a1e12dbaf, 6c4ea5e096774954",
+    "m32-signed-fixed, babe6b1be8bc2bee, 843775a9ed555ae7",
+    "m256-competition, 47668dc2645bf260, ed56e7f03c62c72f",
+]
+
+
+def test_row_digests_of_the_menu_sale_config(monkeypatch, capsys):
+    monkeypatch.setenv("IPMLAB_THREADS", "1")  # the script sets it; restored after
+    path = SCRIPTS / "row_digests.py"
+    monkeypatch.setattr(sys, "argv", [str(path), str(SCRIPTS.parent / "configs" / "menu_sale.cfg")])
+    monkeypatch.setattr(simulation, "_batch_fn", simulation._batch_fn)  # the script wraps it; restored after
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out == "\n".join(MENU_SALE_DIGESTS) + "\n"

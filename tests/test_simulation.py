@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipmlab import agents, simulation
@@ -189,8 +189,8 @@ def test_menu_sale_runs_only_rows_that_can_buy(monkeypatch):
     rows = []
 
     def checked(etas, rs, available, vals):
-        assert np.asarray(available).any(axis=1).all()
-        rows.append(len(vals))
+        assert np.asarray(available).any(axis=0).all()
+        rows.append(vals.shape[1])
         return dp(etas, rs, available, vals)
 
     monkeypatch.setattr(agents, "menu_purchase_dp", checked)
@@ -198,6 +198,73 @@ def test_menu_sale_runs_only_rows_that_can_buy(monkeypatch):
     rep = simulation.run_scenario(golden_scenario("exp:1", "competition", "surplus", "het_ipm"))
     assert (rep.csv_row(), rep.ci95_welfare.hex(), row_digest(blocks[rep.scenario.label])) == HET_COMPETITION
     assert sum(rows) < rep.scenario.reps * 32 / 4
+
+
+def test_menu_sale_runs_a_rows_last_listed_step(monkeypatch):
+    # Three singletons visited in order; the menu prices item 0 at 5/3 and
+    # item 1 at 3/4, so a buyer can afford some item from a value of 1.5 on.
+    # Row 0 lists all three steps: its first buyer (1.6) takes item 1, its
+    # second cannot afford item 0, and its third (5.0) takes item 0 in the
+    # last round.  Row 1 lists only its third step, which it runs in round 0.
+    s = scenario(n=3, k=2, mechanism="het_ipm", etas=(1.0, 0.5), structure=agents.competition(3),
+                 order_policy="fixed")
+    menu = build_menu(s.d, s.n, s.etas)
+    v = np.array([[1.6, 1.6, 5.0], [0.1, 0.1, 5.0]])
+    calls = []
+    dp = agents.menu_purchase_dp
+
+    def recorded(etas, rs, available, w):
+        calls.append(w[0].tolist())
+        return dp(etas, rs, available, w)
+
+    monkeypatch.setattr(agents, "menu_purchase_dp", recorded)
+    revenue, welfare = simulation._batch_fn(s)[0](v, None, {})
+    assert calls == [[1.6, 5.0], [5.0]]  # round 1 has no buyer
+    for r in range(2):
+        _, rev, wel = sequential_menu_sale(menu, s.structure.groups(), v[r], range(3))
+        assert (revenue[r], welfare[r]) == pytest.approx((rev, wel), rel=1e-12)
+    assert revenue[0] == pytest.approx(menu.rs.sum()) and revenue[1] == pytest.approx(menu.rs[0])
+
+
+_ETA_GRID = st.one_of(st.sampled_from([1.0, 0.5, 0.5, 0.25, 0.0]), st.floats(0.0, 1.0))
+
+
+@given(m=st.integers(1, 40), extra=st.integers(0, 6), split=st.integers(0, 99),
+       dist=st.sampled_from(["exp:1", "uniform:-1:1"]), weights=st.lists(_ETA_GRID, min_size=1, max_size=6))
+@example(m=40, extra=2, split=3, dist="uniform:-1:1", weights=[1.0, 0.5, 0.5, 0.25, 0.0])
+@example(m=1, extra=5, split=4, dist="uniform:-1:1", weights=[0.5, 0.5, 0.0, 1.0])
+@example(m=1, extra=0, split=5, dist="exp:1", weights=[0.0])
+@settings(max_examples=40, deadline=None)
+def test_menu_sale_matches_reference_sale_property(m, extra, split, dist, weights):
+    # In a fixed order each row's sale replays through the reference sale,
+    # whatever the structure, weights (tied, zero) or the sign of the values.
+    n = m + extra
+    etas = tuple(sorted(weights[:n], reverse=True))
+    k = len(etas)
+    structure = agents.random_partition(n, m, split)
+    s = scenario(d=parse_distribution(dist), n=n, k=k, mechanism="het_ipm", etas=etas,
+                 structure=structure, order_policy="fixed")
+    v = s.d.quantile(np.random.default_rng(split).random((24, n)))
+    revenue, welfare = simulation._batch_fn(s)[0](v, None, {})
+    menu = build_menu(s.d, n, etas)
+    for r in range(len(v)):
+        _, rev, wel = sequential_menu_sale(menu, structure.groups(), v[r], range(m))
+        assert revenue[r] == pytest.approx(rev, rel=1e-12, abs=1e-12)
+        assert welfare[r] == pytest.approx(wel, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("etas", [(1.0, 0.5, 0.25), (1.0, 0.6, 0.6, 0.3, 0.0), (0.0,), (1.0, 1.0)])
+@pytest.mark.parametrize("dist", ["exp:1", "uniform:-1:1", "pareto:3:1"])
+def test_item_floors_match_the_can_buy_test(etas, dist):
+    # A top value passes eta_j max(t, 0) - r_j >= -1e-12 exactly when it is
+    # at least item j's floor, also one float either side of the floor.
+    menu = build_menu(parse_distribution(dist), 6, etas)
+    floors = simulation._item_floors(menu)
+    finite = floors[np.isfinite(floors)]
+    near = np.concatenate([finite, np.nextafter(finite, np.inf), np.nextafter(finite, -np.inf)])
+    t = np.concatenate([near, np.random.default_rng(0).uniform(-2.0, 8.0, 500), [0.0, -0.0, -1.0]])
+    direct = np.multiply.outer(menu.etas, np.maximum(t, 0.0)) - menu.rs[:, None] >= -1e-12
+    assert (direct == (t >= floors[:, None])).all()
 
 
 def test_kplus1_engine_matches_reference_auction():
@@ -480,11 +547,13 @@ PEAK_BLOCKS = {"ipm": 1.56, "item_price": 2.76, "het_ipm": 4.09, "kplus1": 2.70,
 
 
 # Under competition every row of `item_price` rations, through the direct
-# sum of the served values; the other engines are checked on balanced:16.
-# At n = 64, random:5:4 holds groups of 8, 10, 11, 16 and 19 buyers, so
-# `kplus1` gathers the whole groups beside a cut one.
+# sum of the served values, and the menu sale runs 256 steps per row in
+# 512-row slices; the other engines are checked on balanced:16.  At n = 64,
+# random:5:4 holds groups of 8, 10, 11, 16 and 19 buyers, so `kplus1`
+# gathers the whole groups beside a cut one.
 @pytest.mark.parametrize("mechanism, structure, n", [pytest.param(m, "balanced:16", 256, id=m) for m in PEAK_BLOCKS]
-                         + [pytest.param(m, "competition", 256, id=f"{m}-competition") for m in ("ipm", "item_price")]
+                         + [pytest.param(m, "competition", 256, id=f"{m}-competition")
+                            for m in ("ipm", "item_price", "het_ipm")]
                          + [pytest.param("kplus1", "random:5:4", 64, id="kplus1-mixed")])
 def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism, structure, n):
     monkeypatch.setenv("IPMLAB_THREADS", "1")

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +85,17 @@ def test_program_rejects_bad_weights(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_program_rejects_lambda_outside_unit_interval(capsys):
+    # A bad lambda is a bad input (exit 2), not a numeric failure (exit 3).
+    for lam in (1.5, math.nan, -0.1, math.inf):
+        with pytest.raises(ValueError):
+            theory.check_optprog((3.0, 2.0, 1.0), 5, lam)
+    for lam in ("1.5", "nan", "-0.1"):
+        assert cli.main(["program", "--r", "3,2,1", "--n", "5", "--lam", lam]) == cli.EXIT_PARSE
+    assert "lambda must lie in [0, 1]" in capsys.readouterr().err
+    assert cli.main(["program", "--r", "3,2,1", "--n", "5", "--lam", "1"]) == cli.EXIT_OK
+
+
 def test_program_infeasible_claim(capsys):
     # c(lam)/2 <= 1/(2e) < 1, so for every legal n >= 1 the uniform point
     # lies in the box; smaller n are rejected up front.
@@ -121,6 +134,16 @@ def test_program_oracles_agree():
             assert theory.program_optimum(r, n, lam)[0] >= grid_val
 
 
+def _weights(kind, k, draws):
+    return {
+        "flat": [1.0] * k,
+        "integer": [float(k - j) for j in range(k)],
+        "geometric": [2.0**-j for j in range(k)],
+        "zeros": sorted(draws[: k // 2], reverse=True) + [0.0] * (k - k // 2),
+        "random": sorted(draws[:k], reverse=True),
+    }[kind]
+
+
 @given(
     k=st.integers(1, 5),
     n=st.integers(1, 800),
@@ -134,13 +157,7 @@ def test_program_oracles_agree():
 @example(k=6, n=40, lam=0.5, kind="zeros", draws=[5.0, 4.0, 4.0, 1.0, 0.0])
 @settings(max_examples=100, deadline=None)
 def test_program_optimum_matches_vertex_enumeration(k, n, lam, kind, draws):
-    r = {
-        "flat": [1.0] * k,
-        "integer": [float(k - j) for j in range(k)],
-        "geometric": [2.0**-j for j in range(k)],
-        "zeros": sorted(draws[: k // 2], reverse=True) + [0.0] * (k - k // 2),
-        "random": sorted(draws[:k], reverse=True),
-    }[kind]
+    r = _weights(kind, k, draws)
     val, p = theory.program_optimum(r, n, lam)
     vertex_val, _ = oracles.program_vertex_optimum(r, n, lam)
     assert val == pytest.approx(vertex_val, rel=1e-12)
@@ -148,6 +165,40 @@ def test_program_optimum_matches_vertex_enumeration(k, n, lam, kind, draws):
     assert p.shape == (k,)
     assert np.all(p >= -1e-12) and np.all(p <= 1.0 + 1e-12)
     assert np.all(n * np.cumsum(p) >= c_of_lambda(lam) / 2.0 * np.arange(1, k + 1) - 1e-9)
+
+
+# sha256 of every (value, p) that `program_optimum` gives on a grid of the
+# property test's instances, recorded before its tables were built in blocks
+# of lattice points and each step ran only the points it can reach.
+PROGRAM_GRID_SHA256 = "95b6edb2198eee65e945d1ba1f5424446d1beb315e4d5bca293062efb6f1c060"
+
+
+def _program_grid_digest():
+    digest = hashlib.sha256()
+    for k in range(1, 7):
+        for n in (1, 3, 10, 800):
+            for lam in (0.0, 0.5, 0.99):
+                for kind in ("flat", "integer", "geometric", "zeros", "random"):
+                    val, p = theory.program_optimum(_weights(kind, k, [7.5, 4.0, 4.0, 1.25, 0.0]), n, lam)
+                    digest.update(np.float64(val).tobytes() + p.tobytes())
+    return digest.hexdigest()
+
+
+def test_program_optimum_bits_are_pinned():
+    assert _program_grid_digest() == PROGRAM_GRID_SHA256
+
+
+def test_program_optimum_peak_memory_at_k_128():
+    # The (points x window) tables hold about 2k^3 entries; built and scanned
+    # in blocks of points, with int32 predecessors, k = 128 peaks near 37 MB
+    # (121 MB when they were built whole).
+    tracemalloc.start()
+    try:
+        theory.program_optimum([2.0 ** (-j / 8) for j in range(128)], 10, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60e6
 
 
 def test_exact_subset_avoidance_probability():
