@@ -11,7 +11,7 @@ sign that makes lambda=0 coincide with MHR.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class Distribution:
 
     def pdf(self, v):
         raise NotImplementedError
+
+    def survival(self, v):
+        """1 - F(v); a family overrides it where that difference cancels."""
+        return 1.0 - self.cdf(v)
 
     def quantile(self, u, out=None):
         """Q(u), written into ``out`` when given (``out=u`` maps u in place)."""
@@ -206,6 +210,10 @@ class Pareto(Distribution):
         out = 1.0 - np.power(self.scale / np.maximum(v, self.scale), self.shape)
         return np.where(v >= self.scale, out, 0.0)
 
+    def survival(self, v):
+        # (scale / v)^shape, with no cancellation deep in the tail.
+        return np.power(self.scale / np.maximum(v, self.scale), self.shape)
+
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
         with np.errstate(divide="ignore"):
@@ -337,7 +345,7 @@ def virtual_value(d: Distribution, v):
     scalar = arr.ndim == 0
     if scalar and not d.support.interior(float(arr)):
         raise OutOfSupport(f"{v} not in the interior of {d.descriptor} support")
-    out = arr - (1.0 - d.cdf(arr)) / d.pdf(arr)
+    out = arr - d.survival(arr) / d.pdf(arr)
     return float(out) if scalar else out
 
 
@@ -393,10 +401,8 @@ def _phi_right_limit(d: Distribution) -> float:
 @dataclass
 class RegularityCertificate:
     lam: float
-    grid: np.ndarray = field(repr=False)
     min_slope: float = 0.0
     passed: bool = False
-    truncated_tail_mass: float = 0.0
     scale: float = 1.0  # the pass tolerance is -1e-7 * scale
 
 
@@ -428,10 +434,8 @@ def check_lambda_regularity(d: Distribution, lam: float, grid_size: int = 400) -
     tol = 1e-7 * scale
     return RegularityCertificate(
         lam=lam,
-        grid=grid,
         min_slope=min_slope,
         passed=min_slope >= -tol,
-        truncated_tail_mass=d.truncated_tail_mass(),
         scale=scale,
     )
 

@@ -151,18 +151,22 @@ def _run_batch(members, blocks, batch_idx: int):
     BLOCK_VALUES // n rows at a time into one reused buffer (bit-identical
     to a whole-batch draw: `random` fills rows in order) and mapped to
     values in place, once for the group.  Each member's
-    ``block(v, aux, passes)`` reads a read-only view of that block, a prefix of its rows when the
-    member has fewer rows in this batch, with ``aux`` the member's own
-    generator on stream 1, and gives each row's revenue and welfare.  The
-    members with the same rows in this batch get one ``passes`` dict per
-    block, in which a block function memoizes work that does not depend on
-    the member (`_uniform_price_pass`): the first member to run it draws
-    from its own stream 1, which equals every other member's, and the
-    others then leave theirs untouched for the whole batch.  Per member,
-    the batch reduces to its partial sums and the seconds spent in
-    ``block``, a shared pass charged to the member that ran it."""
+    ``block(v, aux, passes)`` reads read-only views of its rows of that
+    block (fewer when the member has fewer rows in this batch) in slices of
+    BLOCK_VALUES // `_row_values` rows, so that its largest tables stay
+    within a block of values however narrow its rows; ``aux`` is the
+    member's own generator on stream 1, drawn in row order, so slices
+    change no bit.  It gives each row's revenue and welfare.  The members
+    with the same rows in this batch get one ``passes`` dict per slice, in
+    which a block function memoizes work that does not depend on the
+    member (`_uniform_price_pass`): the first member to run it draws from
+    its own stream 1, which equals every other member's, and the others
+    then leave theirs untouched for the whole batch.  Per member, the batch
+    reduces to its partial sums and the seconds spent in ``block``, a
+    shared pass charged to the member that ran it."""
     s = members[0]
     sizes = [min(BATCH_SIZE, m.reps - batch_idx * BATCH_SIZE) for m in members]
+    steps = [max(1, BLOCK_VALUES // _row_values(m)) for m in members]
     size = max(sizes)
     draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 0)))
     auxs = [np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 1))) for _ in members]
@@ -176,21 +180,37 @@ def _run_batch(members, blocks, batch_idx: int):
     for lo in range(0, size, rows):
         ub = draw.random(out=u[: size - lo])
         s.d.quantile(ub, out=ub)
-        passes = {sz: {} for sz in sizes}
-        for j, (block, aux, sz) in enumerate(zip(blocks, auxs, sizes)):
+        passes = {}
+        for j, (block, aux, sz, step) in enumerate(zip(blocks, auxs, sizes, steps)):
             if lo >= sz:
                 continue
             if lo == 0:
                 out[j] = np.empty((2, sz))
+            hi = min(lo + rows, sz)
             t0 = perf_counter()
-            out[j][0, lo : lo + rows], out[j][1, lo : lo + rows] = block(shared[: sz - lo], aux, passes[sz])
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                out[j][0, a:b], out[j][1, a:b] = block(shared[a - lo : b - lo], aux, passes.setdefault((sz, a), {}))
             engine_s[j] += perf_counter() - t0
             # After the member's last block, reduce and free its rows at once, so
             # that a one-block batch holds one member's rows at a time.
-            if lo + rows >= sz:
+            if hi == sz:
                 sums[j] = _sums(*out[j])
                 out[j] = None
     return [(*p, t) for p, t in zip(sums, engine_s)]
+
+
+def _row_values(s: Scenario) -> int:
+    """Values per row in the largest tables a member's block function
+    holds: for the uniform price, the rationing keys and their sorted copy;
+    for the menu sale, the top values (m per state) or a DP call's three
+    value tables and its k take-or-not masks (3 + k / 8 per state), over
+    width + 1 states; otherwise a row of values."""
+    if s.mechanism in ("ipm", "item_price"):
+        return 2 * s.n
+    if s.mechanism == "het_ipm":
+        return (_menu_width(s) + 1) * max(s.structure.m, 3 + len(s.etas) // 8)
+    return s.n
 
 
 def _sums(revenue: np.ndarray, welfare: np.ndarray):
@@ -274,9 +294,9 @@ def _uniform_price_block(s: Scenario, classes, price: float, threshold: float, v
     if served is None:  # no row rations
         return revenue, welfare
     if rations is None:  # every row rations: no row copies
-        return revenue, _served_welfare(v, served, classes, s.k)
+        return revenue, _served_rows(v, served, classes, s.k)
     welfare = welfare.copy()
-    welfare[rations] = _served_welfare(v, served, classes, s.k, rations)
+    welfare[rations] = _served_rows(v[rations], served, classes, s.k)
     return revenue, welfare
 
 
@@ -299,47 +319,22 @@ def _uniform_price_pass(price: float, threshold: float, k: int, v: np.ndarray, a
     return revenue, np.einsum("ij,ij->i", v, qualify), rations, served
 
 
-def _slice_rows(n: int) -> int:
-    """Rows in half a block of values, the slice rationing runs in."""
-    return max(1, BLOCK_VALUES // 2 // n)
-
-
 def _served(qualify: np.ndarray, k: int, aux):
-    """Who is served in rows where more than k buyers qualify, over slices
-    of half a block of values: keys come from ``aux`` in row order, so the
-    slices change no bit, while a slice's keys and their sorted copy stay
-    small.  Every buyer draws one uniform key and qualifiers' keys move down
-    by 1, so the buyers whose keys are at most the row's k-th smallest are k
+    """Who is served in rows where more than k buyers qualify.  Every buyer
+    draws one uniform key from ``aux`` and qualifiers' keys move down by 1,
+    so the buyers whose keys are at most the row's k-th smallest are k
     qualifiers drawn uniformly without replacement (group counts are
     multivariate hypergeometric)."""
-    rows = _slice_rows(qualify.shape[1])
-    served = np.empty(qualify.shape, dtype=bool)
-    for lo in range(0, len(qualify), rows):
-        keys = aux.random(qualify[lo : lo + rows].shape)
-        keys -= qualify[lo : lo + rows]
-        kth = np.sort(keys, axis=1)[:, k - 1 : k + 1].copy()  # the k-th and (k+1)-th smallest
-        part = served[lo : lo + rows]
-        np.less_equal(keys, kth[:, :1], out=part)
-        # Where the k-th key ties the next one, the tied buyers first in
-        # column order are served, so that every row serves exactly k.
-        for r in np.flatnonzero(kth[:, 0] == kth[:, 1]):
-            tied = np.flatnonzero(keys[r] == kth[r, 0])
-            part[r, tied[k - np.count_nonzero(keys[r] < kth[r, 0]) :]] = False
+    keys = aux.random(qualify.shape)
+    keys -= qualify
+    kth = np.sort(keys, axis=1)[:, k - 1 : k + 1].copy()  # the k-th and (k+1)-th smallest
+    served = keys <= kth[:, :1]
+    # Where the k-th key ties the next one, the tied buyers first in column
+    # order are served, so that every row serves exactly k.
+    for r in np.flatnonzero(kth[:, 0] == kth[:, 1]):
+        tied = np.flatnonzero(keys[r] == kth[r, 0])
+        served[r, tied[k - np.count_nonzero(keys[r] < kth[r, 0]) :]] = False
     return served
-
-
-def _served_welfare(v: np.ndarray, served: np.ndarray, classes, k: int, rows=None):
-    """Each rationing row's sum of its served values, each group serving
-    its top values: the rows ``rows`` of ``v`` (every row when None) with
-    ``served`` their served mask.  It runs over slices of half a block of
-    values, so that a slice's copies stay small; each row's sum does not
-    depend on the rows beside it."""
-    step = _slice_rows(v.shape[1])
-    welfare = np.empty(len(served))
-    for lo in range(0, len(served), step):
-        vs = v[lo : lo + step] if rows is None else v[rows[lo : lo + step]]
-        welfare[lo : lo + step] = _served_rows(vs, served[lo : lo + step], classes, k)
-    return welfare
 
 
 def _served_rows(v: np.ndarray, served: np.ndarray, classes, k: int):
@@ -425,21 +420,10 @@ def _item_floors(menu: Menu) -> np.ndarray:
     return floors
 
 
-def _menu_block(s: Scenario, classes, menu: Menu, floors: np.ndarray, v: np.ndarray, aux):
-    """`_menu_rows` over slices whose largest table holds BLOCK_VALUES
-    values: per row, the top values take m (width + 1), and a DP call's
-    three value tables and its k take-or-not masks (width + 1) (3 + k / 8).
-    Visit orders come from ``aux`` in row order, so the slices change no
-    bit, while a slice's tables stay within a block however narrow the
-    rows."""
-    m = s.structure.m
-    width = min(max(pad.shape[1] for _, pad, _ in classes), menu.k)
-    rows = max(1, BLOCK_VALUES // ((width + 1) * max(m, 3 + menu.k // 8)))
-    revenue, welfare = np.empty((2, len(v)))
-    for lo in range(0, len(v), rows):
-        revenue[lo : lo + rows], welfare[lo : lo + rows] = _menu_rows(
-            s, classes, menu, floors, width, v[lo : lo + rows], aux)
-    return revenue, welfare
+def _menu_width(s: Scenario) -> int:
+    """Top values per group the menu sale keeps: a purchase has at most k
+    items, and a group offers at most its size."""
+    return min(int(np.bincount(s.structure.partition).max()), len(s.etas))
 
 
 def _menu_rows(s: Scenario, classes, menu: Menu, floors: np.ndarray, width: int, v: np.ndarray, aux):
@@ -586,8 +570,8 @@ def _batch_fn(s: Scenario):
         return partial(_uniform_price_block, s, classes, price, threshold), {"price": price}
     if s.mechanism == "het_ipm":
         menu = build_menu(s.d, s.n, s.etas)
-        floors = _item_floors(menu)
-        return lambda v, aux, passes: _menu_block(s, classes, menu, floors, v, aux), {"menu": menu}
+        floors, width = _item_floors(menu), _menu_width(s)
+        return lambda v, aux, passes: _menu_rows(s, classes, menu, floors, width, v, aux), {"menu": menu}
     if s.mechanism == "kplus1":
         reserve, _ = optimal_item_price(s.d)
         return lambda v, aux, passes: _kplus1_block(s, groups, reserve, v, aux), {"reserve": reserve}

@@ -124,6 +124,20 @@ def test_simulate_kplus1_reserve_at_support_lower_end(tmp_path, capsys):
     assert simulation.run_scenario(s).extra["reserve"] == 1.0
 
 
+def test_simulate_prices_a_monopolist_deep_in_a_pareto_tail(tmp_path, capsys):
+    # At n = 15, k = 1 the monopolist's threshold solves phi(v) = 1467 near
+    # v = 1.5e5, where 1 - F(v) of pareto:1.01:1 is about 6e-6: taken as
+    # 1 - cdf it kept too few digits to pin phi, and the run exited 3.
+    text = CONFIG.format(out=tmp_path / "r.csv").replace("dist = exp:1", "dist = pareto:1.01:1")
+    for old, new in (("n = 4", "n = 15"), ("k = 2", "k = 1"), ("surplus", "monopolist"), ("20000", "2000")):
+        text = text.replace(old, new)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    code, out, err = run(["simulate", str(cfg)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("---- smoke: ratio ")
+
+
 def test_simulate_rejects_zero_reps(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed = 1\nreps = 0\n")
@@ -173,9 +187,13 @@ def test_check_negative_controls_reported_separately(capsys):
 
 
 # The report of the nine checks that predate `regularity`, recorded before
-# lemma_main's cross-check shared one ranked draw across the families.
+# lemma_main's cross-check shared one ranked draw across the families, and
+# re-recorded when virtual values took Pareto's survival without
+# cancellation: only the `monopolist_tau` row moved, from a margin of
+# -8.88178e-16 at p=2 to -8.60423e-16 at p=1.02598, both rounding of the
+# exact identity tau = c(lambda).
 CHECK_REPORT_ONLY = "fact1,lamb_aux,optprog,lemma_main,facts23,tau,claim1,negcontrol_fact1,negcontrol_optprog"
-CHECK_REPORT_SHA256 = "bc4d2bae44c24b92d50867b97e643debafaa199fe72d5b74b0fdec95d46856d8"
+CHECK_REPORT_SHA256 = "6ffc8e9a90ad3550ab37f97900ded8ac519aba599394a4b093aa04c88cd3a67c"
 
 
 def test_check_report_is_pinned(capsys):

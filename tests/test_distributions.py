@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipmlab.distributions import (
@@ -154,6 +154,18 @@ def test_inverse_virtual_value_inverts(p):
     d = Exponential(1.0)
     v = inverse_virtual_value(d, p)
     assert virtual_value(d, v) == pytest.approx(p, abs=1e-7)
+
+
+@given(shape=st.sampled_from([4.0, 1.25, 1.1, 1.05, 1.01]), c=st.floats(1.0, 1e4))
+@example(shape=1.01, c=1467.116066253632)
+@settings(max_examples=60, deadline=None)
+def test_pareto_virtual_value_inverts_deep_in_the_tail(shape, c):
+    # phi(v) = v (1 - 1/shape) on v > 1, so every c >= 1 has a root, which
+    # near shape 1 lies far out, where 1 - F(v) is tiny: phi must come from
+    # the survival function, not from 1 - cdf, to be pinned within rtol.
+    d = Pareto(shape, 1.0)
+    v = inverse_virtual_value(d, c)
+    assert abs(virtual_value(d, v) - c) <= 1e-9 * c
 
 
 def test_regularity_certificates_for_builtins():

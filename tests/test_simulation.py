@@ -327,7 +327,7 @@ def test_bundle_welfare_of_a_lone_row_matches_its_block(monkeypatch):
 def rationed_welfare(v, qualify, classes, k, aux):
     """Welfare of rows where more than k buyers qualify: who is served,
     from the keys of ``aux``, then each row's sum of its served values."""
-    return simulation._served_welfare(v, simulation._served(qualify, k, aux), classes, k)
+    return simulation._served_rows(v, simulation._served(qualify, k, aux), classes, k)
 
 
 def test_rationing_law_is_multivariate_hypergeometric():
@@ -407,16 +407,18 @@ def test_rationed_welfare_of_a_lone_row_matches_its_block():
             assert lone.tobytes() == whole[row].tobytes(), (structure.descriptor, r)
 
 
-# Welfare digests of 513 rows at n = 256 that ration in a slice of 512 rows
-# and a lone row, recorded before rationing ran in slices.
+# Welfare digests of 513 rows at n = 256 that ration, recorded before
+# rationing ran in slices.  The batch driver hands rationing 512-row slices
+# at n = 256, so a run of these rows would be a slice of 512 and a lone row.
 TIED_SLICE = {"competition": "df01c9f3f5d3659d", "random:200:1": "6062f6761d01cb46"}
 
 
 @pytest.mark.parametrize("structure", list(TIED_SLICE))
 def test_rationing_slices_keep_a_tie_in_the_last_row_of_a_slice(structure):
     # Row 511, the last of the first slice, has its k-th and (k+1)-th
-    # smallest qualifier keys tied.  Competition takes the direct sum;
-    # random:200:1 mixes singletons with wider groups.
+    # smallest qualifier keys tied, and gets the same bits alone.
+    # Competition takes the direct sum; random:200:1 mixes singletons with
+    # wider groups.
     rng = np.random.default_rng(21)
     n, k = 256, 16
     v = rng.exponential(size=(513, n))
@@ -426,9 +428,7 @@ def test_rationing_slices_keep_a_tie_in_the_last_row_of_a_slice(structure):
     order = asks[np.argsort(keys[511, asks])]
     keys[511, order[k]] = keys[511, order[k - 1]]
     classes = simulation._group_layout(agents.parse_structure(structure, n).groups())
-    aux = FixedKeys(keys)
-    welfare = rationed_welfare(v, qualify, classes, k, aux)
-    assert aux.shapes == [(512, n), (1, n)]
+    welfare = rationed_welfare(v, qualify, classes, k, FixedKeys(keys))
     assert hashlib.sha256(welfare.tobytes()).hexdigest()[:16] == TIED_SLICE[structure]
     lone = rationed_welfare(v[511:512], qualify[511:512], classes, k, FixedKeys(keys[511:512]))
     assert lone.tobytes() == welfare[511:512].tobytes()
@@ -550,15 +550,19 @@ PEAK_BLOCKS = {"ipm": 1.56, "item_price": 2.76, "het_ipm": 4.09, "kplus1": 2.70,
 # sum of the served values, and the menu sale runs 256 steps per row in
 # 512-row slices; the other engines are checked on balanced:16.  At n = 64,
 # random:5:4 holds groups of 8, 10, 11, 16 and 19 buyers, so `kplus1`
-# gathers the whole groups beside a cut one.
-@pytest.mark.parametrize("mechanism, structure, n", [pytest.param(m, "balanced:16", 256, id=m) for m in PEAK_BLOCKS]
-                         + [pytest.param(m, "competition", 256, id=f"{m}-competition")
+# gathers the whole groups beside a cut one.  Under monopsony at
+# n = k = 64 the menu sale's slices are bounded by its DP tables, not by its
+# top values.
+@pytest.mark.parametrize("mechanism, structure, n, k",
+                         [pytest.param(m, "balanced:16", 256, 16, id=m) for m in PEAK_BLOCKS]
+                         + [pytest.param(m, "competition", 256, 16, id=f"{m}-competition")
                             for m in ("ipm", "item_price", "het_ipm")]
-                         + [pytest.param("kplus1", "random:5:4", 64, id="kplus1-mixed")])
-def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism, structure, n):
+                         + [pytest.param("kplus1", "random:5:4", 64, 16, id="kplus1-mixed"),
+                            pytest.param("het_ipm", "monopsony", 64, 64, id="het_ipm-monopsony")])
+def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism, structure, n, k):
     monkeypatch.setenv("IPMLAB_THREADS", "1")
-    s = scenario(mechanism=mechanism, n=n, k=16, structure=agents.parse_structure(structure, n),
-                 etas=tuple(1.0 / (j + 1) for j in range(16)) if mechanism == "het_ipm" else None,
+    s = scenario(mechanism=mechanism, n=n, k=k, structure=agents.parse_structure(structure, n),
+                 etas=tuple(1.0 / (j + 1) for j in range(k)) if mechanism == "het_ipm" else None,
                  reps=simulation.BATCH_SIZE)
     simulation.run_scenario(replace(s, reps=1))  # warm the analytic cache
     tracemalloc.start()
@@ -568,6 +572,42 @@ def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism, 
     finally:
         tracemalloc.stop()
     assert peak < PEAK_BLOCKS[mechanism] * simulation.BLOCK_VALUES * 8
+
+
+@pytest.mark.parametrize("n, structure", [(256, "competition"), (256, "balanced:16"), (6, "random:3:7")])
+def test_block_functions_get_slices_that_tile_each_batch(monkeypatch, n, structure):
+    # The batch driver alone cuts rows: every call of a member's block
+    # function gets at most BLOCK_VALUES // _row_values rows, and the calls
+    # run through the member's rows of each batch in order, as drawn.  At
+    # n = 256 the draw block is 1024 rows, which the uniform price cuts in
+    # two and the menu sale under balanced:16 into 963 + 61; at n = 6 each
+    # call is a whole batch.  Members end at different rows.
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    k, reps = (16, 2100) if n == 256 else (2, 2 * simulation.BATCH_SIZE + 100)
+    members = [scenario(n=n, k=k, structure=agents.parse_structure(structure, n), mechanism=mechanism,
+                        etas=tuple(1.0 / (j + 1) for j in range(k)) if mechanism == "het_ipm" else None,
+                        reps=reps - 7 * i, scenario_id=mechanism)
+               for i, mechanism in enumerate(simulation.MECHANISMS)]
+    batch_fn = simulation._batch_fn
+    calls = {}
+
+    def recorded(s):
+        block, extra = batch_fn(s)
+
+        def run(v, aux, passes):
+            calls.setdefault(s.label, []).append(v.copy())
+            return block(v, aux, passes)
+
+        return run, extra
+
+    monkeypatch.setattr(simulation, "_batch_fn", recorded)
+    simulation.run_scenarios(members)
+    for s in members:
+        got = calls[s.label]
+        assert max(len(v) for v in got) <= max(1, simulation.BLOCK_VALUES // simulation._row_values(s))
+        drawn = [s.d.quantile(np.random.default_rng(np.random.SeedSequence((s.master_seed, b, 0))).random((size, n)))
+                 for b, size in simulation._batches(s.reps)]
+        assert np.concatenate(got).tobytes() == np.concatenate(drawn).tobytes(), s.label
 
 
 # csv_row(), the ci95_welfare hex and a digest of every row's revenue and
@@ -817,8 +857,8 @@ def test_group_members_match_their_own_runs(monkeypatch, threads, block_rows):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_members_sharing_a_uniform_price_pass_match_their_own_runs(monkeypatch, threads):
     # Two ipm structures post one price at one threshold: in batch 0 both
-    # hold BATCH_SIZE rows and share each block's pass; in batch 1 the
-    # balanced one holds 1500 rows over two blocks, so each runs its own.
+    # hold BATCH_SIZE rows and share each slice's pass; in batch 1 the
+    # balanced one holds 1500 rows over three slices, so each runs its own.
     # Beside them, a monopolist ipm (same price, another threshold) with the
     # rows of the first and an item_price (another price) with the rows of
     # the second never share.  Each member gets the bits of its own run.
@@ -845,9 +885,10 @@ def test_members_sharing_a_uniform_price_pass_match_their_own_runs(monkeypatch, 
     reports = simulation.run_scenarios(members)
     assert [report_bits(rep) for rep in reports] == alone
     assert {rep.extra["draw_values"] for rep in reports} == {big * 256}
-    # 1024-row blocks: batch 0 runs 3 passes a block over 8 blocks, batch 1
-    # runs 8 + 2 + 8 + 2, batch 2 two of 100 rows.
-    assert sorted(Counter(passes).items()) == [(100, 2), (476, 2), (1024, 24 + 18)]
+    # 512-row slices: batch 0 runs 3 passes a slice over 16 slices, batch 1
+    # runs 16 + 3 + 16 + 3, the last of each 3 holding 476 rows, and batch 2
+    # two of 100 rows.
+    assert sorted(Counter(passes).items()) == [(100, 2), (476, 2), (512, 48 + 36)]
     if threads == "1":  # blocks of other batches interleave at two threads
         assert {label: row_digest(b) for label, b in blocks.items()} == alone_rows
 
