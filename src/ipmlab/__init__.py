@@ -9,7 +9,6 @@ from .distributions import (
     Weibull,
     builtin_families,
     c_of_lambda,
-    check_lambda_regularity,
     parse_distribution,
 )
 from .mechanisms import Menu, build_menu, ipm_price, optimal_item_price
@@ -18,7 +17,7 @@ from .simulation import Scenario, SimulationReport, run_scenario, run_scenarios
 __all__ = [
     "Distribution", "Exponential", "Uniform", "Weibull", "Pareto",
     "TruncatedEqualRevenue", "builtin_families", "parse_distribution",
-    "c_of_lambda", "check_lambda_regularity",
+    "c_of_lambda",
     "Menu", "build_menu", "ipm_price", "optimal_item_price",
     "Scenario", "SimulationReport", "run_scenario", "run_scenarios",
 ]

@@ -133,7 +133,7 @@ def monopolist_tau_analytic(d: Distribution, price: float) -> float:
     """P[intermediary buys | buyer value >= price] for a monopolist, in
     closed form: (1 - F(phi^-1(p))) / (1 - F(p))."""
     thr = inverse_virtual_value(d, price)
-    return float((1.0 - d.cdf(thr)) / (1.0 - d.cdf(price)))
+    return float(d.survival(thr) / d.survival(price))
 
 
 # ---------------------------------------------------------------------------

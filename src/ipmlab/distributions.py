@@ -1,11 +1,12 @@
-"""Valuation distributions and the lambda-regularity machinery.
+"""Valuation distributions and their virtual values.
 
-Each family exposes cdf/pdf/quantile (numpy-vectorized) plus a claimed
-regularity parameter ``lambda_claimed`` in [0, 1].  lambda = 0 is the
+Each family exposes cdf/pdf/survival/quantile (numpy-vectorized) plus a
+claimed regularity parameter ``lambda_claimed`` in [0, 1].  lambda = 0 is the
 monotone-hazard-rate class, lambda = 1 the Myerson-regular class; the
 generalized virtual margin  m_lambda(v) = lambda*v - (1-F(v))/f(v)  must be
-non-decreasing for membership.  (The defining condition is stated with the
-sign that makes lambda=0 coincide with MHR.)
+non-decreasing for membership (`theory.check_regularity` tests it).  (The
+defining condition is stated with the sign that makes lambda=0 coincide with
+MHR.)
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonMonotone, OutOfRange, OutOfSupport, ParseError
-
-# Quantile levels used to trim degenerate tails on evaluation grids.
-TAIL_TRIM_Q = 1e-6
-# Infinite supports are truncated at this quantile for the virtual-value
-# bracket and the regularity certificate.
-TRUNCATION_Q = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,18 +67,6 @@ class Distribution:
     def descriptor(self) -> str:
         raise NotImplementedError
 
-    def truncation_point(self) -> float:
-        """Upper end of the virtual-value bracket; the exact endpoint for bounded supports."""
-        if math.isfinite(self.support.hi):
-            return self.support.hi
-        return float(self.quantile(1.0 - TRUNCATION_Q))
-
-    def truncated_tail_mass(self) -> float:
-        """Probability mass discarded beyond :meth:`truncation_point`."""
-        if math.isfinite(self.support.hi):
-            return 0.0
-        return TRUNCATION_Q
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.descriptor}>"
 
@@ -100,6 +83,9 @@ class Exponential(Distribution):
 
     def cdf(self, v):
         return -np.expm1(-self.rate * np.asarray(v, dtype=float))
+
+    def survival(self, v):
+        return np.exp(-self.rate * np.maximum(np.asarray(v, dtype=float), 0.0))
 
     def pdf(self, v):
         return self.rate * np.exp(-self.rate * np.asarray(v, dtype=float))
@@ -169,6 +155,10 @@ class Weibull(Distribution):
     def cdf(self, v):
         z = np.asarray(v, dtype=float) / self.scale
         return -np.expm1(-np.power(z, self.shape))
+
+    def survival(self, v):
+        z = np.maximum(np.asarray(v, dtype=float), 0.0) / self.scale
+        return np.exp(-np.power(z, self.shape))
 
     def pdf(self, v):
         z = np.asarray(v, dtype=float) / self.scale
@@ -339,13 +329,20 @@ def builtin_families() -> list[Distribution]:
 # Virtual values
 
 
+def generalized_virtual_margin(d: Distribution, lam: float, v):
+    """m_lambda(v) = lambda*v - (1-F(v))/f(v); nondecreasing iff lambda-regular."""
+    v = np.asarray(v, dtype=float)
+    return lam * v - d.survival(v) / d.pdf(v)
+
+
 def virtual_value(d: Distribution, v):
-    """Myerson virtual value  v - (1-F(v))/f(v).  Vectorized over v."""
+    """Myerson virtual value  v - (1-F(v))/f(v), the margin at lambda = 1
+    (1.0 * v is exact).  Vectorized over v."""
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0
     if scalar and not d.support.interior(float(arr)):
         raise OutOfSupport(f"{v} not in the interior of {d.descriptor} support")
-    out = arr - d.survival(arr) / d.pdf(arr)
+    out = generalized_virtual_margin(d, 1.0, arr)
     return float(out) if scalar else out
 
 
@@ -356,14 +353,16 @@ def inverse_virtual_value(d: Distribution, c: float, rtol: float = 1e-9) -> floa
     The monopoly reserve price is ``inverse_virtual_value(d, 0)``.
     """
     lo = max(d.support.lo, float(d.quantile(1e-12)))
-    hi = min(d.truncation_point(), float(d.quantile(1.0 - 1e-13)))
+    # The upper end starts at survival 1e-13 on a bounded support, or at 1e-8
+    # on an infinite one, where the loop below doubles it until it brackets c.
+    hi = float(d.quantile(1.0 - (1e-13 if math.isfinite(d.support.hi) else 1e-8)))
     phi_lo = virtual_value(d, lo) if d.support.interior(lo) else _phi_right_limit(d)
     if c < phi_lo - rtol * max(1.0, abs(c)):
         raise OutOfRange(f"target {c} below the virtual-value range of {d.descriptor}")
     if c <= phi_lo:
         return lo
     phi_hi = virtual_value(d, hi)
-    # Expand toward the tail if the truncated endpoint does not bracket yet.
+    # Expand toward the tail if the endpoint does not bracket yet.
     for _ in range(64):
         if phi_hi >= c:
             break
@@ -392,52 +391,6 @@ def inverse_virtual_value(d: Distribution, c: float, rtol: float = 1e-9) -> floa
 def _phi_right_limit(d: Distribution) -> float:
     v = float(d.quantile(1e-10))
     return virtual_value(d, v) if d.support.interior(v) else virtual_value(d, float(d.quantile(1e-6)))
-
-
-# ---------------------------------------------------------------------------
-# lambda-regularity certificate
-
-
-@dataclass
-class RegularityCertificate:
-    lam: float
-    min_slope: float = 0.0
-    passed: bool = False
-    scale: float = 1.0  # the pass tolerance is -1e-7 * scale
-
-
-def generalized_virtual_margin(d: Distribution, lam: float, v):
-    """m_lambda(v) = lambda*v - (1-F(v))/f(v); nondecreasing iff lambda-regular."""
-    v = np.asarray(v, dtype=float)
-    return lam * v - (1.0 - d.cdf(v)) / d.pdf(v)
-
-
-def check_lambda_regularity(d: Distribution, lam: float, grid_size: int = 400) -> RegularityCertificate:
-    """Grid test of lambda-regularity on a quantile-spaced grid.
-
-    Tails are trimmed at quantiles 1e-6 and 1-1e-6; the pass tolerance is
-    -1e-7 * scale so finite-difference noise never masks a linear-in-v
-    violation (e.g. Pareto(2) tested at lambda < 1/2).
-    """
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
-    us = np.linspace(TAIL_TRIM_Q, 1.0 - TAIL_TRIM_Q, grid_size)
-    grid = np.asarray(d.quantile(us), dtype=float)
-    margin = generalized_virtual_margin(d, lam, grid)
-    diffs = np.diff(margin)
-    # Scale against the components of the margin, not the margin itself:
-    # the margin can cancel to ~0 (Pareto at its exact lambda) while the
-    # rounding noise tracks lam*v and (1-F)/f individually.
-    components = np.abs(lam * grid) + np.abs(margin - lam * grid)
-    scale = max(1.0, float(np.max(components)))
-    min_slope = float(np.min(diffs))
-    tol = 1e-7 * scale
-    return RegularityCertificate(
-        lam=lam,
-        min_slope=min_slope,
-        passed=min_slope >= -tol,
-        scale=scale,
-    )
 
 
 # ---------------------------------------------------------------------------

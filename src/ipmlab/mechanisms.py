@@ -100,4 +100,4 @@ def optimal_item_price(d: Distribution) -> tuple[float, float]:
         r = inverse_virtual_value(d, 0.0)
     except OutOfRange:
         r = d.support.lo
-    return r, r * (1.0 - float(d.cdf(r)))
+    return r, r * float(d.survival(r))

@@ -109,11 +109,11 @@ def top_k_welfare(d: Distribution, n: int, k: int, etas=None) -> float:
     return float(sum(eta * expected_rank(d, j + 1, n) for j, eta in enumerate(etas)))
 
 
-def tail_probability_vs_mean(d: Distribution, t: int) -> float:
-    """P[v^(1,t) >= E[v^(1,t)]] evaluated analytically.
+def max_tail_probability(d: Distribution, t: int, x: float) -> float:
+    """P[v^(1,t) >= x] = 1 - F(x)^t, the chance that the max of t draws
+    reaches x.
 
-    For a lambda-regular family this is at least c(lambda), since the max of
-    i.i.d. lambda-regular draws is itself lambda-regular.
+    At x = E[v^(1,t)] this is at least c(lambda) for a lambda-regular family,
+    since the max of i.i.d. lambda-regular draws is itself lambda-regular.
     """
-    m = expected_rank(d, 1, t)
-    return float(-np.expm1(t * np.log(np.clip(d.cdf(m), 0.0, 1.0))))
+    return float(-np.expm1(t * np.log(np.clip(d.cdf(x), 1e-300, 1.0))))

@@ -55,8 +55,13 @@ class Scenario:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.mechanism == "het_ipm" and self.etas is None:
-            raise ValueError("het_ipm needs item weights")
+        if self.mechanism == "het_ipm":
+            if self.etas is None:
+                raise ValueError("het_ipm needs item weights")
+            if len(self.etas) != self.k:
+                raise ValueError(f"het_ipm sells one item per weight: got {len(self.etas)} etas for k={self.k}")
+        elif self.etas is not None:
+            raise ValueError(f"etas weigh the items of het_ipm only, not of {self.mechanism}")
         if self.order_policy not in ("random", "fixed"):
             raise ValueError(f"unknown order policy {self.order_policy!r}")
 

@@ -21,10 +21,10 @@ from .distributions import (
     Pareto,
     builtin_families,
     c_of_lambda,
-    check_lambda_regularity,
     g_lambda,
+    generalized_virtual_margin,
 )
-from .order_statistics import expected_rank, tail_probability_vs_mean
+from .order_statistics import expected_rank, max_tail_probability
 
 # Certified rational bounds: 2.718281828459045 < e < 2.718281828459046.
 INV_E_LOWER = Fraction(10**15, 2718281828459046)
@@ -42,27 +42,37 @@ class CheckResult:
         return f"{self.name}, {self.worst_margin:.6g}, {self.detail}, {self.passed}"
 
 
-def check_fact1_convexity(d: Distribution, lam: float, n_max: int, grid_size: int = 400) -> CheckResult:
+def _worst(name: str, cases, tol: float) -> CheckResult:
+    """``name``'s result from its (slack, detail) cases: the smallest slack,
+    the first one on ties, passing at >= -tol.  A NaN slack ranks below every
+    number, so the first NaN case is reported and fails."""
+    slack, detail = min(cases, key=lambda case: (not math.isnan(case[0]), case[0]), default=(math.inf, ""))
+    return CheckResult(name, float(slack), bool(slack >= -tol), detail)
+
+
+def _quantile_grid(d: Distribution) -> np.ndarray:
+    """400 points of ``d`` at quantiles spaced evenly over [1e-6, 1 - 1e-6]."""
+    return np.asarray(d.quantile(np.linspace(1e-6, 1.0 - 1e-6, 400)), dtype=float)
+
+
+def check_fact1_convexity(d: Distribution, lam: float, n_max: int) -> CheckResult:
     """Convexity of g_lam(F(x)^n) in x, for n = 1..n_max.
 
     Checked as monotonicity of chords on a quantile-spaced grid; slack is
     relative to the local slope magnitude so heavy tails don't trip it.
     """
-    us = np.linspace(1e-6, 1.0 - 1e-6, grid_size)
-    xs = np.asarray(d.quantile(us), dtype=float)
+    xs = _quantile_grid(d)
     F = np.asarray(d.cdf(xs), dtype=float)
-    worst = math.inf
-    detail = ""
-    for n in range(1, n_max + 1):
+
+    def case(n):
         y = np.asarray(g_lambda(lam, np.power(F, n)), dtype=float)
         slopes = np.diff(y) / np.diff(xs)
         scale = np.maximum(1.0, np.maximum(np.abs(slopes[1:]), np.abs(slopes[:-1])))
         rel = np.diff(slopes) / scale
         i = int(np.argmin(rel))
-        if rel[i] < worst:
-            worst = float(rel[i])
-            detail = f"n={n} x={xs[i + 1]:.6g}"
-    return CheckResult("fact1_convexity", worst, worst >= -1e-6, detail)
+        return rel[i], f"n={n} x={xs[i + 1]:.6g}"
+
+    return _worst("fact1_convexity", map(case, range(1, n_max + 1)), 1e-6)
 
 
 def _lamb_aux_h(eps, n: int):
@@ -316,54 +326,50 @@ def check_facts_2_3(d: Distribution, s_max: int) -> CheckResult:
     """Fact 2: P[v^(1,t) >= E[v^(1,t)]] >= c(lam) for t <= s_max.
     Fact 3: P[v^(1,s-1) >= E[v^(1,s)]] >= ((s-1)/s) c(lam) for s <= s_max."""
     c = c_of_lambda(d.lambda_claimed)
-    worst = math.inf
-    detail = ""
-    for t in range(1, s_max + 1):
-        slack = tail_probability_vs_mean(d, t) - c
-        if slack < worst:
-            worst, detail = slack, f"fact2 t={t}"
-    for s in range(2, s_max + 1):
-        m = expected_rank(d, 1, s)
-        p = float(-np.expm1((s - 1) * np.log(np.clip(d.cdf(m), 1e-300, 1.0))))
-        slack = p - ((s - 1) / s) * c
-        if slack < worst:
-            worst, detail = slack, f"fact3 s={s}"
-    return CheckResult("facts_2_3", worst, worst >= -1e-4, detail)
+    fact2 = [(max_tail_probability(d, t, expected_rank(d, 1, t)) - c, f"fact2 t={t}") for t in range(1, s_max + 1)]
+    fact3 = [
+        (max_tail_probability(d, s - 1, expected_rank(d, 1, s)) - ((s - 1) / s) * c, f"fact3 s={s}")
+        for s in range(2, s_max + 1)
+    ]
+    return _worst("facts_2_3", fact2 + fact3, 1e-4)
 
 
 def check_monopolist_tau(d: Distribution, lam: float, p_grid) -> CheckResult:
     """(1 - F(phi^-1(p))) / (1 - F(p)) >= c(lam) over the price grid."""
     c = c_of_lambda(lam)
-    worst = math.inf
-    detail = ""
-    for p in p_grid:
-        ratio = monopolist_tau_analytic(d, float(p))
-        if ratio - c < worst:
-            worst, detail = ratio - c, f"p={p:.6g}"
-    return CheckResult("monopolist_tau", worst, worst >= -1e-5, detail)
+    cases = ((monopolist_tau_analytic(d, float(p)) - c, f"p={p:.6g}") for p in p_grid)
+    return _worst("monopolist_tau", cases, 1e-5)
 
 
 def check_claim1(d: Distribution, ns=(4, 8, 16)) -> CheckResult:
     """n P[v >= u_j] >= (j/2) c(lam) for u_j = E[v^(1, ceil(n/j))], j <= n."""
     c = c_of_lambda(d.lambda_claimed)
-    worst = math.inf
-    detail = ""
-    for n in ns:
-        for j in range(1, n + 1):
-            u_j = expected_rank(d, 1, math.ceil(n / j))
-            lhs = n * float(1.0 - d.cdf(u_j))
-            slack = lhs - 0.5 * j * c
-            if slack < worst:
-                worst, detail = slack, f"n={n} j={j}"
-    return CheckResult("claim1", worst, worst >= -1e-4, detail)
+    cases = (
+        (n * float(d.survival(expected_rank(d, 1, math.ceil(n / j)))) - 0.5 * j * c, f"n={n} j={j}")
+        for n in ns
+        for j in range(1, n + 1)
+    )
+    return _worst("claim1", cases, 1e-4)
 
 
 def check_regularity(d: Distribution, lam: float) -> CheckResult:
-    """lam-regularity of ``d`` by `distributions.check_lambda_regularity`:
-    the margin is the certificate's smallest slope of lam*v - (1-F)/f over
-    its scale, so it passes at >= -1e-7."""
-    cert = check_lambda_regularity(d, lam)
-    return CheckResult("regularity", cert.min_slope / cert.scale, cert.passed, f"lam={lam:g}")
+    """lam-regularity of ``d``: the generalized virtual margin
+    m(v) = lam*v - (1-F(v))/f(v) must be nondecreasing on `_quantile_grid`.
+
+    The margin reported is the smallest step of m over a scale, the largest
+    of |lam*v| + |(1-F)/f| on the grid (at least 1), and passes at >= -1e-7:
+    finite-difference noise never masks a linear-in-v violation (e.g.
+    Pareto(2) tested at lam < 1/2).
+    """
+    grid = _quantile_grid(d)
+    margin = generalized_virtual_margin(d, lam, grid)
+    # Scale against the components of the margin, not the margin itself:
+    # the margin can cancel to ~0 (Pareto at its exact lambda) while the
+    # rounding noise tracks lam*v and (1-F)/f individually.
+    components = np.abs(lam * grid) + np.abs(margin - lam * grid)
+    scale = max(1.0, float(np.max(components)))
+    worst = float(np.min(np.diff(margin))) / scale
+    return CheckResult("regularity", worst, worst >= -1e-7, f"lam={lam:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,31 +396,17 @@ def _tau_on_quantiles(d: Distribution) -> CheckResult:
     return check_monopolist_tau(d, d.lambda_claimed, grid)
 
 
-def _negcontrol_fact1():
-    # A heavy tail tested as if it were light-tailed must fail.
-    r = check_fact1_convexity(Pareto(2.0, 1.0), 0.0, n_max=8)
-    r.name = "negcontrol_fact1"
-    r.detail = f"pareto:2:1 at lam=0 {r.detail}"
-    r.passed = not r.passed  # the control passes iff the checker failed
-    return [r]
+def _negcontrol(name: str, check, label: str = ""):
+    """Registry entry for a negative control: ``check()`` must fail, so the
+    row, renamed ``name`` and its detail led by ``label``, passes iff the
+    checker reported failure."""
 
+    def run():
+        r = check()
+        r.name, r.detail, r.passed = name, label + r.detail, not r.passed
+        return [r]
 
-def _negcontrol_regularity():
-    # Pareto(2) is 1/2-regular and no more: tested at lam = 0.25 it must fail.
-    r = check_regularity(Pareto(2.0, 1.0), 0.25)
-    r.name = "negcontrol_regularity"
-    r.detail = f"pareto:2:1 {r.detail}"
-    r.passed = not r.passed
-    return [r]
-
-
-def _negcontrol_optprog():
-    # Flat weights: a vertex zeroing the last coordinate beats the uniform
-    # point, so the checker must report failure.
-    r = check_optprog((1.0, 1.0), 10, 0.0)
-    r.name = "negcontrol_optprog"
-    r.passed = not r.passed
-    return [r]
+    return run
 
 
 LEMMA_MAIN_CASES = [(n, k) for n in (4, 6, 12) for k in (1, 2, 3, n)]
@@ -428,9 +420,17 @@ REGISTRY = {
     "tau": _per_family(_tau_on_quantiles),
     "claim1": _per_family(check_claim1),
     "regularity": _per_family(lambda d: check_regularity(d, d.lambda_claimed)),
-    "negcontrol_fact1": _negcontrol_fact1,
-    "negcontrol_optprog": _negcontrol_optprog,
-    "negcontrol_regularity": _negcontrol_regularity,
+    # A heavy tail tested as if it were light-tailed must fail.
+    "negcontrol_fact1": _negcontrol(
+        "negcontrol_fact1", lambda: check_fact1_convexity(Pareto(2.0, 1.0), 0.0, n_max=8), "pareto:2:1 at lam=0 "
+    ),
+    # Flat weights: a vertex zeroing the last coordinate beats the uniform
+    # point, so the checker must report failure.
+    "negcontrol_optprog": _negcontrol("negcontrol_optprog", lambda: check_optprog((1.0, 1.0), 10, 0.0)),
+    # Pareto(2) is 1/2-regular and no more: tested at lam = 0.25 it must fail.
+    "negcontrol_regularity": _negcontrol(
+        "negcontrol_regularity", lambda: check_regularity(Pareto(2.0, 1.0), 0.25), "pareto:2:1 "
+    ),
 }
 
 

@@ -138,6 +138,28 @@ def test_simulate_prices_a_monopolist_deep_in_a_pareto_tail(tmp_path, capsys):
     assert out.startswith("---- smoke: ratio ")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # The menu sells one item per weight: k = 3 would be a false label.
+        {"mechanism = ipm": "mechanism = het_ipm", "k = 2": "k = 3\netas = 1,0.5"},
+        # Only het_ipm reads weights; ipm would ignore them silently.
+        {"k = 2": "k = 2\netas = 1,0.5"},
+    ],
+    ids=["het_ipm-k-mismatch", "ipm-with-etas"],
+)
+def test_simulate_rejects_weights_that_do_not_fit(tmp_path, capsys, edit):
+    text = CONFIG.format(out=tmp_path / "r.csv")
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert "etas" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_simulate_rejects_zero_reps(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed = 1\nreps = 0\n")
@@ -191,9 +213,12 @@ def test_check_negative_controls_reported_separately(capsys):
 # re-recorded when virtual values took Pareto's survival without
 # cancellation: only the `monopolist_tau` row moved, from a margin of
 # -8.88178e-16 at p=2 to -8.60423e-16 at p=1.02598, both rounding of the
-# exact identity tau = c(lambda).
+# exact identity tau = c(lambda).  Re-recorded again when every 1 - F read
+# the survival, exact for exp and weibull too: two `monopolist_tau` rows
+# moved, pareto:2:1 to -7.77156e-16 at the same p, and exp:1 from
+# -8.32667e-16 at p=2.30259 to -1.66533e-16 at p=0.287682.
 CHECK_REPORT_ONLY = "fact1,lamb_aux,optprog,lemma_main,facts23,tau,claim1,negcontrol_fact1,negcontrol_optprog"
-CHECK_REPORT_SHA256 = "6ffc8e9a90ad3550ab37f97900ded8ac519aba599394a4b093aa04c88cd3a67c"
+CHECK_REPORT_SHA256 = "7fece163b2e9cc4a5eb57242d6a09d797c9c28985f6e721f37093d7b4151bb82"
 
 
 def test_check_report_is_pinned(capsys):

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -13,13 +15,14 @@ from ipmlab.distributions import (
     Weibull,
     builtin_families,
     c_of_lambda,
-    check_lambda_regularity,
     g_lambda,
+    generalized_virtual_margin,
     inverse_virtual_value,
     parse_distribution,
     virtual_value,
 )
 from ipmlab.errors import DomainError, OutOfRange, ParseError
+from ipmlab.theory import _quantile_grid, check_regularity
 
 from oracles import gamma_h_representation, gamma_lambda, generalized_hazard, hazard
 
@@ -97,8 +100,8 @@ def test_descriptor_keeps_every_digit():
 @settings(max_examples=100, deadline=None)
 def test_regularity_certificates_for_parseable_families(text):
     d = parse_distribution(text)
-    cert = check_lambda_regularity(d, d.lambda_claimed)
-    assert cert.passed, (d.descriptor, cert.min_slope)
+    res = check_regularity(d, d.lambda_claimed)
+    assert res.passed, (d.descriptor, res.worst_margin)
 
 
 def test_parse_rejects_garbage():
@@ -137,6 +140,39 @@ def test_virtual_value_closed_forms():
     assert virtual_value(Pareto(2.0, 1.0), 4.0) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("d", FAMILIES, ids=lambda d: d.descriptor)
+def test_virtual_value_is_the_margin_at_lambda_one(d):
+    grid = _quantile_grid(d)
+    assert np.array_equal(virtual_value(d, grid), generalized_virtual_margin(d, 1.0, grid))
+    v = float(grid[200])
+    assert virtual_value(d, v) == float(generalized_virtual_margin(d, 1.0, v))
+
+
+@pytest.mark.parametrize(
+    "d, v, exact",
+    [(Exponential(1.0), 40.0, math.exp(-40.0)), (Exponential(2.0), 300.0, math.exp(-600.0)),
+     (Weibull(1.0, 2.0), 7.0, math.exp(-49.0)), (Weibull(2.0, 3.0), 16.0, math.exp(-512.0)),
+     (Exponential(1.0), -1.0, 1.0), (Weibull(1.0, 2.0), -1.0, 1.0)],
+)
+def test_infinite_tails_have_exact_survivals(d, v, exact):
+    # 1 - cdf is 0 at each tail point here, and at v = -1 it is not 1 (e for
+    # exp:1, 1/e for weibull:1:2).
+    assert float(d.survival(v)) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_only_the_base_survival_subtracts_the_cdf_from_one():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "ipmlab"
+    pattern = re.compile(r"\b1(\.0)?\s*-\s*[\w.()\[\]]*cdf\(")
+    hits = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert len(hits) == 1 and hits[0].startswith("distributions.py:"), hits
+    assert "return 1.0 - self.cdf(v)" in (src / "distributions.py").read_text()
+
+
 def test_inverse_virtual_value_closed_forms():
     assert inverse_virtual_value(Exponential(1.0), 0.0) == pytest.approx(1.0, abs=1e-8)
     assert inverse_virtual_value(Uniform(0, 1), 0.0) == pytest.approx(0.5, abs=1e-8)
@@ -170,13 +206,13 @@ def test_pareto_virtual_value_inverts_deep_in_the_tail(shape, c):
 
 def test_regularity_certificates_for_builtins():
     for d in FAMILIES:
-        cert = check_lambda_regularity(d, d.lambda_claimed)
-        assert cert.passed, (d.descriptor, cert.min_slope)
+        res = check_regularity(d, d.lambda_claimed)
+        assert res.passed, (d.descriptor, res.worst_margin)
 
 
 def test_regularity_rejects_heavy_tail_as_mhr():
-    cert = check_lambda_regularity(Pareto(2.0, 1.0), 0.0)
-    assert not cert.passed
+    res = check_regularity(Pareto(2.0, 1.0), 0.0)
+    assert not res.passed
 
 
 def test_c_of_lambda_values_and_monotone():

@@ -21,7 +21,7 @@ from ipmlab.errors import NonIntegrable, QuadratureFailure
 from ipmlab.order_statistics import (
     expected_order_stat,
     expected_rank,
-    tail_probability_vs_mean,
+    max_tail_probability,
     top_k_welfare,
 )
 
@@ -190,15 +190,15 @@ def test_bad_rank_rejected():
 
 def test_tail_probability_examples():
     d = Exponential(1.0)
-    assert tail_probability_vs_mean(d, 1) == pytest.approx(1 / math.e, abs=1e-6)
-    assert tail_probability_vs_mean(d, 2) == pytest.approx(1 - (1 - math.exp(-1.5)) ** 2, abs=1e-6)
+    assert max_tail_probability(d, 1, expected_rank(d, 1, 1)) == pytest.approx(1 / math.e, abs=1e-6)
+    assert max_tail_probability(d, 2, expected_rank(d, 1, 2)) == pytest.approx(1 - (1 - math.exp(-1.5)) ** 2, abs=1e-6)
 
 
 def test_tail_probability_dominates_c_lambda():
     for d in builtin_families():
         c = c_of_lambda(d.lambda_claimed)
         for t in range(1, 33):
-            assert tail_probability_vs_mean(d, t) >= c - 1e-4
+            assert max_tail_probability(d, t, expected_rank(d, 1, t)) >= c - 1e-4
 
 
 def test_shifted_tail_probability():

@@ -98,7 +98,7 @@ def test_bound_values():
     mono = scenario(model=agents.parse_behavior("monopolist"))
     assert simulation.theoretical_bound(mono) == pytest.approx(
         (1 / math.e) ** 2 * (1 - 1 / math.e))
-    het = scenario(mechanism="het_ipm", etas=(1.0, 0.5))
+    het = scenario(mechanism="het_ipm", k=2, etas=(1.0, 0.5))
     assert simulation.theoretical_bound(het) == pytest.approx(
         (1 - math.exp(-1 / (2 * math.e))) * (1 - 1 / math.e))
     assert simulation.theoretical_bound(scenario(mechanism="kplus1")) is None
@@ -127,7 +127,7 @@ def test_heterogeneous_random_vs_fixed_order():
 
 def test_heterogeneous_engine_matches_reference_sale():
     # The batched fast path must agree with the reference sequential sale.
-    s = scenario(mechanism="het_ipm", etas=(1.0, 0.5), structure=agents.balanced(6, 3),
+    s = scenario(mechanism="het_ipm", k=2, etas=(1.0, 0.5), structure=agents.balanced(6, 3),
                  order_policy="fixed", reps=64)
     menu = build_menu(s.d, s.n, s.etas)
     rep = simulation.run_scenario(s)

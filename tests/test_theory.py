@@ -15,8 +15,9 @@ from ipmlab.distributions import (
     Uniform,
     builtin_families,
     c_of_lambda,
-    check_lambda_regularity,
+    parse_distribution,
 )
+from ipmlab.order_statistics import expected_rank
 
 import oracles
 
@@ -255,10 +256,13 @@ def test_regularity_check_passes_and_its_control_fails():
         assert r.passed, (r.detail, r.worst_margin)
     [control] = theory.REGISTRY["negcontrol_regularity"]()
     assert control.passed and control.worst_margin < -0.1
-    # The certificate's raw slope for pareto:2:1 at lam = 0.25.
-    cert = check_lambda_regularity(Pareto(2.0, 1.0), 0.25)
-    assert cert.min_slope == pytest.approx(-245.0, abs=0.1)
-    assert control.worst_margin == cert.min_slope / cert.scale
+    # Pareto(2) has (1-F)/f = v/2, so the margin (lam - 1/2) v falls by
+    # (lam - 1/2) max dv at the widest grid step, over a scale of
+    # (lam + 1/2) v_max: -0.3267 at lam = 0.25.
+    v = theory._quantile_grid(Pareto(2.0, 1.0))
+    closed_form = (0.25 - 0.5) * np.diff(v).max() / ((0.25 + 0.5) * v.max())
+    assert control.worst_margin == pytest.approx(closed_form, rel=1e-9)
+    assert control.worst_margin == pytest.approx(-0.3267, abs=1e-4)
 
 
 def test_tail_fact_checks():
@@ -275,10 +279,60 @@ def test_tau_check():
     assert res2.passed
 
 
+@pytest.mark.parametrize(
+    "dist, lam, prices",
+    [
+        ("pareto:2:1", 0.5, [1e8, 1e12]),
+        ("exp:1", 0.0, [30.0, 40.0, 100.0]),
+        ("weibull:1:2", 0.0, [5.0, 6.0, 7.0]),
+        ("pareto:1.1:1", 1 / 1.1, [1e3, 1e6, 1e9, 1e12, 1e15]),
+        ("pareto:1.01:1", 1 / 1.01, [1e3, 1e6, 1e9, 1e12, 1e15]),
+    ],
+)
+def test_tau_check_deep_in_the_tail(dist, lam, prices):
+    # Taken as 1 - cdf, the survivals here cancel to few digits or to 0:
+    # each price then failed falsely, raised NonMonotone, or gave 0/0, which
+    # the worst-case loop skipped to pass with no case named.
+    d = parse_distribution(dist)
+    for p in prices:
+        res = theory.check_monopolist_tau(d, lam, [p])
+        assert res.passed and math.isfinite(res.worst_margin), (p, res.row())
+        assert res.detail == f"p={p:.6g}"
+
+
 def test_claim1_check():
     for d in builtin_families():
         res = theory.check_claim1(d)
         assert res.passed, d.descriptor
+
+
+class _NaNAt(Exponential):
+    """Exponential(1) whose cdf and survival are NaN at one point."""
+
+    def __init__(self, bad):
+        super().__init__(1.0)
+        self.bad = bad
+
+    def cdf(self, v):
+        return np.where(np.asarray(v) == self.bad, np.nan, super().cdf(v))
+
+    def survival(self, v):
+        return np.where(np.asarray(v) == self.bad, np.nan, super().survival(v))
+
+
+def test_claim1_fails_at_a_nan_survival():
+    # u_j for n = 8, j = 3 is E[max of 3 draws] of Exponential(1).
+    d = _NaNAt(expected_rank(Exponential(1.0), 1, 3))
+    res = theory.check_claim1(d, ns=(8,))
+    assert not res.passed
+    assert math.isnan(res.worst_margin)
+    assert res.detail == "n=8 j=3"
+
+
+def test_worst_case_takes_the_first_minimum_and_fails_on_nan():
+    assert theory._worst("x", [(1.0, "a"), (0.5, "b"), (0.5, "c")], 0.0).row() == "x, 0.5, b, True"
+    assert theory._worst("x", [(-1.0, "a"), (math.nan, "b"), (math.nan, "c")], 0.0).row() == "x, nan, b, False"
+    assert theory._worst("x", [(0.0, "a"), (-1e-7, "b")], 1e-6).row() == "x, -1e-07, b, True"
 
 
 def test_registry_runs_and_controls_flip():
