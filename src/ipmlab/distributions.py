@@ -82,13 +82,14 @@ class Exponential(Distribution):
         self.lambda_claimed = 0.0
 
     def cdf(self, v):
-        return -np.expm1(-self.rate * np.asarray(v, dtype=float))
+        return -np.expm1(-self.rate * np.maximum(np.asarray(v, dtype=float), 0.0))
 
     def survival(self, v):
         return np.exp(-self.rate * np.maximum(np.asarray(v, dtype=float), 0.0))
 
     def pdf(self, v):
-        return self.rate * np.exp(-self.rate * np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        return np.where(v >= 0.0, self.rate * np.exp(-self.rate * np.maximum(v, 0.0)), 0.0)
 
     def quantile(self, u, out=None):
         u, x = _operands(u, out)
@@ -153,7 +154,7 @@ class Weibull(Distribution):
         self.lambda_claimed = 0.0
 
     def cdf(self, v):
-        z = np.asarray(v, dtype=float) / self.scale
+        z = np.maximum(np.asarray(v, dtype=float), 0.0) / self.scale
         return -np.expm1(-np.power(z, self.shape))
 
     def survival(self, v):
@@ -161,10 +162,10 @@ class Weibull(Distribution):
         return np.exp(-np.power(z, self.shape))
 
     def pdf(self, v):
-        z = np.asarray(v, dtype=float) / self.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(-np.power(z, self.shape))
-        return np.where(np.asarray(v, dtype=float) > 0, out, 0.0)
+        v = np.asarray(v, dtype=float)
+        z = np.maximum(v, 0.0) / self.scale
+        out = (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(-np.power(z, self.shape))
+        return np.where(v > 0, out, 0.0)
 
     def quantile(self, u, out=None):
         u, x = _operands(u, out)

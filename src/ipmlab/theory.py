@@ -8,7 +8,6 @@ numerically on grids, not universally.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from .distributions import (
     g_lambda,
     generalized_virtual_margin,
 )
-from .order_statistics import expected_rank, max_tail_probability
+from .order_statistics import expected_rank, max_tail_probability, top_k_sums
 
 # Certified rational bounds: 2.718281828459045 < e < 2.718281828459046.
 INV_E_LOWER = Fraction(10**15, 2718281828459046)
@@ -255,71 +254,36 @@ def exact_no_large_elements(n: int, k: int) -> Fraction:
     return Fraction(math.comb(n - k, s), math.comb(n, s))
 
 
-@functools.lru_cache(maxsize=1)
-def _ranked_uniforms(reps: int, ns: tuple[int, ...], rng_seed: int) -> tuple[np.ndarray, ...]:
-    """For each n in ``ns`` (ascending), the first n columns of the
-    (reps, max ns) draw of ``default_rng(rng_seed)`` sorted along each row,
-    stored rank-major and read-only: row i holds every replicate's (i+1)-th
-    smallest.  One entry is kept, so every family's cross-check maps the same
-    ranked draw."""
-    draws = np.random.default_rng(rng_seed).random((reps, ns[-1]))
-    ranked = [np.sort(draws[:, :n], axis=1).T.copy() for n in ns[:-1]]
-    draws.sort(axis=1)  # the largest n ranks every column
-    ranked.append(draws.T.copy())
-    for r in ranked:
-        r.flags.writeable = False
-    return tuple(ranked)
-
-
-def _lemma_main_mc(d: Distribution, cases, reps: int, rng_seed: int) -> dict:
-    """{(n, k): (mean, se)} of the sum of each replicate's k largest of n
-    draws from ``d``: the ranked uniforms mapped through the quantile, with
-    the ranks added from the largest down."""
-    ns = tuple(sorted({n for n, _ in cases}))
-    out = {}
-    for n, u in zip(ns, _ranked_uniforms(reps, ns, rng_seed)):
-        x = d.quantile(u)
-        ks = {k for m, k in cases if m == n}
-        acc = np.zeros(reps)
-        for k in range(1, max(ks) + 1):
-            acc += x[n - k]
-            if k in ks:
-                out[n, k] = (float(acc.mean()), float(acc.std(ddof=1)) / math.sqrt(reps))
-    return out
-
-
-def check_lemma_main(d: Distribution, cases, reps: int = 200_000, rng_seed: int = 0) -> CheckResult:
+def check_lemma_main(d: Distribution, cases) -> CheckResult:
     """k E[v^(1,ceil(n/k))] >= (1-1/e) sum_{j<=k} E[v^(j,n)], with the exact
     combinatorial core C(n-k,s)/C(n,s) <= 1/e checked in rational arithmetic
-    and an MC cross-check of the right-hand side.
+    and a deterministic cross-check of the right-hand side.
 
-    The cross-check draws one (reps, max n) sample of uniforms from
-    ``default_rng(rng_seed)``; case n ranks its first n columns along each
-    row.  The ranked rows are drawn once and shared by every family
-    (``_ranked_uniforms``), and each family maps them through its quantile.
-    A quantile is nondecreasing, so quantile(sort(u)) = sort(quantile(u)):
-    the same values in the same order as ranking the mapped draw.  A case
-    fails when |mc - sum_j E[v^(j,n)]| exceeds 5 se (+ 1e-4 relative); the
-    detail reports the largest cross-check |z|."""
-    cases = list(cases)
-    mc_moments = _lemma_main_mc(d, cases, reps, rng_seed)
+    The cross-check holds sum_j E[v^(j,n)] from `expected_rank` to
+    `top_k_sums`, a second quadrature of another formula by another rule,
+    within 1e-9 relative; a NaN fails it.  The detail reports the largest
+    relative difference."""
+    top = {}
     worst = math.inf
     worst_at = ""
-    z_max = 0.0
+    rel_max = 0.0
     for n, k in cases:
         if exact_no_large_elements(n, k) > INV_E_UPPER:
             return CheckResult("lemma_main", -1.0, False, f"combinatorial core n={n} k={k}")
+        if n not in top:
+            top[n] = top_k_sums(d, n)
+        cross = float(top[n][k - 1])
         lhs = k * expected_rank(d, 1, math.ceil(n / k))
-        rhs_terms = [expected_rank(d, j, n) for j in range(1, k + 1)]
-        rhs = (1.0 - 1.0 / math.e) * sum(rhs_terms)
-        mc, mc_se = mc_moments[n, k]
-        if abs(mc - sum(rhs_terms)) > 5.0 * mc_se + 1e-4 * max(1.0, mc):
-            return CheckResult("lemma_main", mc - sum(rhs_terms), False, f"MC cross-check n={n} k={k}")
-        z_max = max(z_max, abs(mc - sum(rhs_terms)) / mc_se)
+        rhs_sum = sum(expected_rank(d, j, n) for j in range(1, k + 1))
+        rel = abs(rhs_sum - cross) / (abs(cross) or 1.0)
+        if not rel <= 1e-9:
+            return CheckResult("lemma_main", -rel, False, f"cross-check n={n} k={k} rel diff={rel:.2g}")
+        rel_max = max(rel_max, rel)
+        rhs = (1.0 - 1.0 / math.e) * rhs_sum
         slack = (lhs - rhs) / max(1.0, rhs)
         if slack < worst:
             worst, worst_at = slack, f"n={n} k={k}"
-    return CheckResult("lemma_main", worst, worst >= -3e-6, f"{worst_at} max|z|={z_max:.2g}")
+    return CheckResult("lemma_main", worst, worst >= -3e-6, f"{worst_at} max rel diff={rel_max:.2g}")
 
 
 def check_facts_2_3(d: Distribution, s_max: int) -> CheckResult:
@@ -415,7 +379,7 @@ REGISTRY = {
     "fact1": _per_family(lambda d: check_fact1_convexity(d, d.lambda_claimed, n_max=8)),
     "lamb_aux": lambda: [check_lamb_aux(12)],
     "optprog": lambda: [check_optprog((3.0, 2.0, 1.0), 10, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)],
-    "lemma_main": _per_family(lambda d: check_lemma_main(d, LEMMA_MAIN_CASES, reps=50_000)),
+    "lemma_main": _per_family(lambda d: check_lemma_main(d, LEMMA_MAIN_CASES)),
     "facts23": _per_family(lambda d: check_facts_2_3(d, 32)),
     "tau": _per_family(_tau_on_quantiles),
     "claim1": _per_family(check_claim1),

@@ -300,23 +300,6 @@ def sample_order_stats(d: Distribution, t: int, rng_seed) -> np.ndarray:
 # Theory
 
 
-def lemma_main_mc(d: Distribution, cases, reps: int, rng_seed: int = 0) -> dict:
-    """The lemma_main Monte Carlo cross-check drawn per family: map one
-    (reps, max n) draw through the quantile, sort each case's first n columns
-    and take the full reversed cumulative sum.  Returns {(n, k): (mean, se)}
-    of the top-k sums."""
-    draws = np.random.default_rng(rng_seed).random((reps, max(n for n, _ in cases)))
-    d.quantile(draws, out=draws)
-    top_sums = {}
-    out = {}
-    for n, k in cases:
-        if n not in top_sums:
-            top_sums[n] = np.cumsum(np.sort(draws[:, :n], axis=1)[:, ::-1], axis=1)
-        sums = top_sums[n][:, k - 1]
-        out[n, k] = (float(sums.mean()), float(sums.std(ddof=1)) / math.sqrt(reps))
-    return out
-
-
 def program_vertex_optimum(rs, n: int, lam: float):
     """Exact maximizer of sum r_j exp(-n p_j) over the feasible polytope.
 

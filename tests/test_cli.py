@@ -216,9 +216,15 @@ def test_check_negative_controls_reported_separately(capsys):
 # exact identity tau = c(lambda).  Re-recorded again when every 1 - F read
 # the survival, exact for exp and weibull too: two `monopolist_tau` rows
 # moved, pareto:2:1 to -7.77156e-16 at the same p, and exp:1 from
-# -8.32667e-16 at p=2.30259 to -1.66533e-16 at p=0.287682.
+# -8.32667e-16 at p=2.30259 to -1.66533e-16 at p=0.287682.  Re-recorded
+# again when lemma_main's Monte Carlo cross-check gave way to `top_k_sums`:
+# the five `lemma_main` rows moved, each detail from `max|z|=` (1.4, 0.72,
+# 1.2, 1.4, 1.7 for exp:1, uniform:0:1, weibull:1:2, pareto:2:1, ter:100) to
+# `max rel diff=` (3.4e-16, 5.9e-16, 6.7e-16, 6.4e-16, 1.2e-15), with the
+# same margins and worst cases; no `facts_2_3` row moved when the max's
+# tail came to read the survival.
 CHECK_REPORT_ONLY = "fact1,lamb_aux,optprog,lemma_main,facts23,tau,claim1,negcontrol_fact1,negcontrol_optprog"
-CHECK_REPORT_SHA256 = "7fece163b2e9cc4a5eb57242d6a09d797c9c28985f6e721f37093d7b4151bb82"
+CHECK_REPORT_SHA256 = "fada4501448bb8d4e5dbae209251cbeb61dc73b80d2bd52337c18dc0ffcb2497"
 
 
 def test_check_report_is_pinned(capsys):
@@ -259,6 +265,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_cli_import_loads_no_scipy():
     # The runtime needs numpy alone; scipy is a test-only oracle.
     code = "import ipmlab.cli, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    assert _python(code).returncode == 0
+
+
+def test_check_draws_no_random_number():
+    # Every check is deterministic quadrature or exact arithmetic: a full
+    # `ipmlab check` never loads numpy's random module.
+    code = (
+        "import contextlib, io, sys\n"
+        "import ipmlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert ipmlab.cli.main(['check']) == 0\n"
+        "assert 'numpy.random' not in sys.modules"
+    )
     assert _python(code).returncode == 0
 
 

@@ -148,6 +148,15 @@ def test_virtual_value_is_the_margin_at_lambda_one(d):
     assert virtual_value(d, v) == float(generalized_virtual_margin(d, 1.0, v))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", FAMILIES + [Uniform(-2.0, 3.0), Weibull(1.5, 3.0)], ids=lambda d: d.descriptor)
+def test_cdf_and_pdf_vanish_below_the_support(d):
+    # exp:1 once read cdf(-1) = -1.718 and pdf(-1) = 2.718, weibull:1:2
+    # cdf(-1) = 0.632.
+    v = d.support.lo - np.array([1e-9, 0.5, 1.0, 50.0])
+    assert np.all(d.cdf(v) == 0.0) and np.all(d.pdf(v) == 0.0)
+
+
 @pytest.mark.parametrize(
     "d, v, exact",
     [(Exponential(1.0), 40.0, math.exp(-40.0)), (Exponential(2.0), 300.0, math.exp(-600.0)),
@@ -155,8 +164,7 @@ def test_virtual_value_is_the_margin_at_lambda_one(d):
      (Exponential(1.0), -1.0, 1.0), (Weibull(1.0, 2.0), -1.0, 1.0)],
 )
 def test_infinite_tails_have_exact_survivals(d, v, exact):
-    # 1 - cdf is 0 at each tail point here, and at v = -1 it is not 1 (e for
-    # exp:1, 1/e for weibull:1:2).
+    # 1 - cdf is 0 at each tail point here.
     assert float(d.survival(v)) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 

@@ -22,6 +22,7 @@ from ipmlab.order_statistics import (
     expected_order_stat,
     expected_rank,
     max_tail_probability,
+    top_k_sums,
     top_k_welfare,
 )
 
@@ -237,6 +238,46 @@ def test_top_k_welfare_of_every_draw_is_n_times_the_mean():
             assert top_k_welfare(d, n, n) == n * d.mean()
             ranks = sum(expected_rank(d, j, n) for j in range(1, n + 1))
             assert top_k_welfare(d, n, n) == pytest.approx(ranks, rel=1e-9), (d.descriptor, n)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "descriptor",
+    ["pareto:4:1", "pareto:2:1", "pareto:1.25:1", "pareto:1.1:1", "pareto:1.05:1", "pareto:1.01:1",
+     "uniform:0:1", "exp:1"],
+)
+def test_top_k_sums_match_closed_forms(descriptor):
+    d = parse_distribution(descriptor)
+    for n in range(1, 33):
+        want = np.cumsum([closed_form_order_stat(descriptor, j, n) for j in range(1, n + 1)])
+        got = top_k_sums(d, n)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-9 * want.min(), n
+
+
+def test_top_k_sums_rule_runs_past_the_float_range_of_the_quantile():
+    # At shape 1.01 the tail falls like e^(-0.01 s), so the rule runs to
+    # s = 4650, where Q = e^(s / 1.01) overflows: the closed-form test above
+    # covers the nodes summed in log space.
+    d = Pareto(1.01, 1.0)
+    with np.errstate(over="ignore"):
+        assert d.tail_quantile(46.0 / (1.0 - d.tail_growth) + 50.0) == np.inf
+
+
+def test_max_tail_probability_deep_in_a_heavy_tail():
+    # 1 - F^t is taken from the survival: taken from the cdf, it read
+    # 2.13e-14 at x = 1e15 (6 % low) and -0.0 at x = 1e17.
+    d = Pareto(1.01, 1.0)
+    for x, rounded in ((1e15, 2.27e-14), (1e17, 2.16e-16)):
+        got = max_tail_probability(d, 32, x)
+        assert got == pytest.approx(32.0 * x**-1.01, rel=1e-12)
+        assert got == pytest.approx(rounded, rel=3e-3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_max_is_surely_above_a_point_below_the_support():
+    for d in builtin_families():
+        assert max_tail_probability(d, 4, d.support.lo - 1.0) == 1.0, d.descriptor
 
 
 @given(seed=st.integers(0, 2**31 - 1), t=st.integers(1, 30))

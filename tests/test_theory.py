@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ipmlab import cli, theory
+from ipmlab import cli, order_statistics, theory
 from ipmlab.distributions import (
     Exponential,
     Pareto,
@@ -213,42 +213,27 @@ def test_exact_subset_avoidance_probability():
 def test_order_stat_bound_check():
     cases = [(6, 3), (4, 1), (12, 4)]
     for d in builtin_families():
-        res = theory.check_lemma_main(d, cases, reps=30_000)
+        res = theory.check_lemma_main(d, cases)
         assert res.passed, (d.descriptor, res.detail)
-        # The detail names the worst case and the largest cross-check |z|.
-        at, z = res.detail.split(" max|z|=")
+        # The detail names the worst case and the largest cross-check
+        # difference, relative to the top-k sum.
+        at, rel = res.detail.split(" max rel diff=")
         assert at in {"n=6 k=3", "n=4 k=1", "n=12 k=4"}
-        assert 0.0 < float(z) < 5.0
+        assert 0.0 <= float(rel) <= 1e-9
+        assert ", " not in res.detail
 
 
-@pytest.mark.parametrize(
-    "cases, reps",
-    [(theory.LEMMA_MAIN_CASES, 50_000), ([(6, 3), (4, 1), (12, 4)], 30_000)],
-    ids=["registry", "bound-check"],
-)
-def test_lemma_main_mc_matches_per_family_oracle(cases, reps):
-    # One ranked draw shared by the families keeps every case's mean and se
-    # to the bit of drawing, mapping and sorting per family.
-    for d in builtin_families():
-        assert theory._lemma_main_mc(d, cases, reps, 0) == oracles.lemma_main_mc(d, cases, reps, 0), d.descriptor
-
-
-def test_quantiles_commute_with_row_sort():
-    # The bit identity above rests on this: each builtin quantile maps the
-    # ranked rows to the ranked mapped rows.
-    ns = (4, 6, 12)
-    raw = np.random.default_rng(0).random((50_000, 12))
-    for d in builtin_families():
-        mapped = d.quantile(raw)
-        for n, u in zip(ns, theory._ranked_uniforms(50_000, ns, 0)):
-            assert np.array_equal(d.quantile(u).T, np.sort(mapped[:, :n], axis=1)), (d.descriptor, n)
-
-
-def test_ranked_uniforms_are_read_only():
-    for u in theory._ranked_uniforms(1_000, (2, 5), 0):
-        assert not u.flags.writeable
-        with pytest.raises(ValueError):
-            u[0, 0] = 0.5
+def test_lemma_main_cross_check_catches_a_1e6_quadrature_error(monkeypatch):
+    # A relative error of 1e-6 in every order statistic is far inside the
+    # lemma's slack, so only the cross-check can see it.
+    exact = order_statistics.expected_order_stat
+    monkeypatch.setattr(order_statistics, "expected_order_stat", lambda d, j, t: exact(d, j, t) * (1.0 + 1e-6))
+    monkeypatch.setattr(order_statistics, "_CACHE", {})
+    rows = theory.run_checks(["lemma_main"])
+    assert len(rows) == 5
+    for r in rows:
+        assert not r.passed, r.row()
+        assert "cross-check" in r.detail and r.worst_margin == pytest.approx(-1e-6, rel=1e-6)
 
 
 def test_regularity_check_passes_and_its_control_fails():
