@@ -1,6 +1,6 @@
 """Valuation distributions and their virtual values.
 
-Each family exposes cdf/pdf/survival/quantile (numpy-vectorized) plus a
+Each family exposes pdf/survival/quantile (numpy-vectorized) plus a
 claimed regularity parameter ``lambda_claimed`` in [0, 1].  lambda = 0 is the
 monotone-hazard-rate class, lambda = 1 the Myerson-regular class; the
 generalized virtual margin  m_lambda(v) = lambda*v - (1-F(v))/f(v)  must be
@@ -29,22 +29,19 @@ class Support:
 
 
 class Distribution:
-    """Base class: subclasses fill in cdf/pdf/quantile and metadata."""
+    """Base class: subclasses fill in pdf/survival/quantile and metadata."""
 
     support: Support
     lambda_claimed: float
     # Exponential growth rate of tail_quantile(s) as s -> inf.
     tail_growth: float = 0.0
 
-    def cdf(self, v):
-        raise NotImplementedError
-
     def pdf(self, v):
         raise NotImplementedError
 
     def survival(self, v):
-        """1 - F(v); a family overrides it where that difference cancels."""
-        return 1.0 - self.cdf(v)
+        """1 - F(v), with no cancellation deep in the tail; 1 below the support."""
+        raise NotImplementedError
 
     def quantile(self, u, out=None):
         """Q(u), written into ``out`` when given (``out=u`` maps u in place)."""
@@ -81,9 +78,6 @@ class Exponential(Distribution):
         self.support = Support(0.0, math.inf)
         self.lambda_claimed = 0.0
 
-    def cdf(self, v):
-        return -np.expm1(-self.rate * np.maximum(np.asarray(v, dtype=float), 0.0))
-
     def survival(self, v):
         return np.exp(-self.rate * np.maximum(np.asarray(v, dtype=float), 0.0))
 
@@ -118,8 +112,8 @@ class Uniform(Distribution):
         self.support = Support(self.a, self.b)
         self.lambda_claimed = 0.0
 
-    def cdf(self, v):
-        return np.clip((np.asarray(v, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
+    def survival(self, v):
+        return 1.0 - np.clip((np.asarray(v, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -152,10 +146,6 @@ class Weibull(Distribution):
         self.scale, self.shape = float(scale), float(shape)
         self.support = Support(0.0, math.inf)
         self.lambda_claimed = 0.0
-
-    def cdf(self, v):
-        z = np.maximum(np.asarray(v, dtype=float), 0.0) / self.scale
-        return -np.expm1(-np.power(z, self.shape))
 
     def survival(self, v):
         z = np.maximum(np.asarray(v, dtype=float), 0.0) / self.scale
@@ -195,12 +185,6 @@ class Pareto(Distribution):
         self.lambda_claimed = 1.0 / self.shape
         self.tail_growth = 1.0 / self.shape
 
-    def cdf(self, v):
-        v = np.asarray(v, dtype=float)
-        # Exact for v >= scale; np.where discards the rest.
-        out = 1.0 - np.power(self.scale / np.maximum(v, self.scale), self.shape)
-        return np.where(v >= self.scale, out, 0.0)
-
     def survival(self, v):
         # (scale / v)^shape, with no cancellation deep in the tail.
         return np.power(self.scale / np.maximum(v, self.scale), self.shape)
@@ -231,7 +215,7 @@ class Pareto(Distribution):
 
 
 class TruncatedEqualRevenue(Distribution):
-    """F(x) = (n/(n-1)) (1 - 1/x) on [1, n).
+    """F(x) = (n/(n-1)) (1 - 1/x) on [1, n], so 1 - F(x) = (n - x)/((n - 1) x).
 
     A near-equal-revenue family: every item price in (1, n) yields per-buyer
     revenue (n-p)/(n-1) <= 1, while the mean is (n/(n-1)) ln n.  Regular
@@ -245,11 +229,10 @@ class TruncatedEqualRevenue(Distribution):
         self.support = Support(1.0, float(n))
         self.lambda_claimed = 1.0
 
-    def cdf(self, v):
-        v = np.asarray(v, dtype=float)
-        c = self.n / (self.n - 1.0)
-        out = np.clip(c * (1.0 - 1.0 / np.maximum(v, 1.0)), 0.0, 1.0)
-        return np.where(v >= 1.0, out, 0.0)
+    def survival(self, v):
+        # n - x is exact near the top of the support, where 1 - F would cancel.
+        v = np.clip(np.asarray(v, dtype=float), 1.0, self.n)
+        return (self.n - v) / ((self.n - 1.0) * v)
 
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -395,24 +378,7 @@ def _phi_right_limit(d: Distribution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The g_lambda transform and the tail constant c(lambda)
-
-
-def g_lambda(lam: float, x):
-    """g_lam(x) = ((1-x)^-lam - 1)/lam, with the log limit at lam = 0.
-
-    Convexity of g_lam(F(x)^n) certifies that the max of n i.i.d. draws stays
-    in the same regularity class.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    if np.any(x >= 1.0) or np.any(x < 0.0):
-        raise DomainError("g_lambda requires 0 <= x < 1")
-    if lam == 0.0:
-        out = -np.log1p(-x)
-    else:
-        out = np.expm1(-lam * np.log1p(-x)) / lam
-    return float(out) if scalar else out
+# The tail constant c(lambda)
 
 
 def c_of_lambda(lam: float) -> float:

@@ -140,8 +140,8 @@ def top_k_sums(d: Distribution, n: int) -> np.ndarray:
     (u about 6e-38) and ends where s reaches 46/(1 - tail_growth) + 50, past
     which the integrand, falling like e^(-(1 - tail_growth) s), has decayed
     by more than e^-46.  One pass over the nodes serves every k: a node's
-    binomial pmf is taken in log space, and its cumulative sum is the
-    binomial cdf of every k.
+    binomial pmf is taken in log space, and its cumulative sum is
+    P[Bin <= k - 1] for every k.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
@@ -162,13 +162,13 @@ def top_k_sums(d: Distribution, n: int) -> np.ndarray:
     return total
 
 
-def max_tail_probability(d: Distribution, t: int, x: float) -> float:
+def max_tail_probability(d: Distribution, t: int, x):
     """P[v^(1,t) >= x] = 1 - F(x)^t, the chance that the max of t draws
     reaches x, as -expm1(t log1p(-S(x))) with S = ``d.survival``: no
-    cancellation deep in the tail.
+    cancellation deep in the tail.  Vectorized over x.
 
     At x = E[v^(1,t)] this is at least c(lambda) for a lambda-regular family,
     since the max of i.i.d. lambda-regular draws is itself lambda-regular.
     """
     with np.errstate(divide="ignore"):  # S(x) = 1 below the support
-        return float(-np.expm1(t * np.log1p(-d.survival(x))))
+        return -np.expm1(t * np.log1p(-d.survival(x)))

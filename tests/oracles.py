@@ -78,7 +78,7 @@ def competition_welfare(d: Distribution, n: int, k: int, threshold: float) -> fl
     head = integrate.quad(lambda v: v * float(d.pdf(v)), lo, d.support.hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
     others = np.arange(n)
     served = np.minimum(1.0, k / (1.0 + others))
-    return n * head * float(stats.binom.pmf(others, n - 1, 1.0 - float(d.cdf(threshold))) @ served)
+    return n * head * float(stats.binom.pmf(others, n - 1, float(d.survival(threshold))) @ served)
 
 
 def sequential_menu_sale(menu: Menu, groups, valuations, order):
@@ -157,7 +157,7 @@ def estimate_tau(model: BehaviorModel, d: Distribution, price_grid,
     rng = np.random.default_rng(rng_seed)
     worst = 1.0
     for p in price_grid:
-        f_p = float(d.cdf(p))
+        f_p = 1.0 - float(d.survival(p))
         v = np.asarray(d.quantile(f_p + (1.0 - f_p) * rng.random(reps)), dtype=float)
         worst = min(worst, float(np.mean(virtual_value(d, v) >= p)))
     return worst
@@ -220,7 +220,7 @@ def quad_order_stat(d: Distribution, j: int, t: int) -> float:
     log_c = math.lgamma(t + 1) - math.lgamma(t - j + 1) - math.lgamma(j)
 
     def integrand(v):
-        f_v = float(d.cdf(v))
+        f_v = 1.0 - float(d.survival(v))
         if f_v <= 0.0 or (f_v >= 1.0 and j > 1):
             return 0.0
         log_p = (t - j) * math.log(f_v) + ((j - 1) * math.log1p(-f_v) if j > 1 else 0.0)
@@ -247,14 +247,13 @@ def hazard(d: Distribution, v: float) -> float:
     """Hazard rate f(v) / (1 - F(v)) at an interior point."""
     if not d.support.interior(v):
         raise OutOfSupport(f"{v} not in the interior of {d.descriptor} support")
-    return float(d.pdf(v)) / (1.0 - float(d.cdf(v)))
+    return float(d.pdf(v)) / float(d.survival(v))
 
 
 def generalized_hazard(d: Distribution, lam: float, v):
     """r_lam(v) = h(v) / (1-F(v))^lam; nondecreasing iff lambda-regular."""
     v = np.asarray(v, dtype=float)
-    surv = 1.0 - d.cdf(v)
-    return d.pdf(v) / np.power(surv, 1.0 + lam)
+    return d.pdf(v) / np.power(d.survival(v), 1.0 + lam)
 
 
 def gamma_lambda(lam: float, u):
@@ -279,14 +278,14 @@ def gamma_h_representation(d: Distribution, lam: float, v: float) -> tuple[float
     if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
         raise QuadratureFailure(f"H integral did not converge for {d.descriptor} at v={v}")
     recon = float(gamma_lambda(lam, val))
-    return float(val), abs(recon - (1.0 - float(d.cdf(v))))
+    return float(val), abs(recon - float(d.survival(v)))
 
 
 def first_order_stat_cdf(d: Distribution, t: int, v) -> float:
     """CDF of the max of t i.i.d. draws: F(v)^t."""
     if t < 1:
         raise ValueError("sample size must be >= 1")
-    return np.power(d.cdf(v), t)
+    return np.power(1.0 - d.survival(v), t)
 
 
 def sample_order_stats(d: Distribution, t: int, rng_seed) -> np.ndarray:

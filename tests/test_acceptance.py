@@ -125,7 +125,7 @@ def test_pricing_program_uniform_solution_on_random_instances():
 
 def test_grid_suites_and_negative_controls():
     for d in builtin_families():
-        assert theory.check_fact1_convexity(d, d.lambda_claimed, 8).passed
+        assert theory.check_fact1(d, d.lambda_claimed, 8).passed
         assert theory.check_facts_2_3(d, 32).passed
         assert theory.check_claim1(d).passed
     assert theory.check_lamb_aux(12).passed
@@ -137,7 +137,7 @@ def test_grid_suites_and_negative_controls():
     for n in (2, 3):
         assert float(theory._lamb_aux_h(1e-6, n)) == pytest.approx(-(n - 1) / 2, abs=1e-6)
     # Negative controls: the checkers must reject constructed violators.
-    assert not theory.check_fact1_convexity(Pareto(2.0, 1.0), 0.0, 8).passed
+    assert not theory.check_fact1(Pareto(2.0, 1.0), 0.0, 8).passed
     assert not theory.check_optprog((1.0, 1.0), 10, 0.0).passed
 
 

@@ -222,9 +222,18 @@ def test_check_negative_controls_reported_separately(capsys):
 # 1.2, 1.4, 1.7 for exp:1, uniform:0:1, weibull:1:2, pareto:2:1, ter:100) to
 # `max rel diff=` (3.4e-16, 5.9e-16, 6.7e-16, 6.4e-16, 1.2e-15), with the
 # same margins and worst cases; no `facts_2_3` row moved when the max's
-# tail came to read the survival.
+# tail came to read the survival.  Re-recorded again when `fact1` came to
+# test the max's own margin (Fact 1 as stated) instead of the convexity of
+# g_lambda(F^n): the five `fact1_convexity` rows moved, each detail from
+# `n=… x=…` to `n=… lam=…`: exp:1 -4.44089e-16 to -2.22045e-16 (n=1),
+# uniform:0:1 1.58017e-16 to 1.41248e-08 (n=8), weibull:1:2 1.90914e-17 to
+# 3.1912e-08 (n=8), pareto:2:1 -1.5854e-13 to -1.77636e-18 (n=1) and
+# ter:100 1.58424e-16 (n=8) to 4.98094e-07 (n=1); `negcontrol_fact1` moved
+# from -0.110507 at x=19.971 to -0.980029, its detail from
+# `pareto:2:1 at lam=0 n=1 x=19.971` to `pareto:2:1 n=1 lam=0`.  The exact
+# survival of ter:100 moved no row.
 CHECK_REPORT_ONLY = "fact1,lamb_aux,optprog,lemma_main,facts23,tau,claim1,negcontrol_fact1,negcontrol_optprog"
-CHECK_REPORT_SHA256 = "fada4501448bb8d4e5dbae209251cbeb61dc73b80d2bd52337c18dc0ffcb2497"
+CHECK_REPORT_SHA256 = "86b8f335da70dc25654d31f8ffbc48f717a13bd1029c1db19aabd43dae581b46"
 
 
 def test_check_report_is_pinned(capsys):

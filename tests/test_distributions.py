@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from ipmlab.distributions import (
     Weibull,
     builtin_families,
     c_of_lambda,
-    g_lambda,
     generalized_virtual_margin,
     inverse_virtual_value,
     parse_distribution,
@@ -32,10 +32,10 @@ FAMILIES = builtin_families()
 
 @pytest.mark.parametrize("d", FAMILIES, ids=lambda d: d.descriptor)
 def test_cdf_quantile_roundtrip(d):
+    # F = 1 - survival undoes the quantile.
     us = np.linspace(1e-6, 1 - 1e-6, 200)
     xs = d.quantile(us)
-    back = d.cdf(xs)
-    assert np.allclose(back, us, atol=1e-9)
+    assert np.allclose(d.survival(xs), 1.0 - us, atol=1e-9)
 
 
 @pytest.mark.parametrize("d", FAMILIES + [Uniform(-2.0, 3.0), Weibull(1.5, 2.0)], ids=lambda d: d.descriptor)
@@ -56,10 +56,11 @@ def test_quantile_in_place_is_bit_exact(d):
 
 @pytest.mark.parametrize("d", FAMILIES, ids=lambda d: d.descriptor)
 def test_pdf_matches_cdf_derivative(d):
+    # f = F' = -S', by central differences of the survival S.
     us = np.linspace(0.05, 0.95, 31)
     xs = np.asarray(d.quantile(us), dtype=float)
     h = 1e-6 * np.maximum(1.0, np.abs(xs))
-    num = (d.cdf(xs + h) - d.cdf(xs - h)) / (2 * h)
+    num = (d.survival(xs - h) - d.survival(xs + h)) / (2 * h)
     assert np.allclose(num, d.pdf(xs), rtol=1e-4, atol=1e-8)
 
 
@@ -151,10 +152,10 @@ def test_virtual_value_is_the_margin_at_lambda_one(d):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d", FAMILIES + [Uniform(-2.0, 3.0), Weibull(1.5, 3.0)], ids=lambda d: d.descriptor)
 def test_cdf_and_pdf_vanish_below_the_support(d):
-    # exp:1 once read cdf(-1) = -1.718 and pdf(-1) = 2.718, weibull:1:2
-    # cdf(-1) = 0.632.
+    # F = 1 - S is 0 there.  exp:1 once read F(-1) = -1.718 and
+    # pdf(-1) = 2.718, weibull:1:2 F(-1) = 0.632.
     v = d.support.lo - np.array([1e-9, 0.5, 1.0, 50.0])
-    assert np.all(d.cdf(v) == 0.0) and np.all(d.pdf(v) == 0.0)
+    assert np.all(d.survival(v) == 1.0) and np.all(d.pdf(v) == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -164,21 +165,22 @@ def test_cdf_and_pdf_vanish_below_the_support(d):
      (Exponential(1.0), -1.0, 1.0), (Weibull(1.0, 2.0), -1.0, 1.0)],
 )
 def test_infinite_tails_have_exact_survivals(d, v, exact):
-    # 1 - cdf is 0 at each tail point here.
+    # 1 - F, taken by subtraction, is 0 at each tail point here.
     assert float(d.survival(v)) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
-def test_only_the_base_survival_subtracts_the_cdf_from_one():
+def test_no_module_defines_or_calls_a_cdf():
+    # `survival` is each family's one distribution function.
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "ipmlab"
-    pattern = re.compile(r"\b1(\.0)?\s*-\s*[\w.()\[\]]*cdf\(")
+    pattern = re.compile(r"\bdef\s+cdf\b|\bcdf\s*\(")
     hits = [
         f"{path.name}:{i}"
         for path in sorted(src.glob("*.py"))
         for i, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
-    assert len(hits) == 1 and hits[0].startswith("distributions.py:"), hits
-    assert "return 1.0 - self.cdf(v)" in (src / "distributions.py").read_text()
+    assert hits == []
+    assert not any(hasattr(d, "cdf") for d in FAMILIES)
 
 
 def test_inverse_virtual_value_closed_forms():
@@ -234,26 +236,11 @@ def test_c_of_lambda_values_and_monotone():
         c_of_lambda(1.5)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0])
-def test_g_lambda_convex_increasing(lam):
-    xs = np.linspace(0.0, 0.999, 500)
-    ys = np.asarray(g_lambda(lam, xs), dtype=float)
-    assert np.all(np.diff(ys) > 0)
-    assert np.all(np.diff(ys, 2) >= -1e-9)
-    assert g_lambda(lam, 0.0) == pytest.approx(0.0)
-
-
-def test_g_lambda_log_limit():
-    xs = np.linspace(0.0, 0.99, 50)
-    near = np.asarray(g_lambda(1e-9, xs), dtype=float)
-    exact = -np.log1p(-xs)
-    assert np.allclose(near, exact, rtol=1e-6)
-
-
 def test_gamma_lambda_inverts_g():
+    # g(x) = ((1-x)^-lam - 1)/lam, with the log limit at lam = 0.
     for lam in (0.0, 0.3, 1.0):
         for x in (0.1, 0.5, 0.9):
-            u = float(g_lambda(lam, x))
+            u = -math.log1p(-x) if lam == 0.0 else math.expm1(-lam * math.log1p(-x)) / lam
             assert float(gamma_lambda(lam, u)) == pytest.approx(1 - x, rel=1e-10)
 
 
@@ -276,7 +263,16 @@ def test_truncated_equal_revenue_shape():
     d = TruncatedEqualRevenue(n)
     # Per-item revenue x (1 - F(x)) = (n - x)/(n - 1): at most 1 everywhere.
     xs = np.linspace(1.0, 99.0, 40)
-    rev = xs * (1 - np.asarray(d.cdf(xs)))
+    rev = xs * np.asarray(d.survival(xs))
     assert np.allclose(rev, (n - xs) / (n - 1), rtol=1e-10)
     assert np.all(rev <= 1.0 + 1e-12)
-    assert float(d.cdf(100.0)) == 1.0
+    assert float(d.survival(100.0)) == 0.0 and float(d.survival(150.0)) == 0.0
+
+
+@pytest.mark.parametrize("x", [1.0, 1.5, 50.0, 99.0, 99.99999999, 99.9999999999])
+def test_truncated_equal_revenue_survival_is_exact(x):
+    # (n/(n-1)) (1/x - 1/n) cancels near x = n: 6.8e-7 relative off at
+    # x = 99.99999999 and 5.0e-5 at 99.9999999999.  (n - x)/((n - 1) x)
+    # keeps n - x exact there.
+    exact = 1 - Fraction(100, 99) * (1 - 1 / Fraction(x))
+    assert float(TruncatedEqualRevenue(100).survival(x)) == pytest.approx(float(exact), rel=1e-15, abs=0.0)

@@ -208,7 +208,7 @@ def test_shifted_tail_probability():
         c = c_of_lambda(d.lambda_claimed)
         for s in range(2, 33):
             m = expected_rank(d, 1, s)
-            p = float(-np.expm1((s - 1) * np.log(max(float(d.cdf(m)), 1e-300))))
+            p = float(-np.expm1((s - 1) * np.log(max(1.0 - float(d.survival(m)), 1e-300))))
             assert p >= (s - 1) / s * c - 1e-4
 
 
