@@ -72,8 +72,8 @@ class Exponential(Distribution):
     """Exponential(rate); MHR (lambda = 0), constant hazard."""
 
     def __init__(self, rate: float):
-        if rate <= 0:
-            raise ParseError(f"exponential rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:
+            raise ParseError(f"exponential rate must be positive and finite, got {rate}")
         self.rate = float(rate)
         self.support = Support(0.0, math.inf)
         self.lambda_claimed = 0.0
@@ -106,8 +106,8 @@ class Uniform(Distribution):
     """Uniform on [a, b]; MHR (hazard 1/(b - v) is increasing)."""
 
     def __init__(self, a: float, b: float):
-        if not b > a:
-            raise ParseError(f"uniform needs a < b, got [{a}, {b}]")
+        if not -math.inf < a < b < math.inf:
+            raise ParseError(f"uniform needs finite a < b, got [{a}, {b}]")
         self.a, self.b = float(a), float(b)
         self.support = Support(self.a, self.b)
         self.lambda_claimed = 0.0
@@ -141,8 +141,8 @@ class Weibull(Distribution):
     hazard falls like v^(shape-1), so no lambda <= 1 holds."""
 
     def __init__(self, scale: float, shape: float):
-        if scale <= 0 or shape < 1:
-            raise ParseError(f"weibull needs scale > 0 and shape >= 1, got {scale}, {shape}")
+        if not (0 < scale < math.inf and 1 <= shape < math.inf):
+            raise ParseError(f"weibull needs finite scale > 0 and shape >= 1, got {scale}, {shape}")
         self.scale, self.shape = float(scale), float(shape)
         self.support = Support(0.0, math.inf)
         self.lambda_claimed = 0.0
@@ -178,8 +178,8 @@ class Pareto(Distribution):
     """Pareto(shape, scale); heavy-tailed, lambda-regular at lambda = 1/shape."""
 
     def __init__(self, shape: float, scale: float):
-        if shape <= 1 or scale <= 0:
-            raise ParseError(f"pareto needs shape > 1 and scale > 0, got {shape}, {scale}")
+        if not (1 < shape < math.inf and 0 < scale < math.inf):
+            raise ParseError(f"pareto needs finite shape > 1 and scale > 0, got {shape}, {scale}")
         self.shape, self.scale = float(shape), float(scale)
         self.support = Support(self.scale, math.inf)
         self.lambda_claimed = 1.0 / self.shape
@@ -330,18 +330,20 @@ def virtual_value(d: Distribution, v):
     return float(out) if scalar else out
 
 
-def inverse_virtual_value(d: Distribution, c: float, rtol: float = 1e-9) -> float:
+def inverse_virtual_value(d: Distribution, c: float) -> float:
     """Solve virtual_value(d, v) = c by bracket refinement.
 
     Requires a lambda-regular family (so the virtual value is nondecreasing).
-    The monopoly reserve price is ``inverse_virtual_value(d, 0)``.
+    The monopoly reserve price is ``inverse_virtual_value(d, 0)``.  The
+    virtual value at the root is within 1e-9 max(1, |c|) of c.
     """
+    tol = 1e-9 * max(1.0, abs(c))
     lo = max(d.support.lo, float(d.quantile(1e-12)))
     # The upper end starts at survival 1e-13 on a bounded support, or at 1e-8
     # on an infinite one, where the loop below doubles it until it brackets c.
     hi = float(d.quantile(1.0 - (1e-13 if math.isfinite(d.support.hi) else 1e-8)))
     phi_lo = virtual_value(d, lo) if d.support.interior(lo) else _phi_right_limit(d)
-    if c < phi_lo - rtol * max(1.0, abs(c)):
+    if c < phi_lo - tol:
         raise OutOfRange(f"target {c} below the virtual-value range of {d.descriptor}")
     if c <= phi_lo:
         return lo
@@ -367,7 +369,7 @@ def inverse_virtual_value(d: Distribution, c: float, rtol: float = 1e-9) -> floa
         i = int(above[0]) if above.size else 63
         lo, hi = float(xs[i]), float(xs[i + 1])
     root = 0.5 * (lo + hi)
-    if abs(virtual_value(d, root) - c) > rtol * max(1.0, abs(c)):
+    if abs(virtual_value(d, root) - c) > tol:
         raise NonMonotone(f"bracket refinement failed to pin virtual value at {c} for {d.descriptor}")
     return root
 

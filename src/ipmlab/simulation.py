@@ -298,17 +298,16 @@ def _uniform_price_block(s: Scenario, classes, price: float, threshold: float, v
     revenue, welfare, rations, served = passes[key]
     if served is None:  # no row rations
         return revenue, welfare
-    if rations is None:  # every row rations: no row copies
-        return revenue, _served_rows(v, served, classes, s.k)
     welfare = welfare.copy()
     welfare[rations] = _served_rows(v[rations], served, classes, s.k)
     return revenue, welfare
 
 
 def _uniform_price_pass(price: float, threshold: float, k: int, v: np.ndarray, aux):
-    """Each row's revenue; the welfare of rows that do not ration and the
-    rows that do, both None when every row rations; and who is served in
-    the rows that ration, None when none does.  Keys come from ``aux``, so
+    """Each row's revenue; the welfare of rows that do not ration (empty
+    slots in the others); the rows that ration, ``slice(None)`` when every
+    row does, so that indexing with it is a view; and who is served in the
+    rows that ration, None when none does.  Keys come from ``aux``, so
     members that share a pass have equal stream-1 generators and the same
     rows in the batch: then the pass draws exactly the keys each would draw
     alone."""
@@ -318,7 +317,7 @@ def _uniform_price_pass(price: float, threshold: float, k: int, v: np.ndarray, a
     over = total > k
     revenue = price * np.minimum(total, k)
     if over.all():
-        return revenue, None, None, _served(qualify, k, aux)
+        return revenue, np.empty(len(v)), slice(None), _served(qualify, k, aux)
     rations = np.flatnonzero(over)
     served = _served(qualify[rations], k, aux) if len(rations) else None
     return revenue, np.einsum("ij,ij->i", v, qualify), rations, served
@@ -399,29 +398,16 @@ def _top_values(v: np.ndarray, classes, m: int, width: int):
 
 
 def _item_floors(menu: Menu) -> np.ndarray:
-    """Per item j, the least top value t at which a group passes the
-    can-buy test eta_j max(t, 0) - r_j >= -1e-12, in the test's own float
-    arithmetic: -inf when t = 0 passes, inf when no t does.  The left side
-    is nondecreasing in t (eta_j >= 0, and rounding keeps order), so the
-    test passes exactly when t >= the floor.  Found by bisection over the
-    bit patterns of the nonnegative floats, which they order."""
-
-    def passes(eta, r, bits):
-        return eta * float(np.int64(bits).view(np.float64)) - r >= -1e-12
-
-    floors = np.empty(menu.k)
-    top = int(np.float64(np.finfo(float).max).view(np.int64))
-    for j, (eta, r) in enumerate(zip(menu.etas.tolist(), menu.rs.tolist())):
-        if passes(eta, r, 0):
-            floors[j] = -math.inf
-        elif not passes(eta, r, top):
-            floors[j] = math.inf
-        else:
-            lo, hi = 0, top
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if passes(eta, r, mid) else (mid, hi)
-            floors[j] = float(np.int64(hi).view(np.float64))
+    """Per item j, a lower bound on the top values t that pass the can-buy
+    test eta_j max(t, 0) - r_j >= -1e-12: -inf where t = 0 passes (r_j <=
+    1e-12), inf where eta_j = 0 and no t does, else (r_j - 1e-12) / eta_j
+    lowered by 1e-9 r_j / eta_j.  The test's rounding moves its threshold by
+    a few ulps of r_j, far less than that margin, so a t that passes is
+    never below the bound; one that fails may be above it."""
+    etas, rs = menu.etas, menu.rs
+    floors = np.where(rs <= 1e-12, -np.inf, np.inf)
+    finite = (rs > 1e-12) & (etas > 0)
+    floors[finite] = (rs[finite] * (1.0 - 1e-9) - 1e-12) / etas[finite]
     return floors
 
 
@@ -437,17 +423,19 @@ def _menu_rows(s: Scenario, classes, menu: Menu, floors: np.ndarray, width: int,
     order), and each buys the optimum of `agents.menu_purchase_dp` (ties to
     the larger set, then the lexicographically smallest).
 
-    The can-buy test of a group whose top value is t, some item left with
-    eta_j max(t, 0) - r_j >= -1e-12, that is t >= `_item_floors`[j], bounds
-    the surplus of the item with any buyer or none, and the DP takes an
-    item only at a surplus of -1e-12 or more, so a group that fails it
-    would buy nothing.  Availability only shrinks, so each row lists the
-    steps whose group passes with every item left, in visit order, and
-    round i runs every row's i-th listed step in one DP call, over the rows
-    whose group passes with the items it has left.  A row sees its steps in
-    the order the sale visits them, and revenue and welfare add each step's
-    taken items in item order, so no bit depends on the rounds or on the
-    other rows."""
+    A group whose top value is t can buy item j only if eta_j max(t, 0) -
+    r_j >= -1e-12: that bounds the surplus of the item with any buyer or
+    none, and the DP takes an item only at a surplus of -1e-12 or more.  A
+    group whose t is below item j's `_item_floors` bound fails that test
+    for j.  Availability only shrinks, so each row lists the steps whose
+    group is at or above some item's bound, in visit order, and round i
+    runs every row's i-th listed step in one DP call, over the rows whose
+    group is at or above the bound of an item it has left.  A listed group
+    that fails the exact test on every item left still reaches the DP,
+    which buys nothing for it and so adds only zeros.  A row sees its steps
+    in the order the sale visits them, and revenue and welfare add each
+    step's taken items in item order, so no bit depends on the rounds or on
+    the other rows."""
     size, m = len(v), s.structure.m
     if s.order_policy == "random":
         orders = np.argsort(aux.random((size, m)), axis=1)

@@ -50,6 +50,26 @@ def test_price_numeric_failure_exit_code(capsys):
     assert code == 2  # neither --k nor --etas
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dist", "exp:1", "--etas", "1,nan"],
+        ["--dist", "exp:1", "--etas", "inf,1"],
+        ["--dist", "exp:nan", "--k", "2"],
+        ["--dist", "uniform:0:inf", "--k", "2"],
+        ["--dist", "weibull:inf:2", "--k", "2"],
+        ["--dist", "pareto:inf:1", "--k", "2"],
+    ],
+    ids=["etas-nan", "etas-inf", "exp-nan", "uniform-inf", "weibull-inf", "pareto-inf"],
+)
+def test_price_rejects_non_finite_inputs(argv, capsys):
+    # A NaN or infinite weight or family parameter is a parse error, not a
+    # NaN price, a numeric failure or a price at a degenerate family.
+    code, out, err = run(["price", "--n", "4", *argv], capsys)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 CONFIG = textwrap.dedent("""\
     seed = 11
     reps = 5000
@@ -154,6 +174,16 @@ def test_simulate_rejects_weights_that_do_not_fit(tmp_path, capsys, edit):
         text = text.replace(old, new)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert "etas" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_simulate_rejects_non_finite_weights(tmp_path, capsys):
+    text = CONFIG.format(out=tmp_path / "r.csv").replace("mechanism = ipm", "mechanism = het_ipm")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text.replace("k = 2", "k = 2\netas = 1,nan"))
     code, _, err = run(["simulate", str(cfg)], capsys)
     assert code == 2
     assert "etas" in err

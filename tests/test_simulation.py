@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ipmlab import agents, simulation
 from ipmlab.distributions import Exponential, Uniform, inverse_virtual_value, parse_distribution
-from ipmlab.mechanisms import build_menu
+from ipmlab.mechanisms import Menu, build_menu
 from ipmlab.order_statistics import expected_rank
 
 from _experiments import canonical_structures, ln_gap_experiment
@@ -253,18 +253,70 @@ def test_menu_sale_matches_reference_sale_property(m, extra, split, dist, weight
         assert welfare[r] == pytest.approx(wel, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("etas", [(1.0, 0.5, 0.25), (1.0, 0.6, 0.6, 0.3, 0.0), (0.0,), (1.0, 1.0)])
-@pytest.mark.parametrize("dist", ["exp:1", "uniform:-1:1", "pareto:3:1"])
-def test_item_floors_match_the_can_buy_test(etas, dist):
-    # A top value passes eta_j max(t, 0) - r_j >= -1e-12 exactly when it is
-    # at least item j's floor, also one float either side of the floor.
-    menu = build_menu(parse_distribution(dist), 6, etas)
+def assert_floors_bound_the_can_buy_test(menu):
+    """No top value t that passes eta_j max(t, 0) - r_j >= -1e-12 lies below
+    item j's floor, also a few floats below it; no floor is NaN; -inf floors
+    are exactly the items t = 0 buys, an inf floor no t passes, and a finite
+    one passes 2e-9 r_j / eta_j above it, so the bound stays tight."""
     floors = simulation._item_floors(menu)
-    finite = floors[np.isfinite(floors)]
-    near = np.concatenate([finite, np.nextafter(finite, np.inf), np.nextafter(finite, -np.inf)])
-    t = np.concatenate([near, np.random.default_rng(0).uniform(-2.0, 8.0, 500), [0.0, -0.0, -1.0]])
-    direct = np.multiply.outer(menu.etas, np.maximum(t, 0.0)) - menu.rs[:, None] >= -1e-12
-    assert (direct == (t >= floors[:, None])).all()
+    assert not np.isnan(floors).any()
+    etas, rs = menu.etas[:, None], menu.rs[:, None]
+
+    def passes(t):  # per item (rows) and top value (columns)
+        return etas * np.maximum(t, 0.0) - rs >= -1e-12
+
+    finite = np.isfinite(floors)
+    below = floors[finite, None] - np.arange(5) * np.abs(np.spacing(floors[finite, None]))
+    t = np.concatenate([below.ravel(), np.random.default_rng(0).uniform(-2.0, 8.0, 500), [0.0, -0.0, -1.0]])
+    assert not (passes(t) & (t < floors[:, None])).any()
+    assert ((floors == -np.inf) == passes(0.0)[:, 0]).all()
+    assert not passes(np.finfo(float).max)[floors == np.inf].any()
+    up = floors[finite] + 2e-9 * menu.rs[finite] / menu.etas[finite]
+    assert (menu.etas[finite] * np.maximum(up, 0.0) - menu.rs[finite] >= -1e-12).all()
+
+
+@pytest.mark.parametrize("etas", [(1.0, 0.5, 0.25), (1.0, 0.6, 0.6, 0.3, 0.0), (0.0,), (1.0, 1.0),
+                                  tuple(np.linspace(1.0, 0.0, 16))])
+@pytest.mark.parametrize("dist", ["exp:1", "uniform:-1:1", "pareto:3:1", "pareto:1.05:1", "ter:100"])
+def test_item_floors_match_the_can_buy_test(etas, dist):
+    # The floors bound the can-buy test from below on built menus, with
+    # tied, zero and 16 weights and a heavy tail.
+    assert_floors_bound_the_can_buy_test(build_menu(parse_distribution(dist), max(6, len(etas)), etas))
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1, 2, 3, 1000, 10**15])
+def test_item_floors_bound_the_can_buy_test_near_its_tolerance(ulps):
+    # At r_j a few ulps above 1e-12, r_j - 1e-12 is as small as the test's
+    # own rounding, so a margin relative to it alone would cut off passing t.
+    rs = np.full(5, 1e-12 + ulps * np.spacing(1e-12))
+    assert_floors_bound_the_can_buy_test(Menu(etas=[1.0, 0.5, 1e-3, 1e-300, 0.0], us=np.zeros(5), rs=rs))
+
+
+def test_menu_sale_lists_a_group_in_the_floor_band(monkeypatch):
+    # A top value at the lowest floor is listed but fails the can-buy test on
+    # every item: the DP buys nothing for it.  Row 0 then sells both items to
+    # its later buyers; row 1 lists only that step and sells nothing.  Both
+    # rows match the reference sale.
+    s = scenario(n=3, k=2, mechanism="het_ipm", etas=(1.0, 0.5), structure=agents.competition(3),
+                 order_policy="fixed")
+    menu = build_menu(s.d, s.n, s.etas)
+    band = simulation._item_floors(menu).min()
+    assert (menu.etas * band - menu.rs < -1e-12).all()
+    v = np.array([[band, 1.6, 5.0], [0.1, band, 0.1]])
+    calls = []
+    dp = agents.menu_purchase_dp
+
+    def recorded(etas, rs, available, w):
+        calls.append(w[0].tolist())
+        return dp(etas, rs, available, w)
+
+    monkeypatch.setattr(agents, "menu_purchase_dp", recorded)
+    revenue, welfare = simulation._batch_fn(s)[0](v, None, {})
+    assert calls == [[band, band], [1.6], [5.0]]
+    for r in range(2):
+        _, rev, wel = sequential_menu_sale(menu, s.structure.groups(), v[r], range(3))
+        assert (revenue[r], welfare[r]) == pytest.approx((rev, wel), rel=1e-12)
+    assert revenue[0] == pytest.approx(menu.rs.sum()) and (revenue[1], welfare[1]) == (0.0, 0.0)
 
 
 def test_kplus1_engine_matches_reference_auction():
