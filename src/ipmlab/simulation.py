@@ -53,6 +53,10 @@ class Scenario:
             raise ValueError("reps must be >= 1")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        if self.structure.n != self.n:
+            raise ValueError(f"structure {self.structure.descriptor} is over {self.structure.n} buyers, not n={self.n}")
+        if self.epsilon is not None and not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.mechanism == "het_ipm":
@@ -277,9 +281,9 @@ def _member_major(x: np.ndarray, pad: np.ndarray):
 def _sorted_groups(v: np.ndarray, pad: np.ndarray, padding: np.ndarray):
     """Each row's values of a class's groups as (rows, members, width),
     padded with -inf and sorted ascending: one sort for the class.  In the
-    member-major layout each sort runs along contiguous memory, and
-    `_class_sum`, whose order follows the layout, adds in the order the
-    golden-bits test pins."""
+    member-major layout each sort runs along contiguous memory, and each
+    member's width sum, whose order follows the layout, adds in the order
+    the golden-bits test pins."""
     vals = _member_major(v, pad)
     vals[:, padding] = -np.inf
     vals.sort(axis=2)
@@ -348,8 +352,8 @@ def _served_rows(v: np.ndarray, served: np.ndarray, classes, k: int):
     if not others and pad.shape[1] == 1 and (pad[:, 0] == np.arange(len(pad))).all():
         # Every buyer is their own group, in column order (`competition`), and
         # each row serves exactly k: add a row's k served values left to
-        # right.  The member-by-member sum of `_class_sum` gives the same
-        # bits, since it adds only exact zeros between them.
+        # right.  The member-by-member class sum below gives the same bits,
+        # since it adds only exact zeros between them.
         welfare += np.cumsum(np.take(v, np.flatnonzero(served)).reshape(-1, k), axis=1)[:, -1]
         return welfare
     for _, pad, padding in classes:
@@ -362,20 +366,10 @@ def _served_rows(v: np.ndarray, served: np.ndarray, classes, k: int):
             hits[:, padding] = False
             width = pad.shape[1]
             vals[np.arange(width) < width - np.count_nonzero(hits, axis=2)[:, :, None]] = 0.0
-        welfare += _class_sum(vals)
+        # Member by member, each member's width summed first; the cumsum's
+        # order is the same for one row as for many.
+        welfare += np.cumsum(vals.sum(axis=2), axis=1)[:, -1]
     return welfare
-
-
-def _class_sum(vals: np.ndarray):
-    """Each row's sum of a class's member-major (rows, members, width)
-    values: member by member, each member's width summed first.  For a lone
-    row numpy would merge the member and width axes and add them pairwise,
-    so it is summed as the first of two rows, in the same layout."""
-    if len(vals) == 1:
-        pair = np.empty((vals.shape[1], 2, vals.shape[2])).transpose(1, 0, 2)
-        pair[:] = vals
-        return pair.sum(axis=(1, 2))[:1]
-    return vals.sum(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -177,11 +177,10 @@ def check_optprog(rs, n: int, lam: float) -> CheckResult:
     """Does the uniform vector p_j = c(lam)/(2n) solve the program?
 
     Compares the analytic value sum(r) e^{-c/2} against the exact optimum of
-    `program_optimum` and verifies the shadow prices S_j = r_j e^{-c/2}/n
-    are a feasible, value-matching dual certificate.  Raises ValueError
-    unless n >= 1, lam lies in [0, 1] and the weights are finite,
-    nonnegative and nonincreasing; since c(lam)/2 <= 1/(2e) < 1 <= n, the
-    uniform point then lies in the box.
+    `program_optimum`; the margin alone decides.  Raises ValueError unless
+    n >= 1, lam lies in [0, 1] and the weights are finite, nonnegative and
+    nonincreasing; since c(lam)/2 <= 1/(2e) < 1 <= n, the uniform point then
+    lies in the box.
 
     Note: the uniform point is the true optimum only when successive ratios
     r_j/r_{j+1} are large enough; for near-flat weights a vertex that zeroes
@@ -205,16 +204,7 @@ def check_optprog(rs, n: int, lam: float) -> CheckResult:
         return CheckResult("optprog", 0.0, True, "lam=1 degenerate")
     oracle_val, _ = program_optimum(rs, n, lam)
     margin = (analytic - oracle_val) / scale  # 0 iff the uniform point is optimal
-    # Dual certificate for the uniform point.
-    S = [r * math.exp(-c / 2.0) / n for r in rs]
-    dual_ok = all(S[j] >= S[j + 1] - 1e-12 for j in range(k - 1))
-    dual_ok &= all(r * math.exp(-n) / n - 1e-12 <= s <= r / n + 1e-12 for r, s in zip(rs, S))
-    dual_val = sum(
-        s * (n - c / 2.0) - s * math.log(n * s / r) if r > 0 else 0.0 for r, s in zip(rs, S)
-    )
-    dual_ok &= abs(dual_val - analytic) <= 1e-9 * scale
-    passed = margin >= -1e-4 and dual_ok
-    return CheckResult("optprog", margin, passed, f"k={k} n={n} lam={lam:g}")
+    return CheckResult("optprog", margin, margin >= -1e-4, f"k={k} n={n} lam={lam:g}")
 
 
 # ---------------------------------------------------------------------------

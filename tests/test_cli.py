@@ -190,6 +190,20 @@ def test_simulate_rejects_non_finite_weights(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
+    # A NaN or infinite slack would price the bundle at NaN or -inf.
+    text = CONFIG.format(out=tmp_path / "r.csv")
+    for old, new in {"n = 4": "n = 8", "competition": "monopsony", "mechanism = ipm": "mechanism = bundle"}.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text + f"epsilon = {epsilon}\n")
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert "epsilon" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_simulate_rejects_zero_reps(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed = 1\nreps = 0\n")
@@ -278,7 +292,7 @@ def test_program_subcommand(capsys):
     assert "optprog" in out
     code2, _, _ = run(["program", "--r", "1,1", "--n", "10", "--lam", "0"], capsys)
     assert code2 == 4
-    # e^n overflows a float beyond n = 709; the dual bound must not need it.
+    # e^n overflows a float beyond n = 709; nothing in the check may need it.
     code3, out3, _ = run(["program", "--r", "3,2,1", "--n", "800"], capsys)
     assert code3 == 0 and out3.splitlines()[1].endswith("k=3 n=800 lam=0, True")
     # The exact solver is polynomial in the number of weights.

@@ -46,6 +46,9 @@ def test_scenario_validation():
         scenario(mechanism="het_ipm")  # needs weights
     with pytest.raises(ValueError):
         scenario(order_policy="randmo")
+    for m in (8, 4):  # a structure over another number of buyers
+        with pytest.raises(ValueError):
+            scenario(structure=agents.competition(m))
 
 
 def test_same_seed_reproduces_exactly(monkeypatch):
@@ -93,7 +96,7 @@ def test_bound_values():
     # n/k integer doubles the guarantee.
     assert simulation.theoretical_bound(scenario()) == pytest.approx(
         (1 / math.e) * (1 - 1 / math.e))
-    assert simulation.theoretical_bound(scenario(n=7, k=3)) == pytest.approx(
+    assert simulation.theoretical_bound(scenario(n=7, k=3, structure=agents.competition(7))) == pytest.approx(
         0.5 * (1 / math.e) * (1 - 1 / math.e))
     mono = scenario(model=agents.parse_behavior("monopolist"))
     assert simulation.theoretical_bound(mono) == pytest.approx(
