@@ -313,20 +313,14 @@ def builtin_families() -> list[Distribution]:
 # Virtual values
 
 
-def generalized_virtual_margin(d: Distribution, lam: float, v):
-    """m_lambda(v) = lambda*v - (1-F(v))/f(v); nondecreasing iff lambda-regular."""
-    v = np.asarray(v, dtype=float)
-    return lam * v - d.survival(v) / d.pdf(v)
-
-
 def virtual_value(d: Distribution, v):
-    """Myerson virtual value  v - (1-F(v))/f(v), the margin at lambda = 1
-    (1.0 * v is exact).  Vectorized over v."""
+    """Myerson virtual value  v - (1-F(v))/f(v), the lambda-margin of
+    `theory.check_regularity` at lambda = 1.  Vectorized over v."""
     arr = np.asarray(v, dtype=float)
     scalar = arr.ndim == 0
     if scalar and not d.support.interior(float(arr)):
         raise OutOfSupport(f"{v} not in the interior of {d.descriptor} support")
-    out = generalized_virtual_margin(d, 1.0, arr)
+    out = arr - d.survival(arr) / d.pdf(arr)
     return float(out) if scalar else out
 
 

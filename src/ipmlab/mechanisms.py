@@ -39,18 +39,6 @@ class Menu:
     def k(self) -> int:
         return len(self.etas)
 
-    def validate(self) -> None:
-        for name, arr in (("etas", self.etas), ("us", self.us), ("rs", self.rs)):
-            if np.any(np.diff(arr) > 1e-9):
-                raise ValueError(f"menu {name} must be nonincreasing")
-        r_next = 0.0
-        eta_next = 0.0
-        for j in range(self.k - 1, -1, -1):
-            expect = r_next + self.us[j] * (self.etas[j] - eta_next)
-            if abs(self.rs[j] - expect) > 1e-9 * max(1.0, abs(expect)):
-                raise ValueError(f"menu recursion violated at item {j + 1}")
-            r_next, eta_next = self.rs[j], self.etas[j]
-
     def csv_rows(self) -> list[str]:
         rows = ["j, eta_j, u_j, r_j"]
         for j in range(self.k):
@@ -77,15 +65,15 @@ def build_menu(d: Distribution, n: int, etas) -> Menu:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
     if not np.isfinite(etas).all() or np.any(etas < 0) or np.any(np.diff(etas) > 1e-12):
         raise ValueError("etas must be finite, nonnegative and nonincreasing")
-    us = np.array([expected_rank(d, 1, math.ceil(n / (j + 1))) for j in range(k)])
+    us = np.array([ipm_price(d, n, j + 1) for j in range(k)])
     rs = np.zeros(k)
     r_next, eta_next = 0.0, 0.0
     for j in range(k - 1, -1, -1):
         rs[j] = r_next + us[j] * (etas[j] - eta_next)
         r_next, eta_next = rs[j], etas[j]
-    menu = Menu(etas=etas, us=us, rs=rs)
-    menu.validate()
-    return menu
+    if np.any(np.diff(rs) > 1e-9):
+        raise ValueError("menu prices rise with j: a weight drops over a negative expected max")
+    return Menu(etas=etas, us=us, rs=rs)
 
 
 def optimal_item_price(d: Distribution) -> tuple[float, float]:

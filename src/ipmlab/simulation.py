@@ -55,10 +55,15 @@ class Scenario:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.structure.n != self.n:
             raise ValueError(f"structure {self.structure.descriptor} is over {self.structure.n} buyers, not n={self.n}")
-        if self.epsilon is not None and not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
+        if self.epsilon is not None:
+            if self.mechanism != "bundle":
+                raise ValueError(f"epsilon applies to bundle only, not to {self.mechanism}")
+            if not math.isfinite(self.epsilon):
+                raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        if self.model.kind is agents.Kind.MONOPOLIST and self.mechanism not in ("ipm", "item_price"):
+            raise ValueError(f"the monopolist model applies to ipm and item_price only, not to {self.mechanism}")
         if self.mechanism == "het_ipm":
             if self.etas is None:
                 raise ValueError("het_ipm needs item weights")
@@ -622,10 +627,7 @@ def _report(s: Scenario, extra: dict, parts, draw_values: int) -> SimulationRepo
     mean_rev, ci_rev = _merge(parts, sizes, 0)
     mean_wel, ci_wel = _merge(parts, sizes, 2)
     violations = sum(p[4] for p in parts)
-    if s.mechanism == "het_ipm":
-        analytic = top_k_welfare(s.d, s.n, len(s.etas), s.etas)
-    else:
-        analytic = top_k_welfare(s.d, s.n, s.k)
+    analytic = top_k_welfare(s.d, s.n, s.k, s.etas)
     ratio = mean_rev / analytic if analytic > 0 else 0.0
     bound = theoretical_bound(s)
     passed: bool | None = None

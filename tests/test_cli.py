@@ -37,6 +37,12 @@ def test_price_menu_table(capsys):
     assert lines[2] == "2, 0.5, 1.5, 0.75"
 
 
+def test_price_rejects_prices_rising_over_a_negative_max(capsys):
+    code, out, err = run(["price", "--dist", "uniform:-3:-1", "--n", "4", "--etas", "1,0.5"], capsys)
+    assert (code, out) == (2, "")
+    assert "negative expected max" in err
+
+
 def test_price_parse_error_exit_code(capsys):
     for dist in ("gauss:0:1", "weibull:1:0.5"):
         code, _, err = run(["price", "--dist", dist, "--n", "4", "--k", "2"], capsys)
@@ -204,6 +210,32 @@ def test_simulate_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        # Only the bundle price reads the slack.
+        ({"reps = 20000": "reps = 20000\nepsilon = 0.5"}, "epsilon"),
+        # Only the uniform-price engine reads the model; these would run the
+        # scenario as `surplus` and print `monopolist`.
+        ({"surplus": "monopolist", "mechanism = ipm": "mechanism = het_ipm", "k = 2": "k = 2\netas = 1,0.5"},
+         "monopolist"),
+        ({"surplus": "monopolist", "mechanism = ipm": "mechanism = kplus1"}, "monopolist"),
+        ({"surplus": "monopolist", "mechanism = ipm": "mechanism = bundle"}, "monopolist"),
+    ],
+    ids=["ipm-with-epsilon", "het_ipm-monopolist", "kplus1-monopolist", "bundle-monopolist"],
+)
+def test_simulate_rejects_keys_the_mechanism_ignores(tmp_path, capsys, edit, key):
+    text = CONFIG.format(out=tmp_path / "r.csv")
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert key in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_simulate_rejects_zero_reps(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("seed = 1\nreps = 0\n")
@@ -244,6 +276,10 @@ def test_check_unknown_name(capsys):
     code, _, err = run(["check", "--only", "nonexistent"], capsys)
     assert code == 5
     assert "unknown" in err
+    # Every unknown name is reported before any check runs.
+    code, out, err = run(["check", "--only", "nope,optprog,nada"], capsys)
+    assert (code, out) == (5, "")
+    assert "nope" in err and "nada" in err and "optprog" not in err
 
 
 def test_check_negative_controls_reported_separately(capsys):

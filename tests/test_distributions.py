@@ -16,13 +16,12 @@ from ipmlab.distributions import (
     Weibull,
     builtin_families,
     c_of_lambda,
-    generalized_virtual_margin,
     inverse_virtual_value,
     parse_distribution,
     virtual_value,
 )
 from ipmlab.errors import DomainError, OutOfRange, ParseError
-from ipmlab.theory import _quantile_grid, check_regularity
+from ipmlab.theory import check_regularity
 
 from oracles import gamma_h_representation, gamma_lambda, generalized_hazard, hazard
 
@@ -139,14 +138,6 @@ def test_virtual_value_closed_forms():
     assert virtual_value(Uniform(0, 1), 0.75) == pytest.approx(0.5)
     # Pareto(2,1): phi(v) = v/2.
     assert virtual_value(Pareto(2.0, 1.0), 4.0) == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize("d", FAMILIES, ids=lambda d: d.descriptor)
-def test_virtual_value_is_the_margin_at_lambda_one(d):
-    grid = _quantile_grid(d)
-    assert np.array_equal(virtual_value(d, grid), generalized_virtual_margin(d, 1.0, grid))
-    v = float(grid[200])
-    assert virtual_value(d, v) == float(generalized_virtual_margin(d, 1.0, v))
 
 
 @pytest.mark.filterwarnings("error")

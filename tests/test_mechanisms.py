@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipmlab.distributions import Exponential, Pareto, TruncatedEqualRevenue, Uniform, Weibull
-from ipmlab.mechanisms import Menu, build_menu, ipm_price, optimal_item_price
+from ipmlab.mechanisms import build_menu, ipm_price, optimal_item_price
 
 from oracles import bundle_price_monopsony, ipm_allocate, kplus1_auction, sequential_menu_sale
 
@@ -49,11 +49,11 @@ def test_menu_top_price_telescopes():
     assert np.all(np.diff(menu.rs) <= 1e-9)
 
 
-def test_menu_validation_rejects_wrong_recursion():
-    menu = build_menu(Exponential(1.0), 4, (1.0, 0.5))
-    broken = Menu(etas=menu.etas, us=menu.us, rs=menu.rs + 0.1)
-    with pytest.raises(ValueError):
-        broken.validate()
+def test_menu_rejects_prices_rising_over_a_negative_max():
+    # u_1 = E[v^(1,4)] and u_2 = E[v^(1,2)] are negative on [-3, -1], so
+    # r_1 = r_2 + u_1 (1 - 0.5) < r_2.
+    with pytest.raises(ValueError, match="negative expected max"):
+        build_menu(Uniform(-3.0, -1.0), 4, (1.0, 0.5))
 
 
 def test_menu_rejects_increasing_weights():
