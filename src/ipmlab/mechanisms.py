@@ -76,9 +76,8 @@ def build_menu(d: Distribution, n: int, etas) -> Menu:
     return Menu(etas=etas, us=us, rs=rs)
 
 
-def optimal_item_price(d: Distribution) -> tuple[float, float]:
-    """Myerson's monopoly price r, where the virtual value crosses 0, and
-    its per-buyer revenue r (1 - F(r)).
+def optimal_item_price(d: Distribution) -> float:
+    """Myerson's monopoly price r, where the virtual value crosses 0.
 
     The virtual value of a regular (lambda <= 1) family is nondecreasing, so
     revenue rises up to r and falls after it; where it is positive on the
@@ -88,4 +87,4 @@ def optimal_item_price(d: Distribution) -> tuple[float, float]:
         r = inverse_virtual_value(d, 0.0)
     except OutOfRange:
         r = d.support.lo
-    return r, r * float(d.survival(r))
+    return r

@@ -557,7 +557,7 @@ def _batch_fn(s: Scenario):
         if s.mechanism == "ipm":
             price = ipm_price(s.d, s.n, s.k)
         else:
-            price, _ = optimal_item_price(s.d)
+            price = optimal_item_price(s.d)
         threshold = agents.purchase_threshold(s.model, s.d, price)
         return partial(_uniform_price_block, s, classes, price, threshold), {"price": price}
     if s.mechanism == "het_ipm":
@@ -565,7 +565,7 @@ def _batch_fn(s: Scenario):
         floors, width = _item_floors(menu), _menu_width(s)
         return lambda v, aux, passes: _menu_rows(s, classes, menu, floors, width, v, aux), {"menu": menu}
     if s.mechanism == "kplus1":
-        reserve, _ = optimal_item_price(s.d)
+        reserve = optimal_item_price(s.d)
         return lambda v, aux, passes: _kplus1_block(s, groups, reserve, v, aux), {"reserve": reserve}
     if s.mechanism == "bundle":
         if s.epsilon is not None:

@@ -24,8 +24,7 @@ from .distributions import (
 from .mechanisms import ipm_price
 from .order_statistics import expected_rank, max_tail_probability, top_k_sums
 
-# Certified rational bounds: 2.718281828459045 < e < 2.718281828459046.
-INV_E_LOWER = Fraction(10**15, 2718281828459046)
+# Certified rational upper bound of 1/e: 2.718281828459045 < e.
 INV_E_UPPER = Fraction(10**15, 2718281828459045)
 
 

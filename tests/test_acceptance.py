@@ -5,6 +5,7 @@ import math
 import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,16 @@ from ipmlab import agents, cli, simulation, theory
 from ipmlab.distributions import Exponential, Pareto, builtin_families, c_of_lambda
 from ipmlab.simulation import Scenario, run_scenario
 
-from _experiments import canonical_structures, ln_gap_experiment
 from oracles import estimate_tau
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# Competition, monopsony, balanced halves and a seeded random split.
+STRUCTURES = ("competition", "monopsony", "balanced:2", "random:3:7")
 
 C0 = 1 / math.e
 ONE_MINUS_INV_E = 1 - 1 / math.e
+# Certified rational lower bound of 1/e: e < 2.718281828459046.
+INV_E_LOWER = Fraction(10**15, 2718281828459046)
 
 
 def _ratio_with_ci(rep):
@@ -29,7 +35,7 @@ def test_uniform_price_guarantee_at_scale():
     # one million replicates per canonical structure, under a minute total.
     bound = C0 * ONE_MINUS_INV_E
     start = time.time()
-    for structure in canonical_structures(6):
+    for structure in (agents.parse_structure(s, 6) for s in STRUCTURES):
         rep = run_scenario(Scenario(
             d=Exponential(1.0), n=6, k=3, structure=structure,
             model=agents.parse_behavior("surplus"), mechanism="ipm",
@@ -43,7 +49,7 @@ def test_uniform_price_guarantee_at_scale():
 def test_uniform_price_guarantee_monopolist():
     bound = C0 * C0 * ONE_MINUS_INV_E  # tau = 1/e for the memoryless case
     start = time.time()
-    for structure in canonical_structures(6):
+    for structure in (agents.parse_structure(s, 6) for s in STRUCTURES):
         rep = run_scenario(Scenario(
             d=Exponential(1.0), n=6, k=3, structure=structure,
             model=agents.parse_behavior("monopolist"), mechanism="ipm",
@@ -95,7 +101,7 @@ def test_subset_avoidance_exact_rational():
             s = math.ceil(n / k)
             prob = theory.exact_no_large_elements(n, k)
             assert isinstance(prob, Fraction)
-            assert prob <= theory.INV_E_LOWER, (n, k, s)
+            assert prob <= INV_E_LOWER, (n, k, s)
 
 
 def test_pricing_program_uniform_solution_on_random_instances():
@@ -149,9 +155,14 @@ LN_GAP_ACCEPTS = {60: 29_996, 100: 30_000, 400: 30_000}
 
 def test_item_vs_bundle_separation():
     start = time.time()
+    text = (CONFIGS / "item_vs_bundle.cfg").read_text()
+    small = text.replace("seed = 0\n", "seed = 9\n").replace("reps = 50000", "reps = 30000")
+    assert "seed = 9\n" in small and "reps = 30000\n" in small
+    reports = {r.scenario.scenario_id: r for r in simulation.run_scenarios(cli.parse_config(small).scenarios)}
     rows = {}
     for n in (60, 100, 400):
-        item, rep = ln_gap_experiment(n, reps=30_000, seed=9)
+        assert n > math.exp(4)  # the separation argument needs it
+        item, rep = reports[f"item-n{n}"].mean_revenue, reports[f"bundle-n{n}"]
         price = rep.extra["price"]
         # n (E[v] - E[v]/2) rounds within a few ulps of the closed form.
         exact = n * n * math.log(n) / (2 * (n - 1))

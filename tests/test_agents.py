@@ -12,7 +12,6 @@ from ipmlab.errors import ParseError
 from ipmlab.mechanisms import Menu, build_menu
 
 import oracles
-from _experiments import canonical_structures
 
 
 def test_structure_constructors():
@@ -33,7 +32,9 @@ def test_random_partition_deterministic_and_surjective():
 
 
 def test_structure_descriptor_roundtrip():
-    for s in canonical_structures(8):
+    for descriptor in ("competition", "monopsony", "balanced:2", "random:3:7"):
+        s = agents.parse_structure(descriptor, 8)
+        assert s.descriptor == descriptor
         again = agents.parse_structure(s.descriptor, 8)
         assert again.partition == s.partition
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +266,13 @@ def test_simulate_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_parse_with_unique_ids(path):
+    ids = [s.scenario_id for s in cli.parse_config(path.read_text()).scenarios]
+    assert ids and len(set(ids)) == len(ids)
+
+
 def test_check_filter_and_exit(capsys):
     code, out, _ = run(["check", "--only", "optprog"], capsys)
     assert code == 0
@@ -343,6 +351,13 @@ def _python(code: str, *args, cwd=None):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code, *args], timeout=300, env=env, cwd=cwd)
+
+
+def test_python_m_ipmlab_runs_the_cli():
+    # What `python -m ipmlab ARGS` runs, with its exit code.
+    code = "import runpy; runpy.run_module('ipmlab', run_name='__main__', alter_sys=True)"
+    assert _python(code, "check", "--only", "tau").returncode == 0
+    assert _python(code, "check", "--only", "nope").returncode == 5
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -139,9 +139,9 @@ def test_optimal_item_price_closed_forms():
         (TruncatedEqualRevenue(100), 1.0, 1.0),
     ]
     for d, price, revenue in cases:
-        p, r = optimal_item_price(d)
+        p = optimal_item_price(d)
         assert p == pytest.approx(price, rel=1e-12, abs=1e-12), d.descriptor
-        assert r == pytest.approx(revenue, rel=1e-12, abs=1e-12), d.descriptor
+        assert p * float(d.survival(p)) == pytest.approx(revenue, rel=1e-12, abs=1e-12), d.descriptor
 
 
 def test_sequential_sale_single_buyer_example():

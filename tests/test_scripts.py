@@ -1,53 +1,54 @@
+import csv
+import re
 import runpy
 import sys
 from pathlib import Path
 
-from ipmlab import simulation
+from ipmlab import cli, simulation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+CONFIGS = SCRIPTS.parent / "configs"
 
 SWEEP_ROW = "exp:1, 0, 6, 3, {s}, surplus, ipm, 2000, 1.97025, 0.0627198459178, {wel}, 4.85, 0.406237113402, 0.232544157935, "
 
-# Each script's whole stdout at these sizes, byte for byte.
-EXPECTED = [
-    ("run_structure_sweep.py", ["--reps", "2000"], [
+
+def _simulate_at_2000_reps(name: str) -> list[str]:
+    """`ipmlab simulate` on a 2000-replicate copy of a shipped config in the
+    working directory; the CSV it writes, line by line."""
+    text = re.sub(r"^reps = \d+$", "reps = 2000", (CONFIGS / name).read_text(), flags=re.M)
+    Path(name).write_text(text)
+    assert cli.main(["simulate", name]) == 0, name
+    return Path(cli.parse_config(text).output).read_text().splitlines()
+
+
+def test_paper_figures_at_small_sizes(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # the reports stay out of the checkout
+    # The posted price ignores how buyers are grouped: same revenue bits.
+    assert _simulate_at_2000_reps("theorem1.cfg")[:5] == [
         "scenario_id, dist, lambda, n, k, structure, model, mechanism, reps, "
         "mean_rev, ci95, mean_wel, analytic_wel, ratio, bound, passed",
-        "ipm-exp:1-n6k3-competition-surplus, " + SWEEP_ROW.format(s="competition", wel="3.29335485779"),
-        "ipm-exp:1-n6k3-monopsony-surplus, " + SWEEP_ROW.format(s="monopsony", wel="3.31369297222"),
-        "ipm-exp:1-n6k3-balanced:2-surplus, " + SWEEP_ROW.format(s="balanced:2", wel="3.30705807175"),
-        "ipm-exp:1-n6k3-random:3:7-surplus, " + SWEEP_ROW.format(s="random:3:7", wel="3.30636821259"),
-    ]),
-    ("run_item_vs_bundle.py", ["--ns", "60", "--reps", "2000"], [
-        "n, item_revenue, bundle_revenue, acceptance, gap_ratio",
-        "60, 60, 124.912, 1, 2.08187",
-    ]),
-    ("run_benchmark_failures.py", ["--reps", "2000"], [
-        "# (k+1)-auction, monopsony, Exponential(1), k=1: revenue vs posted price",
-        "n, auction_revenue, posted_price_revenue",
-        "16, 0.999, 1.45202",
-        "64, 1, 1.97583",
-        "256, 1, 2.62734",
-        "",
-        "# bundle price tuned for monopsony, run under competition, Uniform[0,1], k=n=32",
-        "bundle revenue 0 (price 14.4) vs posted-price revenue 7.9805",
-    ]),
-]
+        "exp-competition, " + SWEEP_ROW.format(s="competition", wel="3.29335485779"),
+        "exp-monopsony, " + SWEEP_ROW.format(s="monopsony", wel="3.31369297222"),
+        "exp-balanced, " + SWEEP_ROW.format(s="balanced:2", wel="3.30705807175"),
+        "exp-random-split, " + SWEEP_ROW.format(s="random:3:7", wel="3.30636821259"),
+    ]
 
+    def rows(name):
+        return {r["scenario_id"]: r for r in csv.DictReader(_simulate_at_2000_reps(name), skipinitialspace=True)}
 
-def test_scripts_run_at_small_sizes(monkeypatch, capsys, tmp_path):
-    monkeypatch.chdir(tmp_path)  # anything a script writes stays out of the checkout
-    for name, argv, lines in EXPECTED:
-        path = SCRIPTS / name
-        monkeypatch.setattr(sys, "argv", [str(path), *argv])
-        try:
-            runpy.run_path(str(path), run_name="__main__")
-            code = 0
-        except SystemExit as exc:
-            code = exc.code
-        assert code in (0, None), name
-        assert capsys.readouterr().out == "\n".join(lines) + "\n", name
-    assert not any(tmp_path.iterdir())
+    # n = 60: item revenue, bundle revenue, acceptance (2 x the bundle's
+    # ratio) and the gap ratio.
+    gap = rows("item_vs_bundle.cfg")
+    item, bundle = float(gap["item-n60"]["mean_rev"]), float(gap["bundle-n60"]["mean_rev"])
+    acceptance = 2 * float(gap["bundle-n60"]["ratio"])
+    assert f"{item:.6g}, {bundle:.6g}, {acceptance:.6g}, {bundle / item:.6g}" == "60, 124.912, 1, 2.08187"
+
+    # Each benchmark's revenue against the posted price's.
+    fail = rows("benchmark_failures.cfg")
+    pairs = [("kplus1-n16", "ipm-n16"), ("kplus1-n64", "ipm-n64"), ("kplus1-n256", "ipm-n256"),
+             ("bundle-competition", "ipm-competition")]
+    assert [f"{float(fail[a]['mean_rev']):.6g}, {float(fail[b]['mean_rev']):.6g}" for a, b in pairs] == [
+        "0.999, 1.45202", "1, 1.97583", "1, 2.62734", "0, 7.9805"]
 
 
 # `row_digests.py` on configs/theorem1.cfg at 9000 replicates (two batches)
