@@ -128,12 +128,17 @@ CSV_HEADER = (
 
 
 def worker_count() -> int:
-    """IPMLAB_THREADS, capped at the CPU count; 1 when unset or malformed."""
+    """IPMLAB_THREADS, capped at the CPUs this process may run on; 1 when
+    unset or malformed."""
     try:
         wanted = int(os.environ.get("IPMLAB_THREADS", ""))
     except ValueError:
         return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(wanted, cpus))
 
 
 def theoretical_bound(s: Scenario) -> float | None:

@@ -347,10 +347,10 @@ def test_program_subcommand(capsys):
     assert code5 == 4
 
 
-def _python(code: str, *args, cwd=None):
+def _python(code: str, *args, **run):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code, *args], timeout=300, env=env, cwd=cwd)
+    return subprocess.run([sys.executable, "-c", code, *args], timeout=300, env=env, **run)
 
 
 def test_python_m_ipmlab_runs_the_cli():
@@ -370,6 +370,36 @@ def test_cli_import_loads_no_scipy():
     # The runtime needs numpy alone; scipy is a test-only oracle.
     code = "import ipmlab.cli, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     assert _python(code).returncode == 0
+
+
+TASKS = "import os, ipmlab; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _tasks_after_import():
+    proc = _python(TASKS, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_import_starts_no_blas_thread(monkeypatch):
+    # OpenBLAS's idle worker pool would spin for about 100 ms of CPU.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert _tasks_after_import() == ["1", "None"]
+
+
+def test_import_leaves_the_environment_as_it_was(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    code = "import os; before = dict(os.environ); import ipmlab; assert dict(os.environ) == before"
+    assert _python(code).returncode == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.skipif(CPUS < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_import_keeps_the_callers_blas_threads(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert _tasks_after_import() == ["2", "2"]
 
 
 def test_check_draws_no_random_number():

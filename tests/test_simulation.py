@@ -1030,6 +1030,8 @@ def test_csv_row_formatting():
 
 
 def test_worker_count_env(monkeypatch):
+    # Where the OS reports no affinity mask, the CPU count is the cap.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv("IPMLAB_THREADS", raising=False)
     assert simulation.worker_count() == 1
@@ -1043,6 +1045,16 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert simulation.worker_count() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulation.worker_count() == 1
+    # Where it does, the cap is the CPUs this process may run on (taskset,
+    # cpuset), not the host's count.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 5}, raising=False)
+    assert simulation.worker_count() == 2
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    assert simulation.worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setenv("IPMLAB_THREADS", "6")
     assert simulation.worker_count() == 1
 
 
