@@ -1,9 +1,10 @@
 """Demand structures and intermediary purchase behavior.
 
-An intermediary either passes prices through (surplus maximizer, possibly
-with a bargaining split that rescales payoffs but not decisions) or
+An intermediary either passes prices through (surplus maximizer) or
 re-prices to its captive buyers (monopolist), in which case it buys for a
-buyer only when the buyer's virtual value clears the posted price.
+buyer only when the buyer's virtual value clears the posted price.  A
+bargaining split between intermediary and buyer rescales payoffs but
+changes no purchase, so it is the surplus model.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import Distribution, _fmt, inverse_virtual_value
+from .distributions import Distribution, inverse_virtual_value
 from .errors import ParseError
 
 
@@ -42,37 +43,21 @@ class DemandStructure:
         return self.label or f"custom:{self.m}"
 
 
-class Kind(Enum):
+class BehaviorModel(Enum):
+    """An intermediary's purchase behavior; the value is its descriptor."""
+
     SURPLUS_MAX = "surplus"
     MONOPOLIST = "monopolist"
-    ALPHA_BARGAIN = "alpha"
-
-
-@dataclass(frozen=True)
-class BehaviorModel:
-    kind: Kind
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.kind is Kind.ALPHA_BARGAIN and not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-
-    @property
-    def descriptor(self) -> str:
-        if self.kind is Kind.ALPHA_BARGAIN:
-            return f"alpha:{_fmt(self.alpha)}"
-        return self.kind.value
 
 
 def parse_behavior(descriptor: str) -> BehaviorModel:
-    s = descriptor.strip().lower()
-    if s in ("surplus", "surplusmax", "surplus_max"):
-        return BehaviorModel(Kind.SURPLUS_MAX)
-    if s in ("monopolist", "monopoly"):
-        return BehaviorModel(Kind.MONOPOLIST)
-    if s.startswith("alpha:"):
-        return BehaviorModel(Kind.ALPHA_BARGAIN, float(s.split(":", 1)[1]))
-    raise ParseError(f"unknown behavior model {descriptor!r}")
+    try:
+        return BehaviorModel(descriptor.strip().lower())
+    except ValueError:
+        raise ParseError(
+            f"unknown behavior model {descriptor!r}: use surplus or monopolist"
+            " (a bargaining split changes no purchase, so it is surplus)"
+        ) from None
 
 
 def competition(n: int) -> DemandStructure:
@@ -124,7 +109,7 @@ def purchase_threshold(model: BehaviorModel, d: Distribution, price: float) -> f
     Surplus maximizers pass the price through; a monopolist marks it up to
     the inverse virtual value (it resells at its own optimal reserve).
     """
-    if model.kind is Kind.MONOPOLIST:
+    if model is BehaviorModel.MONOPOLIST:
         return inverse_virtual_value(d, price)
     return price
 

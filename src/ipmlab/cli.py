@@ -36,7 +36,8 @@ _SCENARIO_KEYS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat key-value lines with repeated [scenario] blocks."""
+    """Flat key-value lines with repeated [scenario] blocks; a key appears
+    at most once per block."""
     globals_: dict = {}
     raw_scenarios: list[dict] = []
     current: dict | None = None
@@ -57,11 +58,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if current is None:
             if key not in _GLOBAL_KEYS:
                 raise ParseError(f"line {lineno}: unknown global key {key!r}")
-            globals_[key] = val
+            block = globals_
         else:
             if key not in _SCENARIO_KEYS:
                 raise ParseError(f"line {lineno}: unknown scenario key {key!r}")
-            current[key] = val
+            block = current
+        if key in block:
+            raise ParseError(f"line {lineno}: key {key!r} is already set in this block")
+        block[key] = val
     if "seed" not in globals_:
         raise ParseError("config must set an explicit seed")
     try:
@@ -94,7 +98,7 @@ def _scenario_from_keys(raw: dict, idx: int, default_seed: int, default_reps: in
             d=d, n=n, k=k, structure=structure, model=model, mechanism=mech,
             etas=etas, reps=reps, master_seed=seed,
             scenario_id=raw.get("id", f"scenario{idx + 1}"),
-            order_policy=raw.get("order", "random"),
+            order_policy=raw.get("order"),
             epsilon=epsilon,
         )
     except KeyError as exc:
@@ -147,8 +151,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     names = None
-    if args.only:
+    if args.only is not None:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
+        if not names:
+            raise ParseError("--only names no check")
         unknown = [n for n in names if n not in theory.REGISTRY]
         if unknown:
             print(f"unknown check(s): {', '.join(unknown)}", file=sys.stderr)
@@ -191,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("check", help="run the numerical inequality checkers")
-    p.add_argument("--only", help="comma-separated check names")
+    p.add_argument("--only", help="comma-separated check names, at least one")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("program", help="verify the prefix-constrained pricing program")

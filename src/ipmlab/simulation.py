@@ -45,7 +45,7 @@ class Scenario:
     reps: int = 100_000
     master_seed: int = 0
     scenario_id: str = ""
-    order_policy: str = "random"  # intermediary order in the sequential sale
+    order_policy: str | None = None  # het_ipm visit order: "random" (the default) or "fixed"
     epsilon: float | None = None  # bundle price slack: p = n (E[v] - eps)
 
     def __post_init__(self):
@@ -62,7 +62,7 @@ class Scenario:
                 raise ValueError(f"epsilon applies to bundle only, not to {self.mechanism}")
             if not math.isfinite(self.epsilon):
                 raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        if self.model.kind is agents.Kind.MONOPOLIST and self.mechanism not in ("ipm", "item_price"):
+        if self.model is agents.BehaviorModel.MONOPOLIST and self.mechanism not in ("ipm", "item_price"):
             raise ValueError(f"the monopolist model applies to ipm and item_price only, not to {self.mechanism}")
         if self.mechanism == "het_ipm":
             if self.etas is None:
@@ -71,14 +71,17 @@ class Scenario:
                 raise ValueError(f"het_ipm sells one item per weight: got {len(self.etas)} etas for k={self.k}")
         elif self.etas is not None:
             raise ValueError(f"etas weigh the items of het_ipm only, not of {self.mechanism}")
-        if self.order_policy not in ("random", "fixed"):
-            raise ValueError(f"unknown order policy {self.order_policy!r}")
+        if self.order_policy is not None:
+            if self.order_policy not in ("random", "fixed"):
+                raise ValueError(f"unknown order policy {self.order_policy!r}")
+            if self.mechanism != "het_ipm":
+                raise ValueError(f"order applies to het_ipm only, not to {self.mechanism}")
 
     @property
     def label(self) -> str:
         return self.scenario_id or (
             f"{self.mechanism}-{self.d.descriptor}-n{self.n}k{self.k}-"
-            f"{self.structure.descriptor}-{self.model.descriptor}"
+            f"{self.structure.descriptor}-{self.model.value}"
         )
 
 
@@ -107,7 +110,7 @@ class SimulationReport:
                 str(s.n),
                 str(s.k),
                 s.structure.descriptor,
-                s.model.descriptor,
+                s.model.value,
                 s.mechanism,
                 str(s.reps),
                 f"{self.mean_revenue:.12g}",
@@ -146,7 +149,7 @@ def theoretical_bound(s: Scenario) -> float | None:
     lam = s.d.lambda_claimed
     c = c_of_lambda(lam)
     if s.mechanism == "ipm":
-        tau = c if s.model.kind is agents.Kind.MONOPOLIST else 1.0
+        tau = c if s.model is agents.BehaviorModel.MONOPOLIST else 1.0
         factor = c if s.n % s.k == 0 else c / 2.0
         return tau * factor * (1.0 - 1.0 / math.e)
     if s.mechanism == "het_ipm":
@@ -441,10 +444,10 @@ def _menu_rows(s: Scenario, classes, menu: Menu, floors: np.ndarray, width: int,
     step's taken items in item order, so no bit depends on the rounds or on
     the other rows."""
     size, m = len(v), s.structure.m
-    if s.order_policy == "random":
-        orders = np.argsort(aux.random((size, m)), axis=1)
-    else:
+    if s.order_policy == "fixed":
         orders = np.arange(m)
+    else:
+        orders = np.argsort(aux.random((size, m)), axis=1)
     tops = _top_values(v, classes, m, width).reshape(width + 1, m * size)
     # Row r's s-th step visits the group whose values are column
     # orders[r, s] rows + r of `tops`.

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy import integrate, stats
 
-from ipmlab.agents import BehaviorModel, Kind, menu_purchase_dp
+from ipmlab.agents import BehaviorModel, menu_purchase_dp
 from ipmlab.distributions import Distribution, c_of_lambda, virtual_value
 from ipmlab.errors import OutOfSupport, QuadratureFailure
 from ipmlab.mechanisms import Menu
@@ -138,21 +138,20 @@ def uniform_price_purchases(model: BehaviorModel, d: Distribution, price: float,
     if price < 0:
         raise ValueError("price must be nonnegative")
     vals = np.asarray(valuations, dtype=float)
-    if model.kind is Kind.MONOPOLIST:
+    if model is BehaviorModel.MONOPOLIST:
         return int(np.sum(virtual_value(d, vals) >= price))
-    # Alpha-bargaining rescales the payoff split, not the argmax.
     return int(np.sum(vals >= price))
 
 
 def estimate_tau(model: BehaviorModel, d: Distribution, price_grid,
                  reps: int = 200_000, rng_seed: int = 0) -> float:
-    """Monte Carlo min over the grid of P[buy | v >= p]: 1 for pass-through
-    models; for the monopolist, v is sampled conditioned on v >= p and the
+    """Monte Carlo min over the grid of P[buy | v >= p]: 1 for a surplus
+    maximizer; for the monopolist, v is sampled conditioned on v >= p and the
     virtual values clearing p are counted (`agents.monopolist_tau_analytic`
     is the closed form)."""
     if reps < 100_000:
         raise ValueError("need reps >= 100_000 for a stable estimate")
-    if model.kind is not Kind.MONOPOLIST:
+    if model is not BehaviorModel.MONOPOLIST:
         return 1.0
     rng = np.random.default_rng(rng_seed)
     worst = 1.0

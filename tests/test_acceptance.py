@@ -57,7 +57,7 @@ def test_uniform_price_guarantee_monopolist():
         ratio, ci = _ratio_with_ci(rep)
         assert ratio >= bound - ci, structure.descriptor
     # Measured purchase fraction above the price matches 1/e tightly.
-    mono = agents.BehaviorModel(agents.Kind.MONOPOLIST)
+    mono = agents.BehaviorModel.MONOPOLIST
     tau = estimate_tau(mono, Exponential(1.0), [0.5, 1.5, 3.0],
                        reps=2_000_000, rng_seed=5)
     assert tau == pytest.approx(C0, abs=1e-3)

@@ -45,23 +45,22 @@ def test_parse_structure_rejects_unknown():
 
 
 def test_behavior_parsing():
-    assert agents.parse_behavior("surplus").kind is agents.Kind.SURPLUS_MAX
-    assert agents.parse_behavior("monopolist").kind is agents.Kind.MONOPOLIST
-    a = agents.parse_behavior("alpha:0.3")
-    assert a.kind is agents.Kind.ALPHA_BARGAIN and a.alpha == 0.3
-    with pytest.raises(ParseError):
-        agents.parse_behavior("altruist")
-    # The descriptor keeps every digit of alpha, so it parses back exactly.
-    for text in ("surplus", "monopolist", "alpha:1", "alpha:0.5", "alpha:0.1234567", "alpha:1e-07"):
-        m = agents.parse_behavior(text)
-        assert m.descriptor == text
-        assert agents.parse_behavior(m.descriptor) == m
+    # Two models; each one's value is its descriptor, which parses back to it.
+    assert [m.value for m in agents.BehaviorModel] == ["surplus", "monopolist"]
+    for model in agents.BehaviorModel:
+        assert agents.parse_behavior(model.value) is model
+    assert agents.parse_behavior(" Monopolist ") is agents.BehaviorModel.MONOPOLIST
+    # A bargaining split changes no purchase, so it has no model of its own,
+    # and no other spelling of the two parses.
+    for text in ("altruist", "alpha:0.5", "surplusmax", "surplus_max", "monopoly"):
+        with pytest.raises(ParseError, match="surplus"):
+            agents.parse_behavior(text)
 
 
 def test_purchase_thresholds():
     d = Exponential(1.0)
-    sm = agents.BehaviorModel(agents.Kind.SURPLUS_MAX)
-    mono = agents.BehaviorModel(agents.Kind.MONOPOLIST)
+    sm = agents.BehaviorModel.SURPLUS_MAX
+    mono = agents.BehaviorModel.MONOPOLIST
     assert agents.purchase_threshold(sm, d, 1.5) == 1.5
     # Monopolist marks the price up by the inverse virtual value: p + 1 here.
     assert agents.purchase_threshold(mono, d, 1.5) == pytest.approx(2.5, abs=1e-7)
@@ -69,14 +68,12 @@ def test_purchase_thresholds():
 
 def test_uniform_price_purchase_counts():
     d = Exponential(1.0)
-    sm = agents.BehaviorModel(agents.Kind.SURPLUS_MAX)
-    mono = agents.BehaviorModel(agents.Kind.MONOPOLIST)
+    sm = agents.BehaviorModel.SURPLUS_MAX
+    mono = agents.BehaviorModel.MONOPOLIST
     vals = [0.5, 1.2, 2.3, 3.0]
     assert oracles.uniform_price_purchases(sm, d, 1.0, vals) == 3
     # Monopolist needs phi(v) = v - 1 >= 1, i.e. v >= 2.
     assert oracles.uniform_price_purchases(mono, d, 1.0, vals) == 2
-    alpha = agents.BehaviorModel(agents.Kind.ALPHA_BARGAIN, 0.5)
-    assert oracles.uniform_price_purchases(alpha, d, 1.0, vals) == 3
 
 
 def test_monopolist_tau_closed_forms():
@@ -91,18 +88,18 @@ def test_monopolist_tau_closed_forms():
 
 
 def test_estimate_tau_surplus_is_one():
-    sm = agents.BehaviorModel(agents.Kind.SURPLUS_MAX)
+    sm = agents.BehaviorModel.SURPLUS_MAX
     assert oracles.estimate_tau(sm, Exponential(1.0), [0.5, 1.0]) == 1.0
 
 
 def test_estimate_tau_monopolist_matches_analytic():
-    mono = agents.BehaviorModel(agents.Kind.MONOPOLIST)
+    mono = agents.BehaviorModel.MONOPOLIST
     got = oracles.estimate_tau(mono, Exponential(1.0), [0.5, 1.0, 2.0], reps=400_000, rng_seed=1)
     assert got == pytest.approx(1 / math.e, abs=3e-3)
 
 
 def test_estimate_tau_dominates_c_lambda():
-    mono = agents.BehaviorModel(agents.Kind.MONOPOLIST)
+    mono = agents.BehaviorModel.MONOPOLIST
     for d in builtin_families():
         if d.lambda_claimed >= 1.0:
             continue  # c(1) = 0: vacuous

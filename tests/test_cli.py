@@ -222,8 +222,12 @@ def test_simulate_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
          "monopolist"),
         ({"surplus": "monopolist", "mechanism = ipm": "mechanism = kplus1"}, "monopolist"),
         ({"surplus": "monopolist", "mechanism = ipm": "mechanism = bundle"}, "monopolist"),
+        # Only het_ipm's sequential sale visits intermediaries in an order.
+        ({"reps = 20000": "reps = 20000\norder = fixed"}, "order"),
+        ({"mechanism = ipm": "mechanism = kplus1", "reps = 20000": "reps = 20000\norder = random"}, "order"),
     ],
-    ids=["ipm-with-epsilon", "het_ipm-monopolist", "kplus1-monopolist", "bundle-monopolist"],
+    ids=["ipm-with-epsilon", "het_ipm-monopolist", "kplus1-monopolist", "bundle-monopolist",
+         "ipm-with-order", "kplus1-with-order"],
 )
 def test_simulate_rejects_keys_the_mechanism_ignores(tmp_path, capsys, edit, key):
     text = CONFIG.format(out=tmp_path / "r.csv")
@@ -234,6 +238,31 @@ def test_simulate_rejects_keys_the_mechanism_ignores(tmp_path, capsys, edit, key
     code, _, err = run(["simulate", str(cfg)], capsys)
     assert code == 2
     assert key in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("model", ["alpha:0.5", "surplusmax", "surplus_max", "monopoly"])
+def test_simulate_rejects_models_other_than_surplus_and_monopolist(tmp_path, capsys, model):
+    # A bargaining split changes no purchase: it runs as `surplus`, so it
+    # has no model of its own, and the two models have one spelling each.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "r.csv").replace("model = surplus", f"model = {model}"))
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert "surplus" in err and "monopolist" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key,old,line", [("k", "k = 2", 10), ("reps", "reps = 5000", 3)], ids=["scenario-key", "global-key"],
+)
+def test_simulate_rejects_a_repeated_key(tmp_path, capsys, key, old, line):
+    # A key appears once per block; a second value would win silently.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "r.csv").replace(old, f"{old}\n{key} = 1"))
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert f"line {line}: key {key!r}" in err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -288,6 +317,14 @@ def test_check_unknown_name(capsys):
     code, out, err = run(["check", "--only", "nope,optprog,nada"], capsys)
     assert (code, out) == (5, "")
     assert "nope" in err and "nada" in err and "optprog" not in err
+
+
+@pytest.mark.parametrize("only", ["", ",", " "], ids=["empty", "comma", "blank"])
+def test_check_only_must_name_a_check(capsys, only):
+    # An --only that names no check would run none, or all of them.
+    code, out, err = run(["check", "--only", only], capsys)
+    assert (code, out) == (2, "")
+    assert "--only" in err
 
 
 def test_check_negative_controls_reported_separately(capsys):
