@@ -85,18 +85,27 @@ def random_partition(n: int, m: int, seed: int) -> DemandStructure:
     return DemandStructure(n, m, tuple(int(x) for x in part), f"random:{m}:{seed}")
 
 
+# The structures with integer fields: their builder and descriptor form.
+_STRUCTURE_FORMS = {"balanced": (balanced, "balanced:M"), "random": (random_partition, "random:M:SEED")}
+
+
 def parse_structure(descriptor: str, n: int) -> DemandStructure:
     s = descriptor.strip().lower()
     if s == "competition":
         return competition(n)
     if s == "monopsony":
         return monopsony(n)
-    if s.startswith("balanced:"):
-        return balanced(n, int(s.split(":")[1]))
-    if s.startswith("random:"):
-        _, m, seed = s.split(":")
-        return random_partition(n, int(m), int(seed))
-    raise ParseError(f"unknown demand structure {descriptor!r}")
+    kind, _, rest = s.partition(":")
+    if kind not in _STRUCTURE_FORMS:
+        raise ParseError(f"unknown demand structure {descriptor!r}")
+    build, form = _STRUCTURE_FORMS[kind]
+    try:
+        fields = [int(f) for f in rest.split(":")]
+    except ValueError:
+        fields = []  # matches no form
+    if len(fields) != form.count(":"):
+        raise ParseError(f"demand structure {descriptor!r} is not {form} with integer fields")
+    return build(n, *fields)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,17 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import agents, simulation, theory
+# `simulation` (and its thread pool) loads only where a scenario is built,
+# so `check`, `price` and `program` never import it.
+from . import agents, theory
 from .distributions import parse_distribution
 from .errors import IpmLabError, ParseError
 from .mechanisms import build_menu, ipm_price
+
+if TYPE_CHECKING:
+    from . import simulation
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -81,6 +87,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _scenario_from_keys(raw: dict, idx: int, default_seed: int, default_reps: int) -> simulation.Scenario:
+    from . import simulation
+
     try:
         d = parse_distribution(raw["dist"])
         n = int(raw["n"])
@@ -127,6 +135,8 @@ def cmd_price(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulation
+
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     rows = [simulation.CSV_HEADER]

@@ -324,6 +324,10 @@ def virtual_value(d: Distribution, v):
     return float(out) if scalar else out
 
 
+# Offsets, in steps, of the 65 points of a bracket-refinement round.
+_STEPS = np.arange(65.0)
+
+
 def inverse_virtual_value(d: Distribution, c: float) -> float:
     """Solve virtual_value(d, v) = c by bracket refinement.
 
@@ -358,7 +362,10 @@ def inverse_virtual_value(d: Distribution, c: float) -> float:
     for _ in range(64):
         if hi - lo <= 1e-14 + 8.9e-16 * hi:
             break
-        xs = np.linspace(lo, hi, 65)
+        # np.linspace(lo, hi, 65), with its own arithmetic and fewer calls.
+        xs = _STEPS * ((hi - lo) / 64)
+        xs += lo
+        xs[-1] = hi
         above = np.flatnonzero(virtual_value(d, xs[1:-1]) >= c)
         i = int(above[0]) if above.size else 63
         lo, hi = float(xs[i]), float(xs[i + 1])

@@ -34,6 +34,12 @@ def expected_order_stat(d: Distribution, j: int, t: int) -> float:
     by e^-46.  The same nodes integrate g, s g and e^(tail_growth s) g, whose
     exact values are 1, the mean and prod_(i=j..t) i / (i - tail_growth); a
     miss of 1e-9 relative raises QuadratureFailure.
+
+    Terms whose value is exact before they are computed are skipped, with
+    every bit of the result kept: the factor (1 - e^-s)^(t-j) when j = t,
+    the binomial sum in C when j = 1 or j = t (C = t), and, when
+    tail_growth = 0, the exact tilted moment (1) and the factor e^(0 s) in
+    its integrand.  All three moments are still integrated and compared.
     """
     if not 1 <= j <= t:
         raise ValueError(f"need 1 <= j <= t, got j={j}, t={t}")
@@ -43,11 +49,13 @@ def expected_order_stat(d: Distribution, j: int, t: int) -> float:
     inv = 1.0 / np.arange(j, t + 1, dtype=float)
     mean = float(inv.sum())
     sd = math.sqrt(float(np.square(inv).sum()))
-    tilted_exact = math.exp(-float(np.log1p(-growth * inv).sum()))
+    tilted_exact = math.exp(-float(np.log1p(-growth * inv).sum())) if growth else 1.0
     # C = t binom(t-1, m) with m = min(j-1, t-j), summed term by term: lgamma(t + 1)
     # alone would carry an absolute error of about 1e-16 t log t.
     m = min(j - 1, t - j)
-    log_c = math.log(t) + float(np.log(np.arange(t - m, t) / np.arange(1.0, m + 1)).sum())
+    log_c = math.log(t)
+    if m:
+        log_c += float(np.log(np.arange(t - m, t) / np.arange(1.0, m + 1)).sum())
     # Near 0, s g(s) <= C s^(t-j+1); start where that bound is below e^-50.
     lo = max(mean - 40.0 * sd, math.exp((-50.0 - log_c) / (t - j + 1)))
     hi = mean + 40.0 * sd + 46.0 / (j - growth)
@@ -56,16 +64,21 @@ def expected_order_stat(d: Distribution, j: int, t: int) -> float:
     half = 0.5 * (y_hi - y_lo) / panels
     y = ((y_lo + half * (2 * np.arange(panels) + 1))[:, None] + half * _GL_NODES).ravel()
     s = np.exp(y)
-    rule = np.tile(half * _GL_WEIGHTS, panels)
+    rule = (half * _GL_WEIGHTS)[None].repeat(panels, 0).ravel()
     # log of s g(s): g times the Jacobian of s = e^y.
-    log_sg = log_c + (t - j) * np.log(-np.expm1(-s)) - j * s + y
-    w = np.exp(log_sg) * rule
+    if t > j:
+        log_sg = log_c + (t - j) * np.log(-np.expm1(-s)) - j * s + y
+    else:
+        log_sg = log_c - j * s + y
+    sg = np.exp(log_sg)
+    w = sg * rule
     result, keep, tail = _quantile_weighted_sum(d, s, w, lambda i: log_sg[i] + np.log(rule[i]))
     # Nodes where Q overflows count in the e^(tail_growth s) moment too, which
     # shows whether the tail was integrated.
-    tilted = float(np.exp(log_sg[keep] + growth * s[keep]) @ rule[keep])
+    tilted_sg = np.exp(log_sg + growth * s) if growth else sg
+    tilted = float(tilted_sg[keep] @ rule[keep])
     if tail.size:
-        tilted += float(np.exp(log_sg[tail] + growth * s[tail]) @ rule[tail])
+        tilted += float(tilted_sg[tail] @ rule[tail])
     s, w = s[keep], w[keep]
     checks = (
         (float(w.sum()), 1.0),
@@ -85,20 +98,27 @@ def _quantile_weighted_sum(d: Distribution, s, w, log_w):
     underflowed to 0 (inf * 0 would be NaN).  Where Q overflows, deep in a
     heavy tail, it adds e^(log w + log Q) instead, which need not be small
     even where w underflowed; ``log_w(tail)`` gives log w at those nodes
-    alone.  Returns the sum, the nodes that added w Q and the nodes where Q
-    overflowed.
+    alone.  Returns the sum, an index of the nodes that added w Q (a slice,
+    and no copy, when that is every node) and the nodes where Q overflowed.
     """
     with np.errstate(over="ignore"):
         q = np.asarray(d.tail_quantile(s), dtype=float)
     finite = q != np.inf
     weighted = w > 0.0 if w.ndim == 1 else (w > 0.0).any(axis=1)
-    keep = np.flatnonzero(finite & weighted)
+    added = finite & weighted
+    if added.all():
+        return q @ w, slice(None), _NO_NODES
+    keep = np.flatnonzero(added)
     tail = np.flatnonzero(~finite)
     total = q[keep] @ w[keep]
     if tail.size:
         log_q = d.log_tail_quantile(s[tail]).reshape((-1,) + (1,) * (w.ndim - 1))
         total = total + np.exp(log_w(tail) + log_q).sum(axis=0)
     return total, keep, tail
+
+
+# The overflow nodes when there are none.
+_NO_NODES = np.empty(0, dtype=np.intp)
 
 
 # Keyed on the descriptor, which names the family and its exact parameters.

@@ -44,6 +44,16 @@ def test_parse_structure_rejects_unknown():
         agents.parse_structure("oligopoly:2", 4)
 
 
+@pytest.mark.parametrize(
+    "descriptor", ["balanced:2:99", "balanced", "balanced:", "balanced:x", "random:3", "random:3:7:1", "random:3:x"]
+)
+def test_parse_structure_rejects_wrong_fields(descriptor):
+    # balanced:M has one integer field and random:M:SEED two; balanced:2:99
+    # used to run as balanced:2, and random:3 failed to unpack.
+    with pytest.raises(ParseError, match=f"{descriptor!r}"):
+        agents.parse_structure(descriptor, 6)
+
+
 def test_behavior_parsing():
     # Two models; each one's value is its descriptor, which parses back to it.
     assert [m.value for m in agents.BehaviorModel] == ["surplus", "monopolist"]

@@ -253,6 +253,17 @@ def test_simulate_rejects_models_other_than_surplus_and_monopolist(tmp_path, cap
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("structure", ["balanced:2:99", "random:3", "random:3:x"])
+def test_simulate_rejects_a_structure_with_wrong_fields(tmp_path, capsys, structure):
+    # balanced:2:99 would run as balanced:2 and name it so in the CSV.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "r.csv").replace("competition", structure))
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert repr(structure) in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize(
     "key,old,line", [("k", "k = 2", 10), ("reps", "reps = 5000", 3)], ids=["scenario-key", "global-key"],
 )
@@ -437,6 +448,35 @@ def test_import_leaves_the_environment_as_it_was(monkeypatch):
 def test_import_keeps_the_callers_blas_threads(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert _tasks_after_import() == ["2", "2"]
+
+
+def test_check_loads_no_simulator():
+    # `check` builds no scenario: the simulator and its thread pool stay
+    # unloaded, and their import time out of its run.
+    code = (
+        "import contextlib, io, sys\n"
+        "import ipmlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert ipmlab.cli.main(['check', '--only', 'tau']) == 0\n"
+        "assert 'ipmlab.simulation' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules"
+    )
+    assert _python(code).returncode == 0
+
+
+def test_parsing_a_config_loads_the_simulator(tmp_path):
+    # `simulate` imports the simulator while it parses the config, before
+    # any scenario runs.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "r.csv"))
+    code = (
+        "import sys\n"
+        "import ipmlab.cli\n"
+        "assert 'ipmlab.simulation' not in sys.modules\n"
+        "ipmlab.cli.parse_config(open(sys.argv[1]).read())\n"
+        "assert 'ipmlab.simulation' in sys.modules"
+    )
+    assert _python(code, str(cfg)).returncode == 0
 
 
 def test_check_draws_no_random_number():

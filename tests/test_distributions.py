@@ -180,6 +180,57 @@ def test_inverse_virtual_value_closed_forms():
     assert inverse_virtual_value(Pareto(2.0, 1.0), 3.0) == pytest.approx(6.0, rel=1e-8)
 
 
+# float.hex of inverse_virtual_value(d, p) for the builtin families, at
+# p = 0 and at the prices of the `tau` check, d's quantiles at the levels
+# below.  pareto:2:1 and ter:100 have no root at 0.  A change to the
+# bracket refinement shows here.
+TAU_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9)
+GOLDEN_INVERSE_VIRTUAL_VALUES = {
+    ("exp:1", 0): "0x1.0000000000002p+0",
+    ("exp:1", 0.05): "0x1.0d218eade60c8p+0",
+    ("exp:1", 0.25): "0x1.49a58844d36e6p+0",
+    ("exp:1", 0.5): "0x1.b17217f7d1cf9p+0",
+    ("exp:1", 0.75): "0x1.317217f7d1cf8p+1",
+    ("exp:1", 0.9): "0x1.a6bb1bbb55516p+1",
+    ("uniform:0:1", 0): "0x1.0000000000005p-1",
+    ("uniform:0:1", 0.05): "0x1.0cccccccccccdp-1",
+    ("uniform:0:1", 0.25): "0x1.400000000000fp-1",
+    ("uniform:0:1", 0.5): "0x1.7fffffffffff8p-1",
+    ("uniform:0:1", 0.75): "0x1.c000000000001p-1",
+    ("uniform:0:1", 0.9): "0x1.e66666666665ap-1",
+    ("weibull:1:2", 0): "0x1.6a09e667f3bccp-1",
+    ("weibull:1:2", 0.05): "0x1.a8a1796d70ef8p-1",
+    ("weibull:1:2", 0.25): "0x1.0641532c675b4p+0",
+    ("weibull:1:2", 0.5): "0x1.3ca018534b85cp+0",
+    ("weibull:1:2", 0.75): "0x1.8240ac9407484p+0",
+    ("weibull:1:2", 0.9): "0x1.cbbca526e606cp+0",
+    ("pareto:2:1", 0): "OutOfRange",
+    ("pareto:2:1", 0.05): "0x1.06a6846c9c167p+1",
+    ("pareto:2:1", 0.25): "0x1.279a745903320p+1",
+    ("pareto:2:1", 0.5): "0x1.6a09e667f3bd4p+1",
+    ("pareto:2:1", 0.75): "0x1.ffffffffffff8p+1",
+    ("pareto:2:1", 0.9): "0x1.94c583ada5b58p+2",
+    ("ter:100", 0): "OutOfRange",
+    ("ter:100", 0.05): "0x1.483a0992d0110p+3",
+    ("ter:100", 0.25): "0x1.70e3ce586b2dcp+3",
+    ("ter:100", 0.5): "0x1.c24d6bf667ffep+3",
+    ("ter:100", 0.75): "0x1.3b4e2ca9e2376p+4",
+    ("ter:100", 0.9): "0x1.e4a04341a817ep+4",
+}
+
+
+def test_inverse_virtual_values_match_golden_bits():
+    got = {}
+    for d in FAMILIES:
+        for level in (0, *TAU_LEVELS):
+            p = float(d.quantile(level)) if level else 0.0
+            try:
+                got[d.descriptor, level] = float.hex(inverse_virtual_value(d, p))
+            except OutOfRange:
+                got[d.descriptor, level] = "OutOfRange"
+    assert got == GOLDEN_INVERSE_VIRTUAL_VALUES
+
+
 def test_inverse_virtual_value_out_of_range():
     with pytest.raises(OutOfRange):
         inverse_virtual_value(Uniform(0, 1), 2.0)

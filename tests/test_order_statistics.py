@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -27,6 +28,9 @@ from ipmlab.order_statistics import (
 )
 
 from oracles import first_order_stat_cdf, quad_order_stat, sample_order_stats
+
+
+PARETO_101 = Pareto(1.01, 1.0)
 
 
 def harmonic_tail(j: int, t: int) -> float:
@@ -292,7 +296,8 @@ def test_samples_sorted_and_deterministic(seed, t):
 
 
 # float.hex of expected_order_stat(d, j, t) for the builtin families plus
-# pareto:3:1, j in {1, 2, t // 2, t}, t in {1, 3, 16, 256}.  A change to the
+# pareto:3:1, j in {1, 2, t // 2, t}, t in {1, 3, 16, 256}, and a few
+# pareto:1.01:1 cases.  A change to the
 # nodes, range or weights of the rule shows here.
 GOLDEN_ORDER_STATS = {
     ("exp:1", 1, 1): "0x1.0000000000000p+0",
@@ -367,10 +372,60 @@ GOLDEN_ORDER_STATS = {
     ("pareto:3:1", 2, 256): "0x1.6f03155283a7ap+2",
     ("pareto:3:1", 128, 256): "0x1.433ddfb637470p+0",
     ("pareto:3:1", 256, 256): "0x1.005571d09ade4p+0",
+    # Rank 1 here takes the path where Q overflows and log Q is summed.
+    ("pareto:1.01:1", 1, 1): "0x1.93ffffffffff6p+6",
+    ("pareto:1.01:1", 1, 16): "0x1.86f90eddc421ep+10",
+    ("pareto:1.01:1", 1, 256): "0x1.7c469472317cbp+14",
+    ("pareto:1.01:1", 2, 16): "0x1.ef7d89f81983ep+3",
 }
 
 
 def test_order_stats_match_golden_bits():
-    families = {d.descriptor: d for d in builtin_families() + [parse_distribution("pareto:3:1")]}
+    families = {d.descriptor: d for d in builtin_families() + [parse_distribution("pareto:3:1"), PARETO_101]}
     got = {(name, j, t): float.hex(expected_order_stat(families[name], j, t)) for name, j, t in GOLDEN_ORDER_STATS}
     assert got == GOLDEN_ORDER_STATS
+
+
+# sha256 of top_k_sums(d, n).tobytes() for the builtin families and
+# pareto:1.01:1, whose tail runs past the float range of the quantile.
+GOLDEN_TOP_K_SUMS = {
+    ("exp:1", 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    ("exp:1", 4): "33a2ab511a1ba1cfa7ab11d149bde9d727baefdda2177fe98eccc7b44971ec9c",
+    ("exp:1", 12): "ff343b92d22e996f95d66bdcb804b61b9e40544029910d9e68fdf9efab169418",
+    ("exp:1", 32): "b85f0c0d74b2e6bb49690fffbdacd0766cbbdce39185baa96a8e390e2860bb85",
+    ("exp:1", 256): "074d7b3bf4618aae54cd3a279ad62257914d28d9f57342fe86a75cbd5c22aab6",
+    ("uniform:0:1", 1): "4cfa5b42ca669328764e67cd9a34bb8f90b16ed7ca8d85e8443783d7ccce15ed",
+    ("uniform:0:1", 4): "ac33ed3385c8eede774254a09965ff19f5ed23772652df5db9adfa111b2888f3",
+    ("uniform:0:1", 12): "e38b6cc3e2fd824036c3b8fac42f3a08bae6e58ec7d9c7968d038f5a4d29e1c3",
+    ("uniform:0:1", 32): "453376f9f4c3336a42609778788ef38199c8fbbbe96fe67a330da8ed085c85e8",
+    ("uniform:0:1", 256): "a58602582283a97fdfd318deb7cb951b4c9e09fc9ea8fe3b730ceaa569f4d3a8",
+    ("weibull:1:2", 1): "b7fda8a0a11398bd1faeeb029874999ce73e660ca618115747b7e00502e495cc",
+    ("weibull:1:2", 4): "84e3bc2c0b3772130edd9eaa0e5f3ab404ea51a59af3394c6375d38e310fc2f9",
+    ("weibull:1:2", 12): "2e9c276d95810da09904d263586dce438f6ec188ffa4fc54c234eab2551dd841",
+    ("weibull:1:2", 32): "b92e783e6679d166d3e6e664477337f919cd484c423c12287163beb5fa17b6a4",
+    ("weibull:1:2", 256): "7e8ec6efe6c76971971e9e5fec7a6dac71c911bb9e4d76979360ac18b309a55d",
+    ("pareto:2:1", 1): "3f710ac088db33363087de2b9a657541fe5447821debaa9fe5cbd538eb1a5f29",
+    ("pareto:2:1", 4): "39e60713645cf4611c9a14840df78b729580dfe5faffc2c72120ac7cf1f91bcd",
+    ("pareto:2:1", 12): "081fe0579110f0971f81ff5d5434d7539e362d34b583ffabddbd1ba0db9e1ef3",
+    ("pareto:2:1", 32): "a63da9b1b02540fb6cd50722a901413829a16ae3681fc6030fdb333b55394ad1",
+    ("pareto:2:1", 256): "567b63de9f84b161e73d21ecd6bae6e5fbb2724a76bfd3f1967ba1fb72162334",
+    ("ter:100", 1): "41afb70e54f57f8ed03b2b1b66d9ec023351701d714f5f93407d873b340d2d02",
+    ("ter:100", 4): "bd3d231e8d3e95552b614afd2bb18a3ab80c7f3054a4da0ddd0a672ea88b8240",
+    ("ter:100", 12): "6cfff80f6af4f8b68e818571da2eca329cf2be3bcc09a0b8232d9b49cadd888b",
+    ("ter:100", 32): "e1ca4aeb57719662b57b6477fe7098e4ff0211cbecb4c2b1fc70704f2fd4f2fe",
+    ("ter:100", 256): "e47e8cbd067568f8ac621ac48ca412da183d7dd545c016d9ed5225771bc99045",
+    ("pareto:1.01:1", 1): "3f708e5b72415ab8d5e9e8f243be2a437699c69382038906dc494adab47d06b3",
+    ("pareto:1.01:1", 4): "0a79fcc016f746cd9af45149209ad2fee033d8ef81c54326ec6f3de71f5fa875",
+    ("pareto:1.01:1", 12): "0cde857a9be8384733e810e5c2464a7dd288796f225282580e65f1f52d58412b",
+    ("pareto:1.01:1", 32): "24c4d8cea787a4ea9e07eb5faf22cfbc129297b5dffbc7c803b8bf325aa38c92",
+    ("pareto:1.01:1", 256): "b43ab8c8cc8d362bc22f90b7424119d1a91e26485c7a5180fa95b546d54a7703",
+}
+
+
+def test_top_k_sums_match_golden_bits():
+    got = {
+        (d.descriptor, n): hashlib.sha256(top_k_sums(d, n).tobytes()).hexdigest()
+        for d in builtin_families() + [PARETO_101]
+        for n in (1, 4, 12, 32, 256)
+    }
+    assert got == GOLDEN_TOP_K_SUMS
