@@ -30,17 +30,18 @@ def record_blocks(patch=setattr):
     blocks = {}
 
     def recorded(s):
-        block, extra = batch_fn(s)
+        block, *rest = batch_fn(s)
         kept = blocks.setdefault(s.label, [])
 
-        # Forwards whatever the batch driver passes, so that the script runs
-        # on checkouts whose block functions take other arguments too.
+        # Forwards whatever the batch driver passes, and the rest of what
+        # `_batch_fn` gives, so that the script runs on checkouts whose block
+        # functions take other arguments, or whose `_batch_fn` gives more.
         def run(*args):
             out = block(*args)
             kept.append([np.array(x, dtype=float) for x in out])
             return out
 
-        return run, extra
+        return (run, *rest)
 
     patch(simulation, "_batch_fn", recorded)
     return blocks

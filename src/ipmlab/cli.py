@@ -102,10 +102,13 @@ def _scenario_from_keys(raw: dict, idx: int, default_seed: int, default_reps: in
         if raw.get("etas"):
             etas = tuple(float(x) for x in raw["etas"].split(","))
         epsilon = float(raw["epsilon"]) if "epsilon" in raw else None
+        scenario_id = raw.get("id", f"scenario{idx + 1}")
+        if "," in scenario_id:
+            raise ParseError(f"id {scenario_id!r} has a comma, which would split its report row")
         scenario = simulation.Scenario(
             d=d, n=n, k=k, structure=structure, model=model, mechanism=mech,
             etas=etas, reps=reps, master_seed=seed,
-            scenario_id=raw.get("id", f"scenario{idx + 1}"),
+            scenario_id=scenario_id,
             order_policy=raw.get("order"),
             epsilon=epsilon,
         )
@@ -123,6 +126,8 @@ def cmd_price(args) -> int:
     d = parse_distribution(args.dist)
     if args.etas:
         etas = [float(x) for x in args.etas.split(",")]
+        if args.k is not None and args.k != len(etas):
+            raise ParseError(f"the menu sells one item per weight: got {len(etas)} etas for --k {args.k}")
         menu = build_menu(d, args.n, etas)
         for row in menu.csv_rows():
             print(row)
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("price", help="print the posted price or menu table")
     p.add_argument("--dist", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, help="items; beside --etas, their count")
     p.add_argument("--etas", help="comma-separated nonincreasing weights")
     p.set_defaults(fn=cmd_price)
 

@@ -345,17 +345,35 @@ def inverse_virtual_value(d: Distribution, c: float) -> float:
         raise OutOfRange(f"target {c} below the virtual-value range of {d.descriptor}")
     if c <= phi_lo:
         return lo
-    phi_hi = virtual_value(d, hi)
     # Expand toward the tail if the endpoint does not bracket yet.
-    for _ in range(64):
-        if phi_hi >= c:
-            break
-        if not math.isinf(d.support.hi):
+    with np.errstate(invalid="ignore"):
+        phi_hi, good = virtual_value(d, hi), hi
+        for _ in range(64):
+            if phi_hi >= c or math.isnan(phi_hi):
+                break
+            if not math.isinf(d.support.hi):
+                raise OutOfRange(f"target {c} above the virtual-value range of {d.descriptor}")
+            good = hi
+            hi *= 2.0
+            phi_hi = virtual_value(d, hi)
+        else:
             raise OutOfRange(f"target {c} above the virtual-value range of {d.descriptor}")
-        hi *= 2.0
-        phi_hi = virtual_value(d, hi)
-    else:
-        raise OutOfRange(f"target {c} above the virtual-value range of {d.descriptor}")
+        # Past where survival and pdf both underflow, the virtual value is
+        # 0/0 = NaN: step back halfway toward the last end that gave a
+        # number.  The halving stalls at adjacent floats, so it is bounded.
+        if math.isnan(phi_hi):
+            bad = hi
+            for _ in range(64):
+                hi = 0.5 * (good + bad)
+                phi_hi = virtual_value(d, hi)
+                if phi_hi >= c:
+                    break
+                if math.isnan(phi_hi):
+                    bad = hi
+                else:
+                    good = hi
+            else:
+                raise OutOfRange(f"target {c} lies past where the tail of {d.descriptor} underflows")
     if phi_hi < phi_lo:
         raise NonMonotone(f"virtual value of {d.descriptor} decreases across the bracket")
     # Each round keeps the one of 64 sub-brackets where the sign changes.

@@ -157,38 +157,29 @@ def theoretical_bound(s: Scenario) -> float | None:
     return None
 
 
-def _batches(reps: int):
-    start = 0
-    idx = 0
-    while start < reps:
-        size = min(BATCH_SIZE, reps - start)
-        yield idx, size
-        idx += 1
-        start += size
-
-
-def _run_batch(members, blocks, batch_idx: int):
+def _run_batch(members, fns, batch_idx: int):
     """Draw, allocate and reduce one batch of a group: scenarios with one
     master seed, family and n.  Stream 0 of the batch's seed is drawn
     BLOCK_VALUES // n rows at a time into one reused buffer (bit-identical
     to a whole-batch draw: `random` fills rows in order) and mapped to
     values in place, once for the group.  Each member's
-    ``block(v, aux, passes)`` reads read-only views of its rows of that
-    block (fewer when the member has fewer rows in this batch) in slices of
-    BLOCK_VALUES // `_row_values` rows, so that its largest tables stay
-    within a block of values however narrow its rows; ``aux`` is the
-    member's own generator on stream 1, drawn in row order, so slices
-    change no bit.  It gives each row's revenue and welfare.  The members
+    ``block(v, aux, passes)`` from `_batch_fn` reads read-only views of its
+    rows of that block (fewer when the member has fewer rows in this batch)
+    in slices of BLOCK_VALUES // values_per_row rows, the width `_batch_fn`
+    gives with it, so that its largest tables stay within a block of values
+    however narrow its rows; ``aux`` is the member's own generator on
+    stream 1, drawn in row order, so slices change no bit.  It gives each
+    row's revenue and welfare.  The members
     with the same rows in this batch get one ``passes`` dict per slice, in
     which a block function memoizes work that does not depend on the
     member (`_uniform_price_pass`): the first member to run it draws from
     its own stream 1, which equals every other member's, and the others
     then leave theirs untouched for the whole batch.  Per member, the batch
-    reduces to its partial sums and the seconds spent in ``block``, a
-    shared pass charged to the member that ran it."""
+    reduces to its size, its partial sums and the seconds spent in
+    ``block``, a shared pass charged to the member that ran it."""
     s = members[0]
     sizes = [min(BATCH_SIZE, m.reps - batch_idx * BATCH_SIZE) for m in members]
-    steps = [max(1, BLOCK_VALUES // _row_values(m)) for m in members]
+    steps = [max(1, BLOCK_VALUES // values_per_row) for _, values_per_row, _ in fns]
     size = max(sizes)
     draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 0)))
     auxs = [np.random.default_rng(np.random.SeedSequence((s.master_seed, batch_idx, 1))) for _ in members]
@@ -203,7 +194,7 @@ def _run_batch(members, blocks, batch_idx: int):
         ub = draw.random(out=u[: size - lo])
         s.d.quantile(ub, out=ub)
         passes = {}
-        for j, (block, aux, sz, step) in enumerate(zip(blocks, auxs, sizes, steps)):
+        for j, ((block, _, _), aux, sz, step) in enumerate(zip(fns, auxs, sizes, steps)):
             if lo >= sz:
                 continue
             if lo == 0:
@@ -222,41 +213,29 @@ def _run_batch(members, blocks, batch_idx: int):
     return [(*p, t) for p, t in zip(sums, engine_s)]
 
 
-def _row_values(s: Scenario) -> int:
-    """Values per row in the largest tables a member's block function
-    holds: for the uniform price, the rationing keys and their sorted copy;
-    for the menu sale, the top values (m per state) or a DP call's three
-    value tables and its k take-or-not masks (3 + k / 8 per state), over
-    width + 1 states; otherwise a row of values."""
-    if s.mechanism in ("ipm", "item_price"):
-        return 2 * s.n
-    if s.mechanism == "het_ipm":
-        return (_menu_width(s) + 1) * max(s.structure.m, 3 + len(s.etas) // 8)
-    return s.n
-
-
 def _sums(revenue: np.ndarray, welfare: np.ndarray):
-    """Each series' sum and its M2 about the batch mean, in two passes over
-    the batch's rows, and the rows where revenue exceeds welfare."""
+    """The batch's size, each series' sum and its M2 about the batch mean,
+    in two passes over the batch's rows, and the rows where revenue exceeds
+    welfare."""
     sums = []
     for x in (revenue, welfare):
         total = float(x.sum())
         sums += [total, float(np.square(x - total / len(x)).sum())]
-    return (*sums, int(np.sum(revenue > welfare + 1e-9)))
+    return (len(revenue), *sums, int(np.sum(revenue > welfare + 1e-9)))
 
 
-def _merge(parts, sizes, col: int):
-    """Mean and ci95 of one series from its batches' (sum, M2), in batch
-    order: the mean from the raw sums, M2 = sum M2_b + n_b (mean_b - mean)^2
-    (Chan, Golub & LeVeque 1979)."""
-    reps = sum(sizes)
+def _merge(parts, col: int):
+    """Mean and ci95 of one series from its batches' (size, ..., sum, M2),
+    in batch order: the mean from the raw sums, M2 = sum M2_b + n_b (mean_b
+    - mean)^2 (Chan, Golub & LeVeque 1979)."""
+    reps = sum(p[0] for p in parts)
     total = 0.0
     for p in parts:
         total += p[col]
     mean = total / reps
     m2 = 0.0
-    for p, size in zip(parts, sizes):
-        m2 += p[col + 1] + size * (p[col] / size - mean) ** 2
+    for p in parts:
+        m2 += p[col + 1] + p[0] * (p[col] / p[0] - mean) ** 2
     return mean, 1.96 * math.sqrt(m2 / reps / reps)
 
 
@@ -418,12 +397,6 @@ def _item_floors(menu: Menu) -> np.ndarray:
     return floors
 
 
-def _menu_width(s: Scenario) -> int:
-    """Top values per group the menu sale keeps: a purchase has at most k
-    items, and a group offers at most its size."""
-    return min(int(np.bincount(s.structure.partition).max()), len(s.etas))
-
-
 def _menu_rows(s: Scenario, classes, menu: Menu, floors: np.ndarray, width: int, v: np.ndarray, aux):
     """Sequential menu sale: each row offers its remaining items to its
     intermediaries in its visit order (random ones from ``aux`` in row
@@ -510,7 +483,7 @@ def _group_tops(v: np.ndarray, groups, k: int):
         yield g
 
 
-def _kplus1_block(s: Scenario, groups, reserve: float, v: np.ndarray, aux):
+def _kplus1_block(k: int, columns: np.ndarray, fit: int, cut, reserve: float, v: np.ndarray, aux):
     # Each intermediary bids its top min(k, |group|) buyer values; only the
     # top k + 1 bids set the winners and the price.  The groups that fit
     # whole are gathered in one take that fills ``bids`` whole, so that it
@@ -519,19 +492,17 @@ def _kplus1_block(s: Scenario, groups, reserve: float, v: np.ndarray, aux):
     # k slots take its first k columns, which its top then overwrites.  The
     # cut groups are cut one group at a time, and each group's copy is freed
     # once written, so at most one is live, and none past the loop.
-    fit = [i for idxs in groups if len(idxs) <= s.k for i in idxs]
-    cut = [idxs for idxs in groups if len(idxs) > s.k]
-    nb = len(fit) + s.k * len(cut)
+    nb = len(columns)
     bids = np.empty((len(v), nb))
-    np.take(v, fit + [i for idxs in cut for i in idxs[: s.k]], axis=1, out=bids, mode="clip")
-    for lo, top in zip(range(len(fit), nb, s.k), _group_tops(v, cut, s.k)):
-        bids[:, lo : lo + s.k] = top
+    np.take(v, columns, axis=1, out=bids, mode="clip")
+    for lo, top in zip(range(fit, nb, k), _group_tops(v, cut, k)):
+        bids[:, lo : lo + k] = top
         del top
     # One in-place sort: its top k + 1 do not depend on the order of the bids.
     bids.sort(axis=1)
-    bids = bids[:, max(nb - s.k - 1, 0) :][:, ::-1]
-    winners = np.minimum((bids >= reserve).sum(axis=1), s.k)
-    floor = bids[:, s.k] if nb > s.k else np.zeros(len(v))
+    bids = bids[:, max(nb - k - 1, 0) :][:, ::-1]
+    winners = np.minimum((bids >= reserve).sum(axis=1), k)
+    floor = bids[:, k] if nb > k else np.zeros(len(v))
     pay = np.maximum(floor, reserve)
     revenue = winners * pay
     csum = np.cumsum(bids, axis=1)
@@ -559,28 +530,52 @@ def _bundle_block(s: Scenario, groups, price: float, v: np.ndarray, aux):
 
 
 def _batch_fn(s: Scenario):
+    """The scenario's engine, built once: its block function
+    ``block(v, aux, passes)``; the values per row in the largest tables the
+    block function holds, which size its slices (`_run_batch`); and the
+    report's extra."""
     groups = s.structure.groups()
-    classes = _group_layout(groups)
     if s.mechanism in ("ipm", "item_price"):
         if s.mechanism == "ipm":
             price = ipm_price(s.d, s.n, s.k)
         else:
             price = optimal_item_price(s.d)
         threshold = agents.purchase_threshold(s.model, s.d, price)
-        return partial(_uniform_price_block, s, classes, price, threshold), {"price": price}
+        block = partial(_uniform_price_block, s, _group_layout(groups), price, threshold)
+        # A slice's rationing keys and their sorted copy.
+        return block, 2 * s.n, {"price": price}
     if s.mechanism == "het_ipm":
         menu = build_menu(s.d, s.n, s.etas)
-        floors, width = _item_floors(menu), _menu_width(s)
-        return lambda v, aux, passes: _menu_rows(s, classes, menu, floors, width, v, aux), {"menu": menu}
+        classes, floors = _group_layout(groups), _item_floors(menu)
+        # Top values kept per group: a purchase has at most k items, and a
+        # group offers at most its size.  Per state, the groups' top values
+        # (m) or a DP call's three value tables and its k take-or-not masks
+        # (3 + k / 8), over width + 1 states.
+        width = min(max(map(len, groups)), s.k)
+
+        def block(v, aux, passes):
+            return _menu_rows(s, classes, menu, floors, width, v, aux)
+
+        return block, (width + 1) * max(s.structure.m, 3 + s.k // 8), {"menu": menu}
     if s.mechanism == "kplus1":
         reserve = optimal_item_price(s.d)
-        return lambda v, aux, passes: _kplus1_block(s, groups, reserve, v, aux), {"reserve": reserve}
+        # The columns of ``bids``: every buyer of the groups that fit whole,
+        # then each cut group's first k.
+        fit = [i for idxs in groups if len(idxs) <= s.k for i in idxs]
+        cut = [idxs for idxs in groups if len(idxs) > s.k]
+        columns = np.array(fit + [i for idxs in cut for i in idxs[: s.k]], dtype=np.intp)
+        fits = len(fit)
+
+        def block(v, aux, passes):
+            return _kplus1_block(s.k, columns, fits, cut, reserve, v, aux)
+
+        return block, s.n, {"reserve": reserve}
     if s.mechanism == "bundle":
         if s.epsilon is not None:
             price = s.n * (s.d.mean() - s.epsilon)
         else:
             price = top_k_welfare(s.d, s.n, s.k)
-        return lambda v, aux, passes: _bundle_block(s, groups, price, v, aux), {"price": price}
+        return (lambda v, aux, passes: _bundle_block(s, groups, price, v, aux)), s.n, {"price": price}
     raise AssertionError(s.mechanism)
 
 
@@ -598,12 +593,12 @@ def run_scenarios(scenarios) -> list[SimulationReport]:
     fns = [_batch_fn(s) for s in scenarios]
     jobs = []
     for members in groups.values():
-        for b, _ in _batches(max(scenarios[i].reps for i in members)):
+        for b in range(-(-max(scenarios[i].reps for i in members) // BATCH_SIZE)):
             jobs.append((b, [i for i in members if scenarios[i].reps > b * BATCH_SIZE]))
 
     def run(job):
         b, members = job
-        return _run_batch([scenarios[i] for i in members], [fns[i][0] for i in members], b)
+        return _run_batch([scenarios[i] for i in members], [fns[i] for i in members], b)
 
     threads = worker_count()
     if threads > 1 and len(jobs) > 1:
@@ -620,7 +615,7 @@ def run_scenarios(scenarios) -> list[SimulationReport]:
     for members in groups.values():
         drawn = max(scenarios[i].reps for i in members) * scenarios[members[0]].n
         for i in members:
-            reports[i] = _report(scenarios[i], fns[i][1], parts[i], drawn)
+            reports[i] = _report(scenarios[i], fns[i][2], parts[i], drawn)
     return reports
 
 
@@ -631,10 +626,9 @@ def run_scenario(s: Scenario) -> SimulationReport:
 
 def _report(s: Scenario, extra: dict, parts, draw_values: int) -> SimulationReport:
     """A member's report from its batches' partial sums, in batch order."""
-    sizes = [size for _, size in _batches(s.reps)]
-    mean_rev, ci_rev = _merge(parts, sizes, 0)
-    mean_wel, ci_wel = _merge(parts, sizes, 2)
-    violations = sum(p[4] for p in parts)
+    mean_rev, ci_rev = _merge(parts, 1)
+    mean_wel, ci_wel = _merge(parts, 3)
+    violations = sum(p[5] for p in parts)
     analytic = top_k_welfare(s.d, s.n, s.k, s.etas)
     ratio = mean_rev / analytic if analytic > 0 else 0.0
     bound = theoretical_bound(s)
@@ -645,7 +639,7 @@ def _report(s: Scenario, extra: dict, parts, draw_values: int) -> SimulationRepo
     extra = dict(extra)
     extra["pointwise_rev_gt_wel"] = violations
     # Seconds in the member's block function, and the values its group drew.
-    extra["engine_s"] = sum(p[5] for p in parts)
+    extra["engine_s"] = sum(p[6] for p in parts)
     extra["draw_values"] = draw_values
     return SimulationReport(
         scenario=s,

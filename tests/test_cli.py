@@ -38,6 +38,17 @@ def test_price_menu_table(capsys):
     assert lines[2] == "2, 0.5, 1.5, 0.75"
 
 
+@pytest.mark.parametrize("k", ["3", "1"])
+def test_price_rejects_a_k_that_is_not_the_number_of_weights(capsys, k):
+    # The menu sells one item per weight, so a --k beside the weights must be
+    # their count, as in a config.
+    code, out, err = run(["price", "--dist", "exp:1", "--n", "4", "--k", k, "--etas", "1,0.5"], capsys)
+    assert (code, out) == (2, "")
+    assert "etas" in err
+    code, out, _ = run(["price", "--dist", "exp:1", "--n", "4", "--k", "2", "--etas", "1,0.5"], capsys)
+    assert code == 0 and out.startswith("j, eta_j, u_j, r_j")
+
+
 def test_price_rejects_prices_rising_over_a_negative_max(capsys):
     code, out, err = run(["price", "--dist", "uniform:-3:-1", "--n", "4", "--etas", "1,0.5"], capsys)
     assert (code, out) == (2, "")
@@ -274,6 +285,16 @@ def test_simulate_rejects_a_repeated_key(tmp_path, capsys, key, old, line):
     code, _, err = run(["simulate", str(cfg)], capsys)
     assert code == 2
     assert f"line {line}: key {key!r}" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_simulate_rejects_a_comma_in_an_id(tmp_path, capsys):
+    # The id is the report row's first field: a comma would split it.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG.format(out=tmp_path / "r.csv").replace("id = smoke", "id = a, b"))
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 2
+    assert "'a, b'" in err and "comma" in err
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -1,6 +1,8 @@
 import math
 import pathlib
 import re
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +236,29 @@ def test_inverse_virtual_values_match_golden_bits():
 def test_inverse_virtual_value_out_of_range():
     with pytest.raises(OutOfRange):
         inverse_virtual_value(Uniform(0, 1), 2.0)
+
+
+@pytest.mark.parametrize("desc, c, root", [("exp:1", 600.0, 601.0),
+                                           ("weibull:1:2", 17.7, (17.7 + math.sqrt(17.7**2 + 2.0)) / 2.0)])
+def test_inverse_virtual_value_steps_back_from_an_underflowed_tail(desc, c, root):
+    # Doubling the upper end jumps past where survival and pdf both underflow
+    # (phi = 0/0 = NaN there), though the root lies before: phi(v) = v - 1
+    # for exp:1, v - 1 / (2 v) for weibull:1:2.  No warning escapes.
+    d = parse_distribution(desc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = inverse_virtual_value(d, c)
+    assert abs(virtual_value(d, v) - c) <= 1e-9 * c
+    assert v == pytest.approx(root, rel=1e-12)
+
+
+def test_inverse_virtual_value_past_the_underflowed_tail():
+    # exp:1's phi(v) = v - 1 is a number only up to about v = 745, so c = 800
+    # is out of reach: the step back is bounded and raises promptly.
+    start = time.perf_counter()
+    with pytest.raises(OutOfRange, match="underflows"):
+        inverse_virtual_value(parse_distribution("exp:1"), 800.0)
+    assert time.perf_counter() - start < 1.0
 
 
 @given(p=st.floats(0.0, 3.0))

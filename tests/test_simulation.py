@@ -34,6 +34,11 @@ def scenario(**overrides):
     return simulation.Scenario(**base)
 
 
+def batches(reps):
+    """Each batch's index and size in a run of ``reps`` replicates."""
+    return [(b, min(simulation.BATCH_SIZE, reps - lo)) for b, lo in enumerate(range(0, reps, simulation.BATCH_SIZE))]
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         scenario(reps=0)
@@ -519,7 +524,7 @@ def test_uniform_price_welfare_matches_ipm_allocate_replay():
     groups = s.structure.groups()
     rng = np.random.default_rng(11)
     welfare = []
-    for b, size in simulation._batches(s.reps):
+    for b, size in batches(s.reps):
         draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, b, 0)))
         for v in np.asarray(s.d.quantile(draw.random((size, 6))), dtype=float):
             asks = [int((v[idxs] >= price).sum()) for idxs in groups]
@@ -639,7 +644,8 @@ def test_batch_memory_per_mechanism_in_valuation_blocks(monkeypatch, mechanism, 
 @pytest.mark.parametrize("n, structure", [(256, "competition"), (256, "balanced:16"), (6, "random:3:7")])
 def test_block_functions_get_slices_that_tile_each_batch(monkeypatch, n, structure):
     # The batch driver alone cuts rows: every call of a member's block
-    # function gets at most BLOCK_VALUES // _row_values rows, and the calls
+    # function gets at most BLOCK_VALUES // (its values per row) rows, where
+    # `_batch_fn` gives the values per row the README lists, and the calls
     # run through the member's rows of each batch in order, as drawn.  At
     # n = 256 the draw block is 1024 rows, which the uniform price cuts in
     # two and the menu sale under balanced:16 into 963 + 61; at n = 6 each
@@ -651,24 +657,29 @@ def test_block_functions_get_slices_that_tile_each_batch(monkeypatch, n, structu
                         reps=reps - 7 * i, scenario_id=mechanism)
                for i, mechanism in enumerate(simulation.MECHANISMS)]
     batch_fn = simulation._batch_fn
-    calls = {}
+    calls, widths = {}, {}
 
     def recorded(s):
-        block, extra = batch_fn(s)
+        block, values_per_row, extra = batch_fn(s)
+        widths[s.label] = values_per_row
 
         def run(v, aux, passes):
             calls.setdefault(s.label, []).append(v.copy())
             return block(v, aux, passes)
 
-        return run, extra
+        return run, values_per_row, extra
 
     monkeypatch.setattr(simulation, "_batch_fn", recorded)
     simulation.run_scenarios(members)
+    largest = max(map(len, members[0].structure.groups()))
     for s in members:
+        expected = {"ipm": 2 * n, "item_price": 2 * n,
+                    "het_ipm": (min(largest, k) + 1) * max(s.structure.m, 3 + k // 8)}.get(s.mechanism, n)
+        assert widths[s.label] == expected, s.label
         got = calls[s.label]
-        assert max(len(v) for v in got) <= max(1, simulation.BLOCK_VALUES // simulation._row_values(s))
+        assert max(len(v) for v in got) <= max(1, simulation.BLOCK_VALUES // widths[s.label])
         drawn = [s.d.quantile(np.random.default_rng(np.random.SeedSequence((s.master_seed, b, 0))).random((size, n)))
-                 for b, size in simulation._batches(s.reps)]
+                 for b, size in batches(s.reps)]
         assert np.concatenate(got).tobytes() == np.concatenate(drawn).tobytes(), s.label
 
 
@@ -965,13 +976,13 @@ def test_engines_get_a_read_only_block(monkeypatch):
     for write in (lambda v: v.__setitem__((0, 0), 0.0), lambda v: np.negative(v, out=v)):
 
         def writing(s, write=write):
-            block, extra = batch_fn(s)
+            block, values_per_row, extra = batch_fn(s)
 
             def run(v, aux, passes):
                 write(v)
                 return block(v, aux, passes)
 
-            return run, extra
+            return run, values_per_row, extra
 
         monkeypatch.setattr(simulation, "_batch_fn", writing)
         with pytest.raises(ValueError, match="read-only"):
@@ -985,7 +996,7 @@ def test_ci95_exact_on_a_shifted_family():
                  structure=agents.competition(4), reps=20_000, master_seed=3)
     rep = simulation.run_scenario(s)
     rows = []
-    for b, size in simulation._batches(s.reps):
+    for b, size in batches(s.reps):
         draw = np.random.default_rng(np.random.SeedSequence((s.master_seed, b, 0)))
         rows += [kplus1_auction(v, s.k, rep.extra["reserve"])[2:] for v in s.d.quantile(draw.random((size, s.n)))]
     revenue, welfare = np.array(rows).T
