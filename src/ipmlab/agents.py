@@ -26,6 +26,8 @@ class DemandStructure:
     label: str = ""
 
     def __post_init__(self):
+        if "," in self.label:
+            raise ValueError(f"label {self.label!r} has a comma, which would split a report row")
         if len(self.partition) != self.n:
             raise ValueError("partition must assign every buyer")
         seen = set(self.partition)
@@ -126,7 +128,7 @@ def purchase_threshold(model: BehaviorModel, d: Distribution, price: float) -> f
 def monopolist_tau_analytic(d: Distribution, price: float) -> float:
     """P[intermediary buys | buyer value >= price] for a monopolist, in
     closed form: (1 - F(phi^-1(p))) / (1 - F(p))."""
-    thr = inverse_virtual_value(d, price)
+    thr = purchase_threshold(BehaviorModel.MONOPOLIST, d, price)
     return float(d.survival(thr) / d.survival(price))
 
 

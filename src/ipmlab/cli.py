@@ -103,8 +103,6 @@ def _scenario_from_keys(raw: dict, idx: int, default_seed: int, default_reps: in
             etas = tuple(float(x) for x in raw["etas"].split(","))
         epsilon = float(raw["epsilon"]) if "epsilon" in raw else None
         scenario_id = raw.get("id", f"scenario{idx + 1}")
-        if "," in scenario_id:
-            raise ParseError(f"id {scenario_id!r} has a comma, which would split its report row")
         scenario = simulation.Scenario(
             d=d, n=n, k=k, structure=structure, model=model, mechanism=mech,
             etas=etas, reps=reps, master_seed=seed,

@@ -6,6 +6,8 @@ Ranks are counted from the top: rank 1 is the largest of t draws.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -133,6 +135,13 @@ def expected_rank(d: Distribution, j: int, t: int) -> float:
     return _CACHE[key]
 
 
+def sum_left(xs) -> float:
+    """The floats ``xs`` added left to right from 0.0, the bits that the
+    builtin `sum` gives up to Python 3.11; from 3.12 it compensates float
+    sums and can end an ulp away."""
+    return reduce(operator.add, xs, 0.0)
+
+
 def top_k_welfare(d: Distribution, n: int, k: int, etas=None) -> float:
     """Expected (weighted) sum of the top-k order statistics of n draws.
 
@@ -144,7 +153,7 @@ def top_k_welfare(d: Distribution, n: int, k: int, etas=None) -> float:
         if k == n:
             return n * d.mean()
         etas = [1.0] * k
-    return float(sum(eta * expected_rank(d, j + 1, n) for j, eta in enumerate(etas)))
+    return float(sum_left(eta * expected_rank(d, j + 1, n) for j, eta in enumerate(etas)))
 
 
 def top_k_sums(d: Distribution, n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from . import agents
 from .distributions import Distribution, c_of_lambda
 from .mechanisms import Menu, build_menu, ipm_price, optimal_item_price
-from .order_statistics import top_k_welfare
+from .order_statistics import sum_left, top_k_welfare
 
 BATCH_SIZE = 8192
 # Values per drawn block (2 MB of float64), so max(1, BLOCK_VALUES // n) rows:
@@ -49,6 +49,8 @@ class Scenario:
     epsilon: float | None = None  # bundle price slack: p = n (E[v] - eps)
 
     def __post_init__(self):
+        if "," in self.scenario_id:
+            raise ValueError(f"id {self.scenario_id!r} has a comma, which would split its report row")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not 1 <= self.k <= self.n:
@@ -229,13 +231,8 @@ def _merge(parts, col: int):
     in batch order: the mean from the raw sums, M2 = sum M2_b + n_b (mean_b
     - mean)^2 (Chan, Golub & LeVeque 1979)."""
     reps = sum(p[0] for p in parts)
-    total = 0.0
-    for p in parts:
-        total += p[col]
-    mean = total / reps
-    m2 = 0.0
-    for p in parts:
-        m2 += p[col + 1] + p[0] * (p[col] / p[0] - mean) ** 2
+    mean = sum_left(p[col] for p in parts) / reps
+    m2 = sum_left(p[col + 1] + p[0] * (p[col] / p[0] - mean) ** 2 for p in parts)
     return mean, 1.96 * math.sqrt(m2 / reps / reps)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 from scipy import integrate, stats
@@ -398,3 +399,51 @@ def _program_grid_oracle(rs, n: int, lam: float, step: float = 1e-3):
             best_val = float(val[pos])
             best_p = axis[[*head, *pos]]
     return best_val, best_p
+
+
+# ---------------------------------------------------------------------------
+# Python 3.12's builtin sum
+
+
+def sum_py312(iterable, start=0):
+    """CPython 3.12's builtin `sum`, for checking bits on older Pythons:
+    ints add exactly, and from the first float on, each exact float adds
+    with Neumaier's compensation (gh-100425), which joins the sum at the
+    end or where an item of another type arrives."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) is not int:
+                result = result + item
+                break
+            result += item
+    if type(result) is not float:
+        for item in items:
+            result = result + item
+        return result
+    f, c = result, 0.0
+    for item in items:
+        if type(item) is float:
+            t = f + item
+            c += (f - t) + item if abs(f) >= abs(item) else (item - t) + f
+            f = t
+        elif type(item) is int:
+            f += float(item)
+        else:
+            if c and math.isfinite(c):
+                f += c
+            result = f + item
+            for item in items:
+                result = result + item
+            return result
+    if c and math.isfinite(c):
+        f += c
+    return f
+
+
+def install_py312_sum(monkeypatch):
+    """Make `sum_py312` the `sum` of every loaded ipmlab module."""
+    for name, module in list(sys.modules.items()):
+        if name == "ipmlab" or name.startswith("ipmlab."):
+            monkeypatch.setattr(module, "sum", sum_py312, raising=False)

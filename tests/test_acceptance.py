@@ -99,8 +99,9 @@ def test_subset_avoidance_exact_rational():
     for n in range(1, 25):
         for k in range(1, n + 1):
             s = math.ceil(n / k)
-            prob = theory.exact_no_large_elements(n, k)
-            assert isinstance(prob, Fraction)
+            pair = theory.exact_no_large_elements(n, k)
+            assert len(pair) == 2 and all(type(x) is int for x in pair)
+            prob = Fraction(*pair)
             assert prob <= INV_E_LOWER, (n, k, s)
 
 

@@ -39,6 +39,14 @@ def test_structure_descriptor_roundtrip():
         assert again.partition == s.partition
 
 
+def test_a_comma_in_a_structure_label_is_rejected():
+    # A custom label is the report row's structure field and part of the
+    # default scenario label: a comma would split the row.
+    with pytest.raises(ValueError, match="comma") as exc:
+        agents.DemandStructure(2, 1, (0, 0), "a, b")
+    assert "'a, b'" in str(exc.value)
+
+
 def test_parse_structure_rejects_unknown():
     with pytest.raises(ParseError):
         agents.parse_structure("oligopoly:2", 4)

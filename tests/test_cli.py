@@ -9,6 +9,8 @@ import pytest
 
 from ipmlab import cli, simulation
 
+from oracles import install_py312_sum
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -399,6 +401,13 @@ def test_check_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_REPORT_SHA256
 
 
+def test_check_report_bits_hold_under_python_312_sum(monkeypatch, capsys):
+    # From Python 3.12 the builtin sum compensates float sums; the checks
+    # add left to right, so the pin holds there too.
+    install_py312_sum(monkeypatch)
+    test_check_report_is_pinned(capsys)
+
+
 def test_program_subcommand(capsys):
     code, out, _ = run(["program", "--r", "3,2,1", "--n", "10", "--lam", "0"], capsys)
     assert code == 0
@@ -432,6 +441,13 @@ def test_python_m_ipmlab_runs_the_cli():
 def test_cli_import_leaves_scipy_stats_unloaded():
     # Importing scipy.stats would add its setup time and memory to every run.
     code = "import ipmlab.cli, sys; assert 'scipy.stats' not in sys.modules"
+    assert _python(code).returncode == 0
+
+
+def test_cli_import_loads_no_fractions():
+    # The 1/e core is checked in integers: `fractions`, and the `decimal`
+    # it loads, would only add import time to every run.
+    code = "import ipmlab.cli, sys; assert not {'fractions', 'decimal'} & set(sys.modules)"
     assert _python(code).returncode == 0
 
 

@@ -23,11 +23,12 @@ from ipmlab.order_statistics import (
     expected_order_stat,
     expected_rank,
     max_tail_probability,
+    sum_left,
     top_k_sums,
     top_k_welfare,
 )
 
-from oracles import first_order_stat_cdf, quad_order_stat, sample_order_stats
+from oracles import first_order_stat_cdf, quad_order_stat, sample_order_stats, sum_py312
 
 
 PARETO_101 = Pareto(1.01, 1.0)
@@ -224,6 +225,14 @@ def test_order_stat_lower_bound_full():
                 lhs = k * expected_rank(d, 1, math.ceil(n / k))
                 rhs = (1 - 1 / math.e) * sum(expected_rank(d, j, n) for j in range(1, k + 1))
                 assert lhs >= rhs - 1e-5 * max(1.0, rhs), (d.descriptor, n, k)
+
+
+def test_sum_left_adds_left_to_right():
+    # 1e16 + 1 rounds to 1e16, so the plain sum loses the 1 that Python
+    # 3.12's compensated sum (emulated by `sum_py312`) keeps.
+    xs = [1e16, 1.0, -1e16]
+    assert sum_left(xs) == 0.0 and sum_py312(xs) == 1.0
+    assert sum_left([]) == 0.0 and sum_py312([]) == 0
 
 
 def test_top_k_welfare_weights():

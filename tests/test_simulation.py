@@ -15,7 +15,7 @@ from ipmlab.distributions import Exponential, Uniform, inverse_virtual_value, pa
 from ipmlab.mechanisms import Menu, build_menu
 from ipmlab.order_statistics import expected_rank
 
-from oracles import competition_welfare, ipm_allocate, kplus1_auction, sequential_menu_sale
+from oracles import competition_welfare, install_py312_sum, ipm_allocate, kplus1_auction, sequential_menu_sale
 from row_digests import record_blocks, row_digest
 
 
@@ -61,6 +61,8 @@ def test_scenario_validation():
         with pytest.raises(ValueError, match="monopolist"):
             scenario(mechanism=mechanism, etas=(1.0, 0.5, 0.25) if mechanism == "het_ipm" else None,
                      model=agents.parse_behavior("monopolist"))
+    with pytest.raises(ValueError, match="'a, b' has a comma"):
+        scenario(scenario_id="a, b")  # the id is the row's first field
 
 
 def test_same_seed_reproduces_exactly(monkeypatch):
@@ -789,6 +791,19 @@ def test_golden_grid_in_one_run(monkeypatch):
     assert got == GOLDEN_GRID
     assert batches == [(dist, b, 11) for dist in ("exp:1", "pareto:3:1") for b in range(3)]
     assert {rep.extra["draw_values"] for rep in reports} == {scenarios[0].reps * 32}
+
+
+def test_golden_bundle_bits_hold_under_python_312_sum(monkeypatch):
+    # From Python 3.12 the builtin sum compensates float sums.  The bundle
+    # price and the analytic welfare add the top-k expectations left to
+    # right, and the batches merge left to right, so the pins hold there.
+    install_py312_sum(monkeypatch)
+    monkeypatch.setenv("IPMLAB_THREADS", "1")
+    blocks = record_blocks(monkeypatch.setattr)
+    for grid_point, want in zip(golden_scenarios(), GOLDEN_GRID):
+        if grid_point[3] == "bundle":
+            rep = simulation.run_scenario(golden_scenario(*grid_point))
+            assert (rep.csv_row(), rep.ci95_welfare.hex(), row_digest(blocks[rep.scenario.label])) == want
 
 
 # The same pins at n = 64, k = 16, where a group's top is wider than 8

@@ -80,6 +80,15 @@ def test_aux_inequality_fails_at_a_nan_slack(monkeypatch):
     assert res.detail.startswith("n=5 lam=0.0 F="), res.row()
 
 
+def test_aux_inequality_ends_cover_every_lambda():
+    # The slack is affine in lam, so the two ends the check samples give
+    # the least slack over any grid of lam in [0, 1].
+    eps = 1.0 - np.linspace(0.0, 1.0 - 1e-4, 2000)
+    lams = np.linspace(0.0, 1.0, 101)[:, None]
+    least = min(float(np.min((1.0 + lams) * theory._lamb_aux_h(eps, n) + (n - 1))) for n in range(2, 13))
+    assert theory.check_lamb_aux(12).worst_margin == least
+
+
 def test_aux_inequality_point_values():
     # n=2, lam=1, F=0.5: h = 2*0.25/0.75 - 1 = -1/3, slack = 2h + 1 = 1/3.
     h = float(theory._lamb_aux_h(0.5, 2))
@@ -231,6 +240,13 @@ def test_program_optimum_bits_are_pinned():
     assert _program_grid_digest() == PROGRAM_GRID_SHA256
 
 
+def test_program_optimum_bits_hold_under_python_312_sum(monkeypatch):
+    # From Python 3.12 the builtin sum compensates float sums; the
+    # objective adds left to right, so the pin holds there too.
+    oracles.install_py312_sum(monkeypatch)
+    assert _program_grid_digest() == PROGRAM_GRID_SHA256
+
+
 def test_program_optimum_peak_memory_at_k_128():
     # The (points x window) tables hold about 2k^3 entries; built and scanned
     # in blocks of points, with int32 predecessors, k = 128 peaks near 37 MB
@@ -245,11 +261,13 @@ def test_program_optimum_peak_memory_at_k_128():
 
 
 def test_exact_subset_avoidance_probability():
-    assert theory.exact_no_large_elements(4, 2) == Fraction(1, 6)
-    assert theory.exact_no_large_elements(4, 1) == Fraction(0)
+    assert Fraction(*theory.exact_no_large_elements(4, 2)) == Fraction(1, 6)
+    assert Fraction(*theory.exact_no_large_elements(4, 1)) == Fraction(0)
     for n in range(1, 25):
         for k in range(1, n + 1):
-            assert theory.exact_no_large_elements(n, k) <= theory.INV_E_UPPER
+            pair = theory.exact_no_large_elements(n, k)
+            assert len(pair) == 2 and all(type(x) is int for x in pair)
+            assert Fraction(*pair) <= Fraction(*theory.INV_E_UPPER)
 
 
 def test_order_stat_bound_check():
@@ -278,9 +296,24 @@ def test_lemma_main_cross_check_catches_a_1e6_quadrature_error(monkeypatch):
         assert "cross-check" in r.detail and r.worst_margin == pytest.approx(-1e-6, rel=1e-6)
 
 
+def test_lemma_main_cross_check_on_a_support_of_both_signs():
+    # On Uniform(-1, 1) the top-n sum is 0: divided by its own size, the
+    # cross-check's roundoff read 0.53 at n = k = 4.  The scale
+    # sum_j |t_j - t_(j-1)| of the top-k sums t cannot cancel.
+    res = theory.check_lemma_main(Uniform(-1.0, 1.0), theory.LEMMA_MAIN_CASES)
+    assert res.passed, res.row()
+    assert float(res.detail.split(" max rel diff=")[1]) <= 1e-14
+    # Uniform(-3, -1) fails the lemma itself, whose (1 - 1/e) factor needs
+    # nonnegative values, and passes the cross-check.
+    res = theory.check_lemma_main(Uniform(-3.0, -1.0), theory.LEMMA_MAIN_CASES)
+    assert not res.passed and res.worst_margin < -1.0
+    assert "cross-check" not in res.detail and float(res.detail.split(" max rel diff=")[1]) <= 1e-14
+
+
 def test_regularity_check_passes_and_its_control_fails():
-    for r in theory.REGISTRY["regularity"]():
-        assert r.passed, (r.detail, r.worst_margin)
+    for d in builtin_families():
+        r = theory.check_regularity(d, d.lambda_claimed)
+        assert r.passed, (d.descriptor, r.worst_margin)
     [control] = theory.REGISTRY["negcontrol_regularity"]()
     assert control.passed and control.worst_margin < -0.1
     # Pareto(2) has (1-F)/f = v/2, so the margin (lam - 1/2) v falls by
