@@ -390,9 +390,15 @@ def test_check_negative_controls_reported_separately(capsys):
 # ter:100 1.58424e-16 (n=8) to 4.98094e-07 (n=1); `negcontrol_fact1` moved
 # from -0.110507 at x=19.971 to -0.980029, its detail from
 # `pareto:2:1 at lam=0 n=1 x=19.971` to `pareto:2:1 n=1 lam=0`.  The exact
-# survival of ter:100 moved no row.
+# survival of ter:100 moved no row.  Re-recorded again when the
+# order-statistic rule's panels widened from min(1/8, sd/(4 mean)) to
+# min(1/2, sd/mean) in log s: three `lemma_main` details moved (exp:1 3.4e-16
+# to 4.4e-16, uniform:0:1 5.9e-16 to 7.9e-16, pareto:2:1 6.4e-16 to
+# 4.9e-16), and two `facts_2_3` margins at t=1 (exp:1 0 to 5.55112e-17,
+# pareto:2:1 1.11022e-16 to -1.11022e-16; Fact 2 is tight for Pareto at
+# t = 1).
 CHECK_REPORT_ONLY = "fact1,lamb_aux,optprog,lemma_main,facts23,tau,claim1,negcontrol_fact1,negcontrol_optprog"
-CHECK_REPORT_SHA256 = "86b8f335da70dc25654d31f8ffbc48f717a13bd1029c1db19aabd43dae581b46"
+CHECK_REPORT_SHA256 = "8f2f7a66d41f93ff5176217de5bd5062d77e561478677243abf83cb1224ac59c"
 
 
 def test_check_report_is_pinned(capsys):
@@ -454,6 +460,13 @@ def test_cli_import_loads_no_fractions():
 def test_cli_import_loads_no_scipy():
     # The runtime needs numpy alone; scipy is a test-only oracle.
     code = "import ipmlab.cli, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    assert _python(code).returncode == 0
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # The Gauss-Legendre rule is written out: numpy.polynomial's nine
+    # modules would only add import time to every run.
+    code = "import ipmlab.cli, sys; assert not any(m.startswith('numpy.polynomial') for m in sys.modules)"
     assert _python(code).returncode == 0
 
 

@@ -52,15 +52,18 @@ def test_paper_figures_at_small_sizes(monkeypatch, tmp_path):
 
 
 # `row_digests.py` on configs/theorem1.cfg at 9000 replicates (two batches)
-# and 1000 for het_ipm: label, csv_row sha256, row digest.
+# and 1000 for het_ipm: label, csv_row sha256, row digest.  Row digests
+# re-recorded when the order-statistic rule's panels widened from
+# min(1/8, sd/(4 mean)) to min(1/2, sd/mean) in log s: all seven moved
+# (replicate values by at most 4.0e-16 relative), no csv_row.
 ROW_DIGESTS = [
-    "exp-competition, 595b35970fe02015, 5f64d30c6233ad53",
-    "exp-monopsony, 578109bfefbda41f, 93dce46ba3dfc7bb",
-    "exp-balanced, ff31505b407608b1, a8ca0412a27ed07d",
-    "exp-random-split, 450abb9ae402182c, 1e9fa812a76b22c7",
-    "exp-monopolist, de29d9cc92fd6687, 78597f67dc9bd85f",
-    "pareto-half-regular, 32c121bc8d030cdb, 15fa796bfd7e8592",
-    "exp-heterogeneous, 5fe5ff5d297c105c, 03479fec3b349e12",
+    "exp-competition, 595b35970fe02015, bddd2efb63626a25",
+    "exp-monopsony, 578109bfefbda41f, 02d7eee795f3adf0",
+    "exp-balanced, ff31505b407608b1, aea6b6cd5deef5eb",
+    "exp-random-split, 450abb9ae402182c, 0c9f221239bb84c3",
+    "exp-monopolist, de29d9cc92fd6687, 4f878b13380ead32",
+    "pareto-half-regular, 32c121bc8d030cdb, e5b830a632c8e33e",
+    "exp-heterogeneous, 5fe5ff5d297c105c, 6f6076deaae30b47",
 ]
 
 
@@ -79,14 +82,17 @@ def test_row_digests_prints_each_scenarios_bits(monkeypatch, capsys, tmp_path):
 
 
 # `row_digests.py` on configs/menu_sale.cfg, recorded before the menu sale ran
-# in rounds of listed steps: `het_ipm` at m = 2 to 256 intermediaries.
+# in rounds of listed steps: `het_ipm` at m = 2 to 256 intermediaries.  Row
+# digests re-recorded when the order-statistic rule's panels widened from
+# min(1/8, sd/(4 mean)) to min(1/2, sd/mean) in log s: all six moved
+# (replicate values by at most 9.9e-16 relative), no csv_row.
 MENU_SALE_DIGESTS = [
-    "m2-fixed, acd274217f75a53c, 1f60af23a08f27a6",
-    "m9-zero-weight, ad0a5e204b2ae2d5, 621514b4d9546f15",
-    "m16-wide, 8df2fd976022b153, 82cabc6f4c12fc5b",
-    "m32-signed, 4029d88a1e12dbaf, 6c4ea5e096774954",
-    "m32-signed-fixed, babe6b1be8bc2bee, 843775a9ed555ae7",
-    "m256-competition, 47668dc2645bf260, ed56e7f03c62c72f",
+    "m2-fixed, acd274217f75a53c, f557ed25949ffc4e",
+    "m9-zero-weight, ad0a5e204b2ae2d5, 286ab448d0b7ee55",
+    "m16-wide, 8df2fd976022b153, fe410c3394226a9d",
+    "m32-signed, 4029d88a1e12dbaf, 99d3dacb5b17aa66",
+    "m32-signed-fixed, babe6b1be8bc2bee, 93a187aa5d2e31d9",
+    "m256-competition, 47668dc2645bf260, ccae027db31ab952",
 ]
 
 

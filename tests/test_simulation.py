@@ -192,9 +192,12 @@ def test_heterogeneous_engine_matches_reference_sale_past_k_buyers():
 
 # csv_row(), the ci95_welfare hex and the row digest of `het_ipm` under
 # competition at n = 32, recorded before the sale skipped rows that cannot buy.
+# The row digest was re-recorded when the order-statistic rule's panels
+# widened from min(1/8, sd/(4 mean)) to min(1/2, sd/mean) in log s (replicate
+# values moved by at most 4.9e-16 relative; csv_row and CI kept).
 HET_COMPETITION = (
     "het_ipm-exp:1-n32k4-competition-surplus, exp:1, 0, 32, 4, competition, surplus, het_ipm, 16484, 3.71495811142, 0.0376691900963, 4.91986531582, 8.18790465526, 0.453712917753, 0.106205132686, True",
-    "0x1.bb53d6891c2c0p-5", "93d494c493f96844")
+    "0x1.bb53d6891c2c0p-5", "b00ba8a57e11d67d")
 
 
 def test_menu_sale_runs_only_rows_that_can_buy(monkeypatch):
@@ -690,12 +693,15 @@ def test_block_functions_get_slices_that_tile_each_batch(monkeypatch, n, structu
 # reports were recorded before the engines computed their temporaries in
 # place, the row digests before blocks were sized by values.  Two full
 # batches and a partial one, and rows that ration.  The row digest catches a
-# last-bit change that the report's sums would absorb.
+# last-bit change that the report's sums would absorb.  Re-recorded when the
+# order-statistic rule's panels widened from min(1/8, sd/(4 mean)) to
+# min(1/2, sd/mean) in log s: 10 of 22 row digests moved (replicate values by
+# at most 6.5e-16 relative), no csv_row or CI.
 GOLDEN_GRID = [
     ("ipm-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, ipm, 16484, 5.51221790827, 0.0511014227085, 7.55238695578, 11.9006474484, 0.46318638815, 0.232544157935, True",
-     "0x1.2e217abdd8468p-4", "6396d69c0a0f3d91"),
+     "0x1.2e217abdd8468p-4", "05ccc2abd44ee49c"),
     ("het_ipm-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, het_ipm, 16484, 3.71518117043, 0.0376100414516, 4.93632407818, 8.18790465526, 0.453740160255, 0.106205132686, True",
-     "0x1.be5bdbb1c90a3p-5", "3fdef882eb0256c0"),
+     "0x1.be5bdbb1c90a3p-5", "3313055955ff8d5f"),
     ("kplus1-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, kplus1, 16484, 7.88727448763, 0.0264306802941, 11.8743074777, 11.9006474484, 0.662760116357, , ",
      "0x1.48871ce3ced80p-5", "1b5e7ea95283574c"),
     ("bundle-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, bundle, 16484, 1.38614675449, 0.058280558059, 1.56819336938, 11.9006474484, 0.116476583354, , ",
@@ -703,13 +709,13 @@ GOLDEN_GRID = [
     ("item_price-exp:1-n32k4-random:4:7-surplus, exp:1, 0, 32, 4, random:4:7, surplus, item_price, 16484, 3.9995146809, 0.000375931866146, 10.3556807767, 11.9006474484, 0.336075385666, , ",
      "0x1.2fcc87ecf1e55p-5", "2139f7e8087cadbb"),
     ("ipm-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, ipm, 16484, 2.0832398083, 0.0358349366433, 3.61285449563, 11.9006474484, 0.1750526446, 0.0855482148687, True",
-     "0x1.0417f8dfa011ep-4", "0c0cb906dcebc8a5"),
+     "0x1.0417f8dfa011ep-4", "631091a0fdfebd63"),
     ("item_price-exp:1-n32k4-random:4:7-monopolist, exp:1, 0, 32, 4, random:4:7, monopolist, item_price, 16484, 3.40791070129, 0.0141865038721, 10.5420238295, 11.9006474484, 0.286363470228, , ",
      "0x1.be395380b58a3p-5", "6254040c0b69c0e1"),
     ("ipm-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, ipm, 16484, 4.13889543416, 0.048010442072, 6.20045942339, 11.7169913126, 0.353238755901, 0.187294980394, True",
-     "0x1.55e2c44c32c87p-4", "1719aeb705a31254"),
+     "0x1.55e2c44c32c87p-4", "51de57e7bda85981"),
     ("het_ipm-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, het_ipm, 16484, 2.83957109492, 0.0359842913136, 4.25781924247, 8.20189391881, 0.346209195465, 0.0870408790274, True",
-     "0x1.17abbf3fe32a0p-4", "1ef2d66f7173f1c1"),
+     "0x1.17abbf3fe32a0p-4", "0a6290a2cbc15da9"),
     ("kplus1-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, kplus1, 16484, 7.80106443073, 0.0180438239953, 11.6692887135, 11.7169913126, 0.665790749742, , ",
      "0x1.cdd44fb5a1078p-5", "a40918a9470f1273"),
     ("bundle-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, bundle, 16484, 1.91207878129, 0.066099705011, 2.40119594506, 11.7169913126, 0.163188546469, , ",
@@ -717,23 +723,23 @@ GOLDEN_GRID = [
     ("item_price-pareto:3:1-n32k4-random:4:7-surplus, pareto:3:1, 0.333333333333, 32, 4, random:4:7, surplus, item_price, 16484, 4, 0, 9.89607097731, 11.7169913126, 0.341384566506, , ",
      "0x1.918ad563cf7b1p-5", "aa2fbaf6d879e23f"),
     ("ipm-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, ipm, 16484, 1.24664923046, 0.0281350863941, 2.78183463491, 11.7169913126, 0.106396701781, 0.0554948090055, True",
-     "0x1.22fdfd918d2e1p-4", "3bcce6007179d1b4"),
+     "0x1.22fdfd918d2e1p-4", "b0f49f856af36e68"),
     ("item_price-pareto:3:1-n32k4-random:4:7-monopolist, pareto:3:1, 0.333333333333, 32, 4, random:4:7, monopolist, item_price, 16484, 3.99235622422, 0.00160865447968, 10.5759303588, 11.7169913126, 0.340732199735, , ",
      "0x1.9eed0f3355e95p-5", "be98998414e1e456"),
     ("ipm-exp:1-n32k4-competition-surplus, exp:1, 0, 32, 4, competition, surplus, ipm, 16484, 5.51221790827, 0.0511014227085, 7.52319168947, 11.9006474484, 0.46318638815, 0.232544157935, True",
-     "0x1.2b23685d5c7b8p-4", "c4f53940086eac0f"),
+     "0x1.2b23685d5c7b8p-4", "80184c8924f9cbf1"),
     ("item_price-exp:1-n32k4-competition-surplus, exp:1, 0, 32, 4, competition, surplus, item_price, 16484, 3.9995146809, 0.000375931866146, 7.98503926943, 11.9006474484, 0.336075385666, , ",
      "0x1.f1588b839524cp-6", "a85ff44bd972e7b1"),
     ("ipm-exp:1-n32k4-random:30:3-surplus, exp:1, 0, 32, 4, random:30:3, surplus, ipm, 16484, 5.51221790827, 0.0511014227085, 7.52370832725, 11.9006474484, 0.46318638815, 0.232544157935, True",
-     "0x1.2b3058f4aed15p-4", "62f53f2b4993fc97"),
+     "0x1.2b3058f4aed15p-4", "21781d152f983794"),
     ("item_price-exp:1-n32k4-random:30:3-surplus, exp:1, 0, 32, 4, random:30:3, surplus, item_price, 16484, 3.9995146809, 0.000375931866146, 8.04434551494, 11.9006474484, 0.336075385666, , ",
      "0x1.f5486461b9974p-6", "91611f8828015c31"),
     ("ipm-pareto:3:1-n32k4-competition-surplus, pareto:3:1, 0.333333333333, 32, 4, competition, surplus, ipm, 16484, 4.13889543416, 0.048010442072, 6.188799483, 11.7169913126, 0.353238755901, 0.187294980394, True",
-     "0x1.545001e363a7fp-4", "855ef4588ebfb17c"),
+     "0x1.545001e363a7fp-4", "ce56331ddb59e95c"),
     ("item_price-pareto:3:1-n32k4-competition-surplus, pareto:3:1, 0.333333333333, 32, 4, competition, surplus, item_price, 16484, 4, 0, 6.01447784951, 11.7169913126, 0.341384566506, , ",
      "0x1.a865389f5b495p-6", "2014ded7b75384bb"),
     ("ipm-pareto:3:1-n32k4-random:30:3-surplus, pareto:3:1, 0.333333333333, 32, 4, random:30:3, surplus, ipm, 16484, 4.13889543416, 0.048010442072, 6.18900999861, 11.7169913126, 0.353238755901, 0.187294980394, True",
-     "0x1.5456ab0f902b7p-4", "0d830516f2dc568f"),
+     "0x1.5456ab0f902b7p-4", "6383bff57a7f6017"),
     ("item_price-pareto:3:1-n32k4-random:30:3-surplus, pareto:3:1, 0.333333333333, 32, 4, random:30:3, surplus, item_price, 16484, 4, 0, 6.14254940972, 11.7169913126, 0.341384566506, , ",
      "0x1.b8da02cb46cd1p-6", "b6c6c3a2ef5051bb"),
 ]
@@ -858,19 +864,21 @@ def test_golden_bits_of_groups_wider_than_eight(monkeypatch):
 # row; a one-replicate run is a lone row.  random:30:3 at n = 32 holds 28
 # singletons and two pairs, random:5:4 at n = 64 groups of 8 to 19: classes
 # of mixed widths.  On uniform:-1:1 the products of unserved buyers below
-# zero are -0.0.
+# zero are -0.0.  Re-recorded when the order-statistic rule's panels widened
+# from min(1/8, sd/(4 mean)) to min(1/2, sd/mean) in log s: 4 of 16 moved
+# (replicate values by at most 4.9e-16 relative).
 SLICED = [
     ("exp:1", 256, 16, "competition", "ipm", 513, "14c6e595b37b6928"),
     ("exp:1", 256, 16, "competition", "ipm", 1, "f091dcf88b7549e5"),
-    ("exp:1", 32, 4, "random:30:3", "ipm", 4097, "9bafa1c58f38efc9"),
+    ("exp:1", 32, 4, "random:30:3", "ipm", 4097, "4544a9df01c9a4eb"),
     ("exp:1", 64, 16, "random:5:4", "ipm", 2049, "9069f41b2f68cae6"),
     ("exp:1", 256, 16, "competition", "item_price", 513, "783f1d2a50cd56e5"),
     ("exp:1", 256, 16, "competition", "item_price", 1, "0997888138dc8e5d"),
     ("exp:1", 32, 4, "random:30:3", "item_price", 4097, "5131d78f5f7600c1"),
     ("exp:1", 64, 16, "random:5:4", "item_price", 2049, "ca74cbdabef687c4"),
-    ("uniform:-1:1", 256, 16, "competition", "ipm", 513, "f1d943e3035ddcde"),
-    ("uniform:-1:1", 256, 16, "competition", "ipm", 1, "80da6a57d95b109d"),
-    ("uniform:-1:1", 32, 4, "random:30:3", "ipm", 4097, "d752c928dac13941"),
+    ("uniform:-1:1", 256, 16, "competition", "ipm", 513, "2a15309015118af4"),
+    ("uniform:-1:1", 256, 16, "competition", "ipm", 1, "df942c80684ef4f2"),
+    ("uniform:-1:1", 32, 4, "random:30:3", "ipm", 4097, "03367f0ecb1fd1f5"),
     ("uniform:-1:1", 64, 16, "random:5:4", "ipm", 2049, "9592f8641641e8a3"),
     ("uniform:-1:1", 256, 16, "competition", "item_price", 513, "3cc2e61eaf3214b8"),
     ("uniform:-1:1", 256, 16, "competition", "item_price", 1, "1ab59f695c36895f"),
